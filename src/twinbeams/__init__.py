@@ -9,11 +9,9 @@ from .criteria import (
     classical_unbalanced_correlation,
     classify,
     conditional_variance,
-    conditional_variance_operational,
     duan_separability,
     epr_product,
     gemellity,
-    gemellity_operational,
     report_from_moments,
     state_moments,
 )
@@ -60,13 +58,11 @@ __all__ = [
     "classical_unbalanced_correlation",
     "classify",
     "conditional_variance",
-    "conditional_variance_operational",
     "draw_samples",
     "duan_separability",
     "epr_product",
     "estimate_criteria",
     "gemellity",
-    "gemellity_operational",
     "make_single_mode_squeezed",
     "make_thermal",
     "make_two_mode_squeezed",

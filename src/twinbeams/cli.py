@@ -7,21 +7,16 @@ Subcommands:
   estimate  estimate criteria with standard errors from a batch file
 
 Exit codes: 0 success, 2 validation error, 3 physicality error.
-Set TWINBEAMS_LOG=debug|info|warning to control log verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 
 from . import sampling, scenario
 from .states import PhysicalityError
-
-log = logging.getLogger("twinbeams")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -120,20 +115,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=getattr(logging, os.environ.get("TWINBEAMS_LOG", "warning").upper(),
-                      logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except PhysicalityError as exc:
-        log.error("physicality error: %s", exc)
         print(f"physicality error: {exc}", file=sys.stderr)
         return EXIT_PHYSICALITY
-    except (scenario.ScenarioError, sampling.BatchFormatError,
-            sampling.EstimationError, ValueError, OSError) as exc:
-        log.error("validation error: %s", exc)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -17,12 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from scipy.optimize import minimize_scalar
-
 from .moments import DuanEprMoments, MomentPair
 from .states import GaussianTwoModeState, quadrature_moments
-
-ORACLE_XTOL = 1e-11
 
 LEVEL5_NOTE = "not evaluable for Gaussian states (positive Wigner function)"
 
@@ -86,29 +82,6 @@ def gemellity(m: MomentPair) -> GemellityResult:
     return GemellityResult(value=max(value, 0.0), theta=theta)
 
 
-def _recombination_variance(m: MomentPair, theta: float) -> float:
-    c, s = math.cos(theta), math.sin(theta)
-    return c * c * m.f1 + s * s * m.f2 - 2.0 * c * s * m.covariance
-
-
-def gemellity_operational(m: MomentPair, grid_size: int = 181) -> float:
-    """Gemellity by direct minimization of the recombined-beam variance:
-    coarse angular grid then bounded refinement.  Agrees with the closed
-    form to better than 1e-9."""
-    if grid_size < 3:
-        raise ValueError("grid_size must be >= 3")
-    thetas = [k * math.pi / grid_size for k in range(grid_size)]
-    best = min(thetas, key=lambda t: _recombination_variance(m, t))
-    h = math.pi / grid_size
-    res = minimize_scalar(
-        lambda t: _recombination_variance(m, t),
-        bounds=(best - h, best + h),
-        method="bounded",
-        options={"xatol": ORACLE_XTOL},
-    )
-    return float(min(res.fun, _recombination_variance(m, best)))
-
-
 # ---------------------------------------------------------------------------
 # level 2: conditional variance
 
@@ -125,31 +98,15 @@ def conditional_variance(f_a: float, f_b: float, c: float) -> ConditionalVarianc
     return ConditionalVarianceResult(value=value, gain=gain)
 
 
-def _gain_variance(f_a: float, f_b: float, cov: float, g: float) -> float:
-    return f_a - 2.0 * g * cov + g * g * f_b
-
-
-def conditional_variance_operational(m: MomentPair, direction: int) -> float:
-    """Conditional variance by scanning the gain of X_a - g X_b and
-    keeping the minimum; matches the closed form to better than 1e-9."""
-    if direction == 1:
-        f_a, f_b = m.f1, m.f2
-    elif direction == 2:
-        f_a, f_b = m.f2, m.f1
-    else:
-        raise ValueError(f"direction must be 1 or 2, got {direction}")
-    bound = 2.0 * math.sqrt(f_a / f_b) + 1.0
-    res = minimize_scalar(
-        lambda g: _gain_variance(f_a, f_b, m.covariance, g),
-        bounds=(-bound, bound),
-        method="bounded",
-        options={"xatol": ORACLE_XTOL},
-    )
-    return float(res.fun)
-
-
 # ---------------------------------------------------------------------------
 # levels 3-4: separability and EPR
+
+
+def _balanced_combinations(dm: DuanEprMoments) -> tuple:
+    """(g_plus, g_minus): the two fixed balanced 50/50 combinations
+    whose sum is S12."""
+    return (0.5 * (dm.plus.f1 + dm.plus.f2) - dm.plus.covariance,
+            0.5 * (dm.minus.f1 + dm.minus.f2) + dm.minus.covariance)
 
 
 def duan_separability(dm: DuanEprMoments) -> float:
@@ -158,8 +115,7 @@ def duan_separability(dm: DuanEprMoments) -> float:
     Uses the fixed balanced 50/50 combinations, not the minimized
     gemellity; S12 < 2 certifies a non-separable Gaussian state.
     """
-    g_plus = 0.5 * (dm.plus.f1 + dm.plus.f2) - dm.plus.covariance
-    g_minus = 0.5 * (dm.minus.f1 + dm.minus.f2) + dm.minus.covariance
+    g_plus, g_minus = _balanced_combinations(dm)
     return g_plus + g_minus
 
 
@@ -177,20 +133,21 @@ def epr_product(dm: DuanEprMoments, direction: int) -> float:
     return v_plus * v_minus
 
 
-def epr_correlation_diagnostic(dm: DuanEprMoments, direction: int = 1) -> bool:
-    """Consistency check of the correlation form of the EPR criterion:
-    (1 - C+^2)(1 - C-^2) < 1 / (F+ F-) with the inferred beam's
-    variances.  Equivalent to epr_product < 1 by construction."""
-    if direction == 1:
-        f_plus, f_minus = dm.plus.f1, dm.minus.f1
-    else:
-        f_plus, f_minus = dm.plus.f2, dm.minus.f2
-    lhs = (1.0 - dm.plus.c12 ** 2) * (1.0 - dm.minus.c12 ** 2)
-    return lhs < 1.0 / (f_plus * f_minus)
-
 
 # ---------------------------------------------------------------------------
 # the full report
+
+
+# JSON key of each CriteriaReport field, in field order
+REPORT_KEYS = (
+    "gemellity", "conditional_variance_12", "conditional_variance_21",
+    "separability", "epr_product_12", "epr_product_21",
+    "level1", "level2", "level3", "level4", "level5_note",
+    "optimal_theta", "optimal_gain_12", "optimal_gain_21", "duan_note",
+)
+
+DUAN_NOTE = ("the minimized gemellities are lower than the fixed 50/50 "
+             "combinations entering S12")
 
 
 @dataclass(frozen=True)
@@ -214,23 +171,7 @@ class CriteriaReport:
     duan_note: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {
-            "gemellity": self.g,
-            "conditional_variance_12": self.v12,
-            "conditional_variance_21": self.v21,
-            "separability": self.s12,
-            "epr_product_12": self.epr12,
-            "epr_product_21": self.epr21,
-            "level1": self.level1,
-            "level2": self.level2,
-            "level3": self.level3,
-            "level4": self.level4,
-            "level5_note": self.level5_note,
-            "optimal_theta": self.optimal_theta,
-            "optimal_gain_12": self.optimal_g12,
-            "optimal_gain_21": self.optimal_g21,
-            "duan_note": self.duan_note,
-        }
+        return dict(zip(REPORT_KEYS, vars(self).values()))
 
 
 def report_scalars(dm: DuanEprMoments) -> dict:
@@ -253,34 +194,21 @@ def report_scalars(dm: DuanEprMoments) -> dict:
 
 
 def report_from_moments(dm: DuanEprMoments) -> CriteriaReport:
-    scalars = report_scalars(dm)
-    g_plus = 0.5 * (dm.plus.f1 + dm.plus.f2) - dm.plus.covariance
-    g_minus = 0.5 * (dm.minus.f1 + dm.minus.f2) + dm.minus.covariance
-    note = None
+    values = report_scalars(dm)
+    g_plus, g_minus = _balanced_combinations(dm)
     slack = 1e-12
-    if (gemellity(dm.plus).value < g_plus - slack
-            or gemellity(dm.minus).value < g_minus - slack):
-        note = ("the minimized gemellities are lower than the fixed 50/50 "
-                "combinations entering S12")
-    return CriteriaReport(
-        g=scalars["gemellity"],
-        v12=scalars["conditional_variance_12"],
-        v21=scalars["conditional_variance_21"],
-        s12=scalars["separability"],
-        epr12=scalars["epr_product_12"],
-        epr21=scalars["epr_product_21"],
-        level1=scalars["gemellity"] < 1.0,
-        level2=(scalars["conditional_variance_12"] < 1.0
-                or scalars["conditional_variance_21"] < 1.0),
-        level3=scalars["separability"] < 2.0,
-        level4=(scalars["epr_product_12"] < 1.0
-                or scalars["epr_product_21"] < 1.0),
+    lower = (values["gemellity"] < g_plus - slack
+             or gemellity(dm.minus).value < g_minus - slack)
+    values.update(
+        level1=values["gemellity"] < 1.0,
+        level2=(values["conditional_variance_12"] < 1.0
+                or values["conditional_variance_21"] < 1.0),
+        level3=values["separability"] < 2.0,
+        level4=values["epr_product_12"] < 1.0 or values["epr_product_21"] < 1.0,
         level5_note=LEVEL5_NOTE,
-        optimal_theta=scalars["optimal_theta"],
-        optimal_g12=scalars["optimal_gain_12"],
-        optimal_g21=scalars["optimal_gain_21"],
-        duan_note=note,
+        duan_note=DUAN_NOTE if lower else None,
     )
+    return CriteriaReport(*(values[key] for key in REPORT_KEYS))
 
 
 def state_moments(state: GaussianTwoModeState,

@@ -64,18 +64,3 @@ def photon_statistics(m: FockMixture) -> PhotonStatistics:
         v21=0.0,
     )
 
-
-def read_weights(path) -> FockMixture:
-    """Load one weight per line from a plain-text file; blank lines and
-    '#' comments are ignored."""
-    weights = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                weights.append(float(line))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: not a number: {line!r}") from exc
-    return FockMixture(weights)

@@ -206,13 +206,11 @@ def estimate_criteria(batch: SampleBatch, n_blocks: int = DEFAULT_BLOCKS) -> Est
     n = batch.n
     if n < 2 * n_blocks:
         raise ValueError(f"need at least {2 * n_blocks} samples for {n_blocks} blocks")
-    full = _scalars(moments_from_samples(batch.samples))
-
-    blocks = np.array_split(batch.samples, n_blocks)
     total_x = batch.samples.sum(axis=0)
     total_xx = batch.samples.T @ batch.samples
+    full = _scalars(_moments_from_sums(total_x, total_xx, n))
     deleted = []
-    for block in blocks:
+    for block in np.array_split(batch.samples, n_blocks):
         sum_x = total_x - block.sum(axis=0)
         sum_xx = total_xx - block.T @ block
         deleted.append(_scalars(_moments_from_sums(sum_x, sum_xx, n - block.shape[0])))

@@ -32,21 +32,27 @@ from . import criteria, sampling, states
 SCHEMA = "twinbeams-scenario-1"
 REPORT_SCHEMA = "twinbeams-report-1"
 
-SOURCE_PARAMS = {
-    "vacuum": (),
-    "thermal": ("f1", "f2"),
-    "tmsv": ("r",),
-    "sms": ("mode", "s", "theta"),
+# One registry per kind: name -> (parameter names, sweep aliases, builder).
+# A sweep alias is one name setting several parameters of the op at once.
+# Builders look the state functions up when called, so wrappers put on
+# the states module (bench/spans.py) see every call.
+SOURCES = {
+    "vacuum": ((), {}, lambda: states.make_vacuum()),
+    "thermal": (("f1", "f2"), {"f": ("f1", "f2")},
+                lambda f1, f2: states.make_thermal(f1, f2)),
+    "tmsv": (("r",), {}, lambda r: states.make_two_mode_squeezed(r)),
+    "sms": (("mode", "s", "theta"), {},
+            lambda mode, s, theta: states.make_single_mode_squeezed(mode, s, theta)),
 }
-STEP_PARAMS = {
-    "beamsplitter": ("theta", "phi"),
-    "phase": ("phi1", "phi2"),
-    "loss": ("eta1", "eta2"),
-}
-# sweep shorthand: one name setting several parameters of the same op
-PARAM_ALIASES = {
-    "loss": {"eta": ("eta1", "eta2")},
-    "thermal": {"f": ("f1", "f2")},
+STEPS = {
+    "beamsplitter": (("theta", "phi"), {},
+                     lambda state, theta, phi: states.apply_beamsplitter(
+                         state, states.BeamsplitterParams(theta, phi))),
+    "phase": (("phi1", "phi2"), {},
+              lambda state, phi1, phi2: states.apply_phase(state, phi1, phi2)),
+    "loss": (("eta1", "eta2"), {"eta": ("eta1", "eta2")},
+             lambda state, eta1, eta2: states.apply_loss(
+                 state, states.LossParams(eta1, eta2))),
 }
 
 _CALL_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*(.*?)\s*\))?\s*$")
@@ -88,15 +94,19 @@ class Scenario:
         }
 
 
+def _op(table: dict, name: str, kind: str) -> tuple:
+    if name not in table:
+        raise ScenarioError(f"{kind}: unknown operation {name!r}")
+    return table[name]
+
+
 def _parse_call(text: str, kind: str, table: dict) -> OpCall:
     match = _CALL_RE.match(text)
     if not match:
         raise ScenarioError(f"{kind}: cannot parse {text!r}")
     name, argtext = match.group(1), match.group(2)
-    if name not in table:
-        raise ScenarioError(f"{kind}: unknown operation {name!r}")
-    params = table[name]
-    raw_args = [a for a in (argtext or "").split(",") if a.strip()] if argtext else []
+    params = _op(table, name, kind)[0]
+    raw_args = argtext.split(",") if argtext else []
     if len(raw_args) != len(params):
         raise ScenarioError(
             f"{kind}: {name} takes {len(params)} parameters {params}, got {len(raw_args)}")
@@ -120,7 +130,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "step":
-            steps.append(_parse_call(value, f"line {lineno} step", STEP_PARAMS))
+            steps.append(_parse_call(value, f"line {lineno} step", STEPS))
         elif key in ("schema", "source", "theta_plus", "theta_minus",
                      "sampling_n", "sampling_seed", "out"):
             if key in fields:
@@ -132,7 +142,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(f"schema: expected {SCHEMA!r}, got {fields.get('schema')!r}")
     if "source" not in fields:
         raise ScenarioError("source: missing")
-    source = _parse_call(fields["source"], "source", SOURCE_PARAMS)
+    source = _parse_call(fields["source"], "source", SOURCES)
 
     def _float(key, default):
         if key not in fields:
@@ -175,45 +185,20 @@ def load_scenario(path) -> Scenario:
 # execution
 
 
-def _make_source(call: OpCall) -> states.GaussianTwoModeState:
+def _build(table: dict, kind: str, call: OpCall, *state) -> states.GaussianTwoModeState:
+    builder = _op(table, call.name, kind)[2]
     try:
-        if call.name == "vacuum":
-            return states.make_vacuum()
-        if call.name == "thermal":
-            return states.make_thermal(call.args["f1"], call.args["f2"])
-        if call.name == "tmsv":
-            return states.make_two_mode_squeezed(call.args["r"])
-        if call.name == "sms":
-            return states.make_single_mode_squeezed(
-                call.args["mode"], call.args["s"], call.args["theta"])
+        return builder(*state, **call.args)
     except states.PhysicalityError:
         raise
     except ValueError as exc:
-        raise ScenarioError(f"source {call.name}: {exc}") from exc
-    raise ScenarioError(f"source: unknown operation {call.name!r}")
-
-
-def _apply_step(state: states.GaussianTwoModeState, call: OpCall) -> states.GaussianTwoModeState:
-    try:
-        if call.name == "beamsplitter":
-            return states.apply_beamsplitter(
-                state, states.BeamsplitterParams(call.args["theta"], call.args["phi"]))
-        if call.name == "phase":
-            return states.apply_phase(state, call.args["phi1"], call.args["phi2"])
-        if call.name == "loss":
-            return states.apply_loss(
-                state, states.LossParams(call.args["eta1"], call.args["eta2"]))
-    except states.PhysicalityError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"step {call.name}: {exc}") from exc
-    raise ScenarioError(f"step: unknown operation {call.name!r}")
+        raise ScenarioError(f"{kind} {call.name}: {exc}") from exc
 
 
 def build_state(scenario: Scenario) -> states.GaussianTwoModeState:
-    state = _make_source(scenario.source)
+    state = _build(SOURCES, "source", scenario.source)
     for step in scenario.pipeline:
-        state = _apply_step(state, step)
+        state = _build(STEPS, "step", step, state)
     return state
 
 
@@ -255,61 +240,43 @@ def write_report(payload: dict, path) -> None:
 
 
 def _sweep_targets(scenario: Scenario, name: str):
-    """Resolve a parameter name to (location, op, parameter names).
+    """Resolve a parameter name to (op index, parameter names); index 0
+    is the source and k the k-th step.
 
     Accepts 'source.<p>', 'step<k>.<p>', or a bare '<p>' when unique
     across the scenario.  Aliases ('eta', 'f') address both parameters
     of a loss/thermal op at once.
     """
-    def params_of(call: OpCall, pname: str):
-        aliases = PARAM_ALIASES.get(call.name, {})
-        if pname in aliases:
-            return aliases[pname]
-        if pname in call.args:
-            return (pname,)
-        return None
-
-    matches = []
+    labels = ["source"] + [f"step{k}" for k in range(1, len(scenario.pipeline) + 1)]
     if "." in name:
         loc, pname = name.split(".", 1)
-        if loc == "source":
-            calls = [("source", scenario.source)]
-        elif loc.startswith("step"):
-            try:
-                idx = int(loc[4:]) - 1
-                calls = [(loc, scenario.pipeline[idx])]
-            except (ValueError, IndexError) as exc:
-                raise ScenarioError(f"sweep parameter: no such step {loc!r}") from exc
-        else:
-            raise ScenarioError(f"sweep parameter: bad location {loc!r}")
+        if loc not in labels:
+            what = "no such step" if loc.startswith("step") else "bad location"
+            raise ScenarioError(f"sweep parameter: {what} {loc!r}")
+        indices = [labels.index(loc)]
     else:
-        pname = name
-        calls = [("source", scenario.source)] + [
-            (f"step{i + 1}", step) for i, step in enumerate(scenario.pipeline)]
-    for loc, call in calls:
-        resolved = params_of(call, pname)
-        if resolved is not None:
-            matches.append((loc, resolved))
+        pname, indices = name, range(len(labels))
+    matches = []
+    for idx in indices:
+        call = scenario.pipeline[idx - 1] if idx else scenario.source
+        aliases = _op(STEPS if idx else SOURCES, call.name, labels[idx])[1]
+        if pname in aliases:
+            matches.append((idx, aliases[pname]))
+        elif pname in call.args:
+            matches.append((idx, (pname,)))
     if not matches:
         raise ScenarioError(f"sweep parameter: {name!r} not found in scenario")
     if len(matches) > 1:
-        locs = [loc for loc, _ in matches]
+        locs = [labels[idx] for idx, _ in matches]
         raise ScenarioError(f"sweep parameter: {name!r} is ambiguous (found in {locs})")
     return matches[0]
 
 
 def set_parameter(scenario: Scenario, name: str, value: float) -> Scenario:
-    loc, pnames = _sweep_targets(scenario, name)
-    if loc == "source":
-        call = scenario.source
-        new_call = OpCall(call.name, {**call.args, **{p: value for p in pnames}})
-        return replace(scenario, source=new_call)
-    idx = int(loc[4:]) - 1
-    call = scenario.pipeline[idx]
-    new_call = OpCall(call.name, {**call.args, **{p: value for p in pnames}})
-    pipeline = list(scenario.pipeline)
-    pipeline[idx] = new_call
-    return replace(scenario, pipeline=tuple(pipeline))
+    idx, pnames = _sweep_targets(scenario, name)
+    ops = [scenario.source, *scenario.pipeline]
+    ops[idx] = OpCall(ops[idx].name, {**ops[idx].args, **dict.fromkeys(pnames, value)})
+    return replace(scenario, source=ops[0], pipeline=tuple(ops[1:]))
 
 
 SWEEP_COLUMNS = (

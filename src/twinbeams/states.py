@@ -63,10 +63,11 @@ class GaussianTwoModeState:
             raise ValueError("covariance matrix is not symmetric")
         if np.any(np.diag(cov) <= 0.0):
             raise ValueError("covariance diagonal entries must be positive")
-        if uncertainty_min_eigenvalue(cov) < -PHYSICALITY_TOL:
+        min_eig = uncertainty_min_eigenvalue(cov)
+        if min_eig < -PHYSICALITY_TOL:
             raise PhysicalityError(
                 "covariance matrix violates the uncertainty bound "
-                f"(min eigenvalue of cov + i*Omega = {uncertainty_min_eigenvalue(cov):.3e})"
+                f"(min eigenvalue of cov + i*Omega = {min_eig:.3e})"
             )
         mean.setflags(write=False)
         cov.setflags(write=False)

@@ -1,0 +1,75 @@
+"""Independent oracles for the closed forms in twinbeams.criteria.
+
+Each one reaches the same number by a different route (an angular scan
+or a gain scan refined by bounded minimization, or the correlation form
+of a criterion), so the tests can hold the closed forms to them.  They
+are test-only: scipy is a test dependency, not a runtime one.
+"""
+
+from __future__ import annotations
+
+import math
+
+from scipy.optimize import minimize_scalar
+
+from twinbeams.moments import DuanEprMoments, MomentPair
+
+ORACLE_XTOL = 1e-11
+
+
+def _recombination_variance(m: MomentPair, theta: float) -> float:
+    c, s = math.cos(theta), math.sin(theta)
+    return c * c * m.f1 + s * s * m.f2 - 2.0 * c * s * m.covariance
+
+
+def gemellity_operational(m: MomentPair, grid_size: int = 181) -> float:
+    """Gemellity by direct minimization of the recombined-beam variance:
+    coarse angular grid then bounded refinement.  Agrees with the closed
+    form to better than 1e-9."""
+    if grid_size < 3:
+        raise ValueError("grid_size must be >= 3")
+    thetas = [k * math.pi / grid_size for k in range(grid_size)]
+    best = min(thetas, key=lambda t: _recombination_variance(m, t))
+    h = math.pi / grid_size
+    res = minimize_scalar(
+        lambda t: _recombination_variance(m, t),
+        bounds=(best - h, best + h),
+        method="bounded",
+        options={"xatol": ORACLE_XTOL},
+    )
+    return float(min(res.fun, _recombination_variance(m, best)))
+
+
+def _gain_variance(f_a: float, f_b: float, cov: float, g: float) -> float:
+    return f_a - 2.0 * g * cov + g * g * f_b
+
+
+def conditional_variance_operational(m: MomentPair, direction: int) -> float:
+    """Conditional variance by scanning the gain of X_a - g X_b and
+    keeping the minimum; matches the closed form to better than 1e-9."""
+    if direction == 1:
+        f_a, f_b = m.f1, m.f2
+    elif direction == 2:
+        f_a, f_b = m.f2, m.f1
+    else:
+        raise ValueError(f"direction must be 1 or 2, got {direction}")
+    bound = 2.0 * math.sqrt(f_a / f_b) + 1.0
+    res = minimize_scalar(
+        lambda g: _gain_variance(f_a, f_b, m.covariance, g),
+        bounds=(-bound, bound),
+        method="bounded",
+        options={"xatol": ORACLE_XTOL},
+    )
+    return float(res.fun)
+
+
+def epr_correlation_diagnostic(dm: DuanEprMoments, direction: int = 1) -> bool:
+    """Correlation form of the EPR criterion:
+    (1 - C+^2)(1 - C-^2) < 1 / (F+ F-) with the inferred beam's
+    variances.  Equivalent to epr_product < 1 by construction."""
+    if direction == 1:
+        f_plus, f_minus = dm.plus.f1, dm.minus.f1
+    else:
+        f_plus, f_minus = dm.plus.f2, dm.minus.f2
+    lhs = (1.0 - dm.plus.c12 ** 2) * (1.0 - dm.minus.c12 ** 2)
+    return lhs < 1.0 / (f_plus * f_minus)

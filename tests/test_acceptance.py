@@ -11,11 +11,9 @@ import pytest
 from twinbeams.criteria import (
     classical_unbalanced_correlation,
     conditional_variance,
-    conditional_variance_operational,
     duan_separability,
     epr_product,
     gemellity,
-    gemellity_operational,
     report_scalars,
     state_moments,
 )
@@ -35,6 +33,8 @@ from twinbeams.states import (
     make_vacuum,
     quadrature_moments,
 )
+
+from oracles import conditional_variance_operational, gemellity_operational
 
 
 def _report(number: int, description: str, ok: bool, detail: str = ""):

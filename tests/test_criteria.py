@@ -9,12 +9,9 @@ from twinbeams.criteria import (
     classical_unbalanced_correlation,
     classify,
     conditional_variance,
-    conditional_variance_operational,
     duan_separability,
-    epr_correlation_diagnostic,
     epr_product,
     gemellity,
-    gemellity_operational,
     report_from_moments,
     state_moments,
 )
@@ -30,6 +27,12 @@ from twinbeams.states import (
     make_two_mode_squeezed,
     make_vacuum,
     uncertainty_min_eigenvalue,
+)
+
+from oracles import (
+    conditional_variance_operational,
+    epr_correlation_diagnostic,
+    gemellity_operational,
 )
 
 

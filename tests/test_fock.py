@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from twinbeams.fock import FockMixture, photon_statistics, read_weights
+from twinbeams.fock import FockMixture, photon_statistics
 
 
 def geometric_weights(n_terms=60):
@@ -63,16 +63,3 @@ class TestPhotonStatistics:
             assert stats.intensity_gemellity == 0.0
             assert stats.v12 == 0.0 and stats.v21 == 0.0
 
-
-class TestWeightFile:
-    def test_read_weights(self, tmp_path):
-        path = tmp_path / "weights.txt"
-        path.write_text("# twin pair weights\n0.25\n0.75\n")
-        m = read_weights(path)
-        assert m.weights == (0.25, 0.75)
-
-    def test_read_weights_bad_line(self, tmp_path):
-        path = tmp_path / "weights.txt"
-        path.write_text("0.25\nnope\n")
-        with pytest.raises(ValueError, match="line 2"):
-            read_weights(path)

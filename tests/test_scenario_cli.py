@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twinbeams
 from twinbeams.cli import main
 from twinbeams.scenario import (
     Scenario,
@@ -57,9 +62,14 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="unknown operation"):
             parse_scenario("schema = twinbeams-scenario-1\nsource = squeezy(1)\n")
 
-    def test_wrong_arity_rejected(self):
-        with pytest.raises(ScenarioError, match="parameters"):
-            parse_scenario("schema = twinbeams-scenario-1\nsource = tmsv(1, 2)\n")
+    @pytest.mark.parametrize("line, op", [
+        ("source = tmsv(1, 2)", "tmsv"),
+        ("source = tmsv(0.5,)", "tmsv"),
+        ("source = vacuum\nstep = loss(0.9,,0.8)", "loss"),
+    ], ids=["too-many", "trailing-comma", "empty-middle"])
+    def test_wrong_arity_rejected(self, line, op):
+        with pytest.raises(ScenarioError, match=f"{op} takes .* parameters"):
+            parse_scenario(f"schema = twinbeams-scenario-1\n{line}\n")
 
     def test_missing_schema_rejected(self):
         with pytest.raises(ScenarioError, match="schema"):
@@ -191,6 +201,30 @@ class TestCli:
     def test_estimate_bad_batch_exit_2(self, tmp_path):
         bad = self._write(tmp_path, "not,a,batch\n", name="bad.csv")
         assert main(["estimate", "--batch", str(bad)]) == 2
+
+    def _run_fresh(self, args, prelude=""):
+        """The CLI in a fresh interpreter; `prelude` runs before main."""
+        code = f"import sys\n{prelude}\nfrom twinbeams.cli import main\nsys.exit(main(sys.argv[1:]))"
+        env = {**os.environ, "PYTHONPATH": str(Path(twinbeams.__file__).parents[1])}
+        return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_validation_error_printed_once(self, tmp_path):
+        scn = self._write(tmp_path, "schema = twinbeams-scenario-1\nsource = nope()\n")
+        proc = self._run_fresh(["run", "--scenario", str(scn)])
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: source: unknown operation 'nope'"]
+
+    def test_physicality_error_printed_once(self, tmp_path):
+        # sub-vacuum noise on every quadrature violates the uncertainty bound
+        prelude = ("import numpy as np\nfrom twinbeams import states\n"
+                   "states.make_vacuum = lambda: states.GaussianTwoModeState("
+                   "np.zeros(4), 0.5 * np.eye(4))")
+        scn = self._write(tmp_path, "schema = twinbeams-scenario-1\nsource = vacuum\n")
+        proc = self._run_fresh(["run", "--scenario", str(scn)], prelude)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("physicality error: ")
 
     def test_golden_report(self, tmp_path):
         # schema stability: fixed scenario reproduces the frozen report
