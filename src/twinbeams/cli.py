@@ -25,16 +25,19 @@ EXIT_PHYSICALITY = 3
 
 def _parse_grid(text: str) -> list:
     """Grid syntax: 'start:stop:num' (inclusive linspace) or a comma list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError("grid range must be start:stop:num")
-        start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
-        if num < 2:
-            raise ValueError("grid range needs num >= 2")
-        step = (stop - start) / (num - 1)
-        return [start + i * step for i in range(num)]
-    return [float(cell) for cell in text.split(",") if cell.strip()]
+    parts = text.split(":")
+    try:
+        if len(parts) == 1:
+            return [float(cell) for cell in text.split(",")]
+        start, stop, num = parts
+        start, stop, num = float(start), float(stop), int(num)
+    except ValueError:
+        raise ValueError("--grid: expected start:stop:num with an integer num, "
+                         f"or numbers separated by commas; got {text!r}") from None
+    if num < 2:
+        raise ValueError("--grid: range needs num >= 2")
+    step = (stop - start) / (num - 1)
+    return [start + i * step for i in range(num)]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,6 +9,9 @@ Level 5  Bell                     -- never reachable with Gaussian states
 Levels 1-2 need a single quadrature pair; levels 3-4 need moments on
 both conjugate quadratures.  All inequalities are strict: a state
 sitting exactly on a boundary (e.g. vacuum) does NOT satisfy the level.
+
+The closed forms are elementwise: on the moments of a K x 4 x 4
+covariance stack they return arrays, entry k equal to the K = 1 result.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .moments import DuanEprMoments, MomentPair
 from .states import GaussianTwoModeState, quadrature_moments
@@ -77,9 +82,9 @@ def gemellity(m: MomentPair) -> GemellityResult:
     """
     a = 0.5 * (m.f1 - m.f2)
     b = m.covariance
-    value = 0.5 * (m.f1 + m.f2) - math.hypot(a, b)
-    theta = 0.5 * (math.pi - math.atan2(b, a))
-    return GemellityResult(value=max(value, 0.0), theta=theta)
+    value = 0.5 * (m.f1 + m.f2) - np.hypot(a, b)
+    theta = 0.5 * (math.pi - np.arctan2(b, a))
+    return GemellityResult(value=np.maximum(value, 0.0), theta=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +94,12 @@ def gemellity(m: MomentPair) -> GemellityResult:
 def conditional_variance(f_a: float, f_b: float, c: float) -> ConditionalVarianceResult:
     """Residual variance of beam a after optimal linear inference from
     beam b: F_a (1 - C^2), reached at gain g = C sqrt(F_a F_b) / F_b."""
-    if f_a <= 0.0 or f_b <= 0.0:
+    if np.any(f_a <= 0.0) or np.any(f_b <= 0.0):
         raise ValueError("variances must be positive")
-    if abs(c) > 1.0:
+    if np.any(np.abs(c) > 1.0):
         raise ValueError("correlation must lie in [-1, 1]")
     value = f_a * (1.0 - c * c)
-    gain = c * math.sqrt(f_a * f_b) / f_b
+    gain = c * np.sqrt(f_a * f_b) / f_b
     return ConditionalVarianceResult(value=value, gain=gain)
 
 
@@ -122,16 +127,12 @@ def duan_separability(dm: DuanEprMoments) -> float:
 def epr_product(dm: DuanEprMoments, direction: int) -> float:
     """Product of the two conditional variances inferring one beam's
     conjugate quadratures from the other; < 1 certifies EPR beams."""
-    if direction == 1:
-        v_plus = conditional_variance(dm.plus.f1, dm.plus.f2, dm.plus.c12).value
-        v_minus = conditional_variance(dm.minus.f1, dm.minus.f2, dm.minus.c12).value
-    elif direction == 2:
-        v_plus = conditional_variance(dm.plus.f2, dm.plus.f1, dm.plus.c12).value
-        v_minus = conditional_variance(dm.minus.f2, dm.minus.f1, dm.minus.c12).value
-    else:
+    if direction not in (1, 2):
         raise ValueError(f"direction must be 1 or 2, got {direction}")
+    pairs = [(m.f1, m.f2, m.c12) if direction == 1 else (m.f2, m.f1, m.c12)
+             for m in (dm.plus, dm.minus)]
+    v_plus, v_minus = (conditional_variance(*pair).value for pair in pairs)
     return v_plus * v_minus
-
 
 
 # ---------------------------------------------------------------------------
@@ -193,32 +194,38 @@ def report_scalars(dm: DuanEprMoments) -> dict:
     }
 
 
+def levels(values: dict) -> dict:
+    """Verdicts of levels 1-4 on report_scalars values, elementwise."""
+    return {
+        "level1": values["gemellity"] < 1.0,
+        "level2": ((values["conditional_variance_12"] < 1.0)
+                   | (values["conditional_variance_21"] < 1.0)),
+        "level3": values["separability"] < 2.0,
+        "level4": (values["epr_product_12"] < 1.0) | (values["epr_product_21"] < 1.0),
+    }
+
+
 def report_from_moments(dm: DuanEprMoments) -> CriteriaReport:
     values = report_scalars(dm)
+    values.update(levels(values))
     g_plus, g_minus = _balanced_combinations(dm)
     slack = 1e-12
     lower = (values["gemellity"] < g_plus - slack
              or gemellity(dm.minus).value < g_minus - slack)
-    values.update(
-        level1=values["gemellity"] < 1.0,
-        level2=(values["conditional_variance_12"] < 1.0
-                or values["conditional_variance_21"] < 1.0),
-        level3=values["separability"] < 2.0,
-        level4=values["epr_product_12"] < 1.0 or values["epr_product_21"] < 1.0,
-        level5_note=LEVEL5_NOTE,
-        duan_note=DUAN_NOTE if lower else None,
-    )
-    return CriteriaReport(*(values[key] for key in REPORT_KEYS))
+    values.update(level5_note=LEVEL5_NOTE, duan_note=DUAN_NOTE if lower else None)
+    # .item() gives Python floats and bools, whose repr and JSON are plain
+    return CriteriaReport(*(np.asarray(values[key]).item() for key in REPORT_KEYS))
 
 
-def state_moments(state: GaussianTwoModeState,
+def state_moments(source,
                   theta_plus: float = 0.0,
                   theta_minus: float = math.pi / 2) -> DuanEprMoments:
     """Moments of the conjugate quadrature pair selected by the two
-    measurement angles (same angle on both modes per pair)."""
+    measurement angles (same angle on both modes per pair), of a state
+    or of each covariance in a ...x4x4 stack."""
     return DuanEprMoments(
-        plus=quadrature_moments(state, theta_plus, theta_plus),
-        minus=quadrature_moments(state, theta_minus, theta_minus),
+        plus=quadrature_moments(source, theta_plus, theta_plus),
+        minus=quadrature_moments(source, theta_minus, theta_minus),
     )
 
 

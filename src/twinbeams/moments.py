@@ -6,6 +6,8 @@ so a vacuum or coherent beam has unit variance on every quadrature.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class MomentPair:
@@ -13,6 +15,7 @@ class MomentPair:
 
     f1, f2 are the shot-normalized variances (Fano factors), c12 the
     normalized correlation coefficient between the two fluctuations.
+    Fields are floats, or equal-shape arrays holding one pair per entry.
     """
 
     f1: float
@@ -20,15 +23,15 @@ class MomentPair:
     c12: float
 
     def __post_init__(self):
-        if not (self.f1 > 0.0 and self.f2 > 0.0):
+        if not (np.all(self.f1 > 0.0) and np.all(self.f2 > 0.0)):
             raise ValueError(f"variances must be positive, got F1={self.f1}, F2={self.f2}")
-        if abs(self.c12) > 1.0:
+        if np.any(np.abs(self.c12) > 1.0):
             raise ValueError(f"correlation must lie in [-1, 1], got {self.c12}")
 
     @property
     def covariance(self) -> float:
         """Unnormalized covariance <dX1 dX2>."""
-        return self.c12 * (self.f1 * self.f2) ** 0.5
+        return self.c12 * np.sqrt(self.f1 * self.f2)
 
 
 @dataclass(frozen=True)

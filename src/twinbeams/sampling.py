@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import criteria
-from .moments import DuanEprMoments, MomentPair
+from .moments import DuanEprMoments
 from .states import GaussianTwoModeState, PhysicalityError
 
 CSV_HEADER = "sample_index,xplus_1,xminus_1,xplus_2,xminus_2"
@@ -165,61 +165,51 @@ def read_batch(path) -> SampleBatch:
 # estimation
 
 
-def _moments_from_sums(sum_x: np.ndarray, sum_xx: np.ndarray, n: int) -> DuanEprMoments:
-    mean = sum_x / n
-    cov = sum_xx / n - np.outer(mean, mean)
-    variances = np.diag(cov)
-    if np.any(variances <= 0.0):
+def _covariances(sums: np.ndarray, grams: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Plug-in (population) covariances of a stack of batches, each
+    given by its row count, column sums and Gram matrix."""
+    means = sums / counts[:, None]
+    covs = grams / counts[:, None, None] - means[:, :, None] * means[:, None, :]
+    if np.any(np.diagonal(covs, axis1=1, axis2=2) <= 0.0):
         raise EstimationError("zero-variance column in batch")
-    plus = MomentPair(
-        f1=float(cov[0, 0]), f2=float(cov[2, 2]),
-        c12=_clip_corr(cov[0, 2] / math.sqrt(cov[0, 0] * cov[2, 2])))
-    minus = MomentPair(
-        f1=float(cov[1, 1]), f2=float(cov[3, 3]),
-        c12=_clip_corr(cov[1, 3] / math.sqrt(cov[1, 1] * cov[3, 3])))
-    return DuanEprMoments(plus=plus, minus=minus)
-
-
-def _clip_corr(c: float) -> float:
-    return float(min(1.0, max(-1.0, c)))
-
-
-def _scalars(dm: DuanEprMoments) -> dict:
-    out = dict(criteria.report_scalars(dm))
-    out.update({
-        "fplus_1": dm.plus.f1, "fplus_2": dm.plus.f2, "cplus": dm.plus.c12,
-        "fminus_1": dm.minus.f1, "fminus_2": dm.minus.f2, "cminus": dm.minus.c12,
-    })
-    return out
+    return covs
 
 
 def moments_from_samples(samples: np.ndarray) -> DuanEprMoments:
     """Plug-in (population) second moments of a batch."""
     samples = np.asarray(samples, dtype=float)
-    return _moments_from_sums(samples.sum(axis=0),
-                              samples.T @ samples, samples.shape[0])
+    cov = _covariances(samples.sum(axis=0)[None], (samples.T @ samples)[None],
+                       np.array([samples.shape[0]], dtype=float))
+    return criteria.state_moments(cov[0])
 
 
-def estimate_criteria(batch: SampleBatch, n_blocks: int = DEFAULT_BLOCKS) -> EstimatedCriteria:
-    """Point estimates from the full batch; standard errors from a
-    delete-one-block jackknife over `n_blocks` near-equal blocks."""
+def estimate_criteria(batch: SampleBatch, n_blocks: int = DEFAULT_BLOCKS,
+                      theta_plus: float = 0.0,
+                      theta_minus: float = math.pi / 2) -> EstimatedCriteria:
+    """Point estimates from the full batch at the measurement angles of
+    `criteria.classify`; standard errors from a delete-one-block jackknife
+    over `n_blocks` near-equal blocks, all scored as one covariance stack."""
     n = batch.n
     if n < 2 * n_blocks:
         raise ValueError(f"need at least {2 * n_blocks} samples for {n_blocks} blocks")
+    blocks = np.array_split(batch.samples, n_blocks)
     total_x = batch.samples.sum(axis=0)
     total_xx = batch.samples.T @ batch.samples
-    full = _scalars(_moments_from_sums(total_x, total_xx, n))
-    deleted = []
-    for block in np.array_split(batch.samples, n_blocks):
-        sum_x = total_x - block.sum(axis=0)
-        sum_xx = total_xx - block.T @ block
-        deleted.append(_scalars(_moments_from_sums(sum_x, sum_xx, n - block.shape[0])))
+    covs = _covariances(
+        np.array([total_x] + [total_x - block.sum(axis=0) for block in blocks]),
+        np.array([total_xx] + [total_xx - block.T @ block for block in blocks]),
+        np.array([n] + [n - block.shape[0] for block in blocks], dtype=float))
+    dm = criteria.state_moments(covs, theta_plus, theta_minus)
+    values = criteria.report_scalars(dm)
+    values.update(fplus_1=dm.plus.f1, fplus_2=dm.plus.f2, cplus=dm.plus.c12,
+                  fminus_1=dm.minus.f1, fminus_2=dm.minus.f2, cminus=dm.minus.c12)
 
+    # entry 0 of each column is the full batch, the rest its replicates
     factor = (n_blocks - 1) / n_blocks
     estimates = {}
-    for key, value in full.items():
-        reps = np.array([d[key] for d in deleted])
+    for key, column in values.items():
+        reps = column[1:]
         stderr = math.sqrt(factor * float(np.sum((reps - reps.mean()) ** 2)))
-        estimates[key] = Estimate(value=float(value), stderr=stderr)
+        estimates[key] = Estimate(value=float(column[0]), stderr=stderr)
     return EstimatedCriteria(estimates=estimates, n_samples=n, n_blocks=n_blocks,
                              seed=batch.seed, source_label=batch.source_label)

@@ -27,6 +27,8 @@ import re
 from dataclasses import dataclass, replace
 from typing import Optional
 
+import numpy as np
+
 from . import criteria, sampling, states
 
 SCHEMA = "twinbeams-scenario-1"
@@ -144,23 +146,15 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("source: missing")
     source = _parse_call(fields["source"], "source", SOURCES)
 
-    def _float(key, default):
+    def _number(key, convert, default=None):
         if key not in fields:
             return default
         try:
-            return float(fields[key])
+            return convert(fields[key])
         except ValueError as exc:
             raise ScenarioError(f"{key}: bad value {fields[key]!r}") from exc
 
-    def _int(key):
-        if key not in fields:
-            return None
-        try:
-            return int(fields[key])
-        except ValueError as exc:
-            raise ScenarioError(f"{key}: bad value {fields[key]!r}") from exc
-
-    sampling_n, sampling_seed = _int("sampling_n"), _int("sampling_seed")
+    sampling_n, sampling_seed = _number("sampling_n", int), _number("sampling_seed", int)
     if (sampling_n is None) != (sampling_seed is None):
         raise ScenarioError("sampling_n and sampling_seed must be given together")
     if sampling_n is not None and sampling_n < 200:
@@ -168,8 +162,8 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(
         source=source,
         pipeline=tuple(steps),
-        theta_plus=_float("theta_plus", 0.0),
-        theta_minus=_float("theta_minus", math.pi / 2),
+        theta_plus=_number("theta_plus", float, 0.0),
+        theta_minus=_number("theta_minus", float, math.pi / 2),
         sampling_n=sampling_n,
         sampling_seed=sampling_seed,
         out=fields.get("out"),
@@ -212,10 +206,12 @@ def run_scenario(scenario: Scenario) -> dict:
         batch = sampling.draw_samples(
             state, scenario.sampling_n, scenario.sampling_seed,
             source_label=scenario.source.format())
-        estimated = sampling.estimate_criteria(batch).to_json()
-    satisfied = {1: report.level1, 2: report.level2, 3: report.level3, 4: report.level4}
+        estimated = sampling.estimate_criteria(
+            batch, theta_plus=scenario.theta_plus,
+            theta_minus=scenario.theta_minus).to_json()
+    analytic = report.to_json()
     classification = [
-        {"level": lvl, "satisfied": satisfied.get(lvl),
+        {"level": lvl, "satisfied": analytic.get(f"level{lvl}"),
          "statement": criteria.LEVEL_STATEMENTS[lvl]}
         for lvl in range(1, 6)
     ]
@@ -223,7 +219,7 @@ def run_scenario(scenario: Scenario) -> dict:
         "schema": REPORT_SCHEMA,
         "scenario": scenario.to_json(),
         "state": state.to_json(),
-        "analytic": report.to_json(),
+        "analytic": analytic,
         "estimated": estimated,
         "classification": classification,
     }
@@ -279,36 +275,30 @@ def set_parameter(scenario: Scenario, name: str, value: float) -> Scenario:
     return replace(scenario, source=ops[0], pipeline=tuple(ops[1:]))
 
 
-SWEEP_COLUMNS = (
-    "gemellity", "conditional_variance_12", "conditional_variance_21",
-    "separability", "epr_product_12", "epr_product_21",
-    "level1", "level2", "level3", "level4",
-)
+SWEEP_COLUMNS = criteria.REPORT_KEYS[:10]
 
 
 def sweep(scenario: Scenario, parameter: str, grid) -> list:
     """Evaluate the analytic criteria at each grid value of the named
-    parameter.  Rows follow grid order."""
+    parameter.  Rows follow grid order.  The states are built one by
+    one and scored as one covariance stack."""
     _sweep_targets(scenario, parameter)  # validate before running
-    rows = []
-    for value in grid:
-        point = set_parameter(scenario, parameter, float(value))
-        report = criteria.classify(
-            build_state(point), point.theta_plus, point.theta_minus)
-        payload = report.to_json()
-        row = {parameter: float(value)}
-        for col in SWEEP_COLUMNS:
-            row[col] = payload[col]
-        rows.append(row)
-    return rows
+    grid = [float(value) for value in grid]
+    covs = np.empty((len(grid), 4, 4))
+    for k, value in enumerate(grid):
+        covs[k] = build_state(set_parameter(scenario, parameter, value)).cov
+    values = criteria.report_scalars(
+        criteria.state_moments(covs, scenario.theta_plus, scenario.theta_minus))
+    values.update(criteria.levels(values))
+    columns = [values[col].tolist() for col in SWEEP_COLUMNS]
+    return [{parameter: value, **dict(zip(SWEEP_COLUMNS, row))}
+            for value, row in zip(grid, zip(*columns))]
 
 
 def write_sweep_csv(rows: list, parameter: str, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join((parameter,) + SWEEP_COLUMNS) + "\n")
         for row in rows:
-            cells = [repr(row[parameter])]
-            for col in SWEEP_COLUMNS:
-                value = row[col]
-                cells.append(str(int(value)) if isinstance(value, bool) else repr(value))
-            handle.write(",".join(cells) + "\n")
+            values = (row[col] for col in (parameter,) + SWEEP_COLUMNS)
+            handle.write(",".join(str(int(v)) if isinstance(v, bool) else repr(v)
+                                  for v in values) + "\n")

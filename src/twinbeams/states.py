@@ -77,17 +77,13 @@ class GaussianTwoModeState:
     def to_json(self) -> dict:
         return {"mean": self.mean.tolist(), "cov": self.cov.tolist()}
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "GaussianTwoModeState":
-        return cls(mean=np.array(payload["mean"], dtype=float),
-                   cov=np.array(payload["cov"], dtype=float))
-
     def dumps(self) -> str:
         return json.dumps(self.to_json())
 
     @classmethod
     def loads(cls, text: str) -> "GaussianTwoModeState":
-        return cls.from_json(json.loads(text))
+        payload = json.loads(text)
+        return cls(mean=payload["mean"], cov=payload["cov"])
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,10 @@ def make_two_mode_squeezed(r: float) -> GaussianTwoModeState:
     """
     if r < 0.0:
         raise ValueError(f"squeezing parameter must be >= 0, got {r}")
-    ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    try:
+        ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    except OverflowError:
+        raise ValueError(f"squeezing parameter r = {r} overflows the covariance") from None
     cov = np.array(
         [
             [ch, 0.0, sh, 0.0],
@@ -154,7 +153,11 @@ def make_single_mode_squeezed(mode: int, s: float, theta_sq: float = 0.0) -> Gau
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
     rot = _rotation(theta_sq)
-    block = rot @ np.diag([math.exp(-2.0 * s), math.exp(2.0 * s)]) @ rot.T
+    try:
+        squeezed = np.diag([math.exp(-2.0 * s), math.exp(2.0 * s)])
+    except OverflowError:
+        raise ValueError(f"squeezing parameter s = {s} overflows the covariance") from None
+    block = rot @ squeezed @ rot.T
     cov = np.eye(4)
     i = 0 if mode == 1 else 2
     cov[i : i + 2, i : i + 2] = block
@@ -181,13 +184,9 @@ def beamsplitter_matrix(params: BeamsplitterParams) -> np.ndarray:
     quadratures (after the phase on mode 2); output mode 2 is the
     orthogonal combination.
     """
-    c, s = math.cos(params.mixing_angle), math.sin(params.mixing_angle)
-    eye2 = np.eye(2)
-    mix = np.block([[c * eye2, -s * eye2], [s * eye2, c * eye2]])
-    phase2 = np.block(
-        [[eye2, np.zeros((2, 2))], [np.zeros((2, 2)), _rotation(params.phase)]]
-    )
-    return mix @ phase2
+    phase2 = np.eye(4)
+    phase2[2:, 2:] = _rotation(params.phase)
+    return np.kron(_rotation(params.mixing_angle), np.eye(2)) @ phase2
 
 
 def apply_beamsplitter(state: GaussianTwoModeState, params: BeamsplitterParams) -> GaussianTwoModeState:
@@ -214,16 +213,22 @@ def apply_loss(state: GaussianTwoModeState, params: LossParams) -> GaussianTwoMo
 # measurement moments
 
 
-def quadrature_moments(state: GaussianTwoModeState, theta1: float, theta2: float) -> MomentPair:
+def _measured_variance(cov: np.ndarray, i: int, theta: float):
+    """Variance of cos(theta) X+ + sin(theta) X- on the mode whose X+ is
+    coordinate i; the double-angle form is exact on a phase-symmetric mode."""
+    a, b, v = cov[..., i, i], cov[..., i + 1, i + 1], cov[..., i, i + 1]
+    return 0.5 * (a + b) + 0.5 * (a - b) * math.cos(2.0 * theta) + v * math.sin(2.0 * theta)
+
+
+def quadrature_moments(source, theta1: float, theta2: float) -> MomentPair:
     """Variances and correlation of the quadratures
-    cos(theta_i) X+_i + sin(theta_i) X-_i measured on each mode."""
-    u1 = np.array([math.cos(theta1), math.sin(theta1), 0.0, 0.0])
-    u2 = np.array([0.0, 0.0, math.cos(theta2), math.sin(theta2)])
-    f1 = float(u1 @ state.cov @ u1)
-    f2 = float(u2 @ state.cov @ u2)
-    c12 = float(u1 @ state.cov @ u2) / math.sqrt(f1 * f2)
-    if abs(c12) > 1.0:
-        if abs(c12) > 1.0 + 1e-12:
-            raise ValueError(f"correlation overshoot beyond rounding: {c12}")
-        c12 = math.copysign(1.0, c12)
-    return MomentPair(f1=f1, f2=f2, c12=c12)
+    cos(theta_i) X+_i + sin(theta_i) X-_i measured on each mode, for a
+    state or, as arrays, for each covariance of a ...x4x4 stack."""
+    cov = np.asarray(getattr(source, "cov", source), dtype=float)
+    f1, f2 = _measured_variance(cov, 0, theta1), _measured_variance(cov, 2, theta2)
+    u1, u2 = (math.cos(theta1), math.sin(theta1)), (math.cos(theta2), math.sin(theta2))
+    cross = sum(u1[i] * u2[j] * cov[..., i, 2 + j] for i in (0, 1) for j in (0, 1))
+    c12 = cross / np.sqrt(f1 * f2)
+    if np.any(np.abs(c12) > 1.0 + 1e-12):
+        raise ValueError(f"correlation overshoot beyond rounding: {np.abs(c12).max()}")
+    return MomentPair(f1=f1, f2=f2, c12=np.clip(c12, -1.0, 1.0))

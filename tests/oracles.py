@@ -1,17 +1,21 @@
-"""Independent oracles for the closed forms in twinbeams.criteria.
+"""Independent oracles for the closed forms in twinbeams.criteria and
+the jackknife in twinbeams.sampling.
 
 Each one reaches the same number by a different route (an angular scan
-or a gain scan refined by bounded minimization, or the correlation form
-of a criterion), so the tests can hold the closed forms to them.  They
-are test-only: scipy is a test dependency, not a runtime one.
+or a gain scan refined by bounded minimization, the correlation form of
+a criterion, or a jackknife that recomputes every replicate from its
+rows), so the tests can hold the program to them.  They are test-only:
+scipy is a test dependency, not a runtime one.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.optimize import minimize_scalar
 
+from twinbeams.criteria import report_scalars, state_moments
 from twinbeams.moments import DuanEprMoments, MomentPair
 
 ORACLE_XTOL = 1e-11
@@ -73,3 +77,28 @@ def epr_correlation_diagnostic(dm: DuanEprMoments, direction: int = 1) -> bool:
         f_plus, f_minus = dm.plus.f2, dm.minus.f2
     lhs = (1.0 - dm.plus.c12 ** 2) * (1.0 - dm.minus.c12 ** 2)
     return lhs < 1.0 / (f_plus * f_minus)
+
+
+def _estimates(rows: np.ndarray, theta_plus: float, theta_minus: float) -> dict:
+    dm = state_moments(np.cov(rows, rowvar=False, bias=True), theta_plus, theta_minus)
+    values = report_scalars(dm)
+    values.update(fplus_1=dm.plus.f1, fplus_2=dm.plus.f2, cplus=dm.plus.c12,
+                  fminus_1=dm.minus.f1, fminus_2=dm.minus.f2, cminus=dm.minus.c12)
+    return values
+
+
+def jackknife_reference(samples: np.ndarray, n_blocks: int, theta_plus: float = 0.0,
+                        theta_minus: float = math.pi / 2) -> dict:
+    """key -> (estimate, jackknife stderr) the long way: each
+    leave-one-block-out replicate takes the covariance of the rows that
+    remain (two-pass, by np.cov) and is scored on its own."""
+    full = _estimates(samples, theta_plus, theta_minus)
+    reps = [_estimates(np.delete(samples, block, axis=0), theta_plus, theta_minus)
+            for block in np.array_split(np.arange(len(samples)), n_blocks)]
+    factor = (n_blocks - 1) / n_blocks
+    out = {}
+    for key, value in full.items():
+        column = [float(rep[key]) for rep in reps]
+        mean = sum(column) / n_blocks
+        out[key] = (float(value), math.sqrt(factor * sum((x - mean) ** 2 for x in column)))
+    return out

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import twinbeams
+from twinbeams import criteria
 from twinbeams.cli import main
 from twinbeams.scenario import (
+    SWEEP_COLUMNS,
     Scenario,
     ScenarioError,
     build_state,
@@ -36,6 +38,16 @@ SPLIT_THERMAL_SCENARIO = """\
 schema = twinbeams-scenario-1
 source = thermal(9.0, 1.0)
 step = beamsplitter(0.7853981633974483, 0.0)
+"""
+
+TILTED_THERMAL_SCENARIO = """\
+schema = twinbeams-scenario-1
+source = thermal(3.0, 2.0)
+step = beamsplitter(0.4, 0.3)
+step = phase(0.2, 0.9)
+step = loss(0.8, 0.7)
+theta_plus = 0.3
+theta_minus = 1.9
 """
 
 
@@ -113,6 +125,18 @@ class TestRunScenario:
         g = est["gemellity"]
         assert abs(g["value"] - payload["analytic"]["gemellity"]) <= 5 * g["stderr"]
 
+    def test_sampled_run_estimates_at_scenario_angles(self):
+        # sms split on a beamsplitter: G depends on theta_plus, so an
+        # estimate taken at theta_plus = 0 lies far from the analytic value
+        payload = run_scenario(parse_scenario(
+            "schema = twinbeams-scenario-1\nsource = sms(1, 0.8, 0.0)\n"
+            "step = beamsplitter(0.7853981633974483, 0.0)\ntheta_plus = 0.7\n"
+            "sampling_n = 200000\nsampling_seed = 3\n"))
+        est = payload["estimated"]["estimates"]
+        for key in ("gemellity", "separability", "conditional_variance_12"):
+            e = est[key]
+            assert abs(e["value"] - payload["analytic"][key]) <= 5 * e["stderr"], key
+
     def test_classification_banners(self):
         payload = run_scenario(parse_scenario(TMSV_SCENARIO))
         levels = [entry["level"] for entry in payload["classification"]]
@@ -149,6 +173,23 @@ class TestSweep:
             "step = loss(0.5, 0.5)\nstep = loss(0.9, 0.9)\n")
         with pytest.raises(ScenarioError, match="ambiguous"):
             sweep(scn, "eta1", [0.5])
+
+    def test_rows_equal_classify_bit_for_bit(self, monkeypatch):
+        calls = []
+        real = criteria.report_scalars
+        monkeypatch.setattr(criteria, "report_scalars",
+                            lambda dm: calls.append(dm) or real(dm))
+        scn = parse_scenario(TILTED_THERMAL_SCENARIO)
+        grid = np.linspace(0.0, 1.0, 41)
+        rows = sweep(scn, "step3.eta", grid)
+        assert len(calls) == 1  # the whole grid is one stack
+        for row, eta in zip(rows, grid):
+            point = set_parameter(scn, "step3.eta", float(eta))
+            expected = criteria.classify(build_state(point), 0.3, 1.9).to_json()
+            assert repr(row) == repr({"step3.eta": float(eta),
+                                      **{col: expected[col] for col in SWEEP_COLUMNS}})
+        # eta = 0 on the last step leaves the vacuum, which satisfies no level
+        assert not any(rows[0][f"level{i}"] for i in range(1, 5))
 
     def test_classical_split_sweep_constant_gemellity(self):
         scn = parse_scenario(SPLIT_THERMAL_SCENARIO)
@@ -209,11 +250,32 @@ class TestCli:
         return subprocess.run([sys.executable, "-c", code, *args], env=env,
                               capture_output=True, text=True, timeout=60)
 
-    def test_validation_error_printed_once(self, tmp_path):
-        scn = self._write(tmp_path, "schema = twinbeams-scenario-1\nsource = nope()\n")
+    @pytest.mark.parametrize("source, message", [
+        ("nope()", "source: unknown operation 'nope'"),
+        ("tmsv(400)", "source tmsv: squeezing parameter r = 400.0 overflows the covariance"),
+        ("sms(1, 400, 0)",
+         "source sms: squeezing parameter s = 400.0 overflows the covariance"),
+    ], ids=["unknown-op", "tmsv-overflow", "sms-overflow"])
+    def test_validation_error_printed_once(self, tmp_path, source, message):
+        scn = self._write(tmp_path, f"schema = twinbeams-scenario-1\nsource = {source}\n")
         proc = self._run_fresh(["run", "--scenario", str(scn)])
         assert proc.returncode == 2
-        assert proc.stderr.splitlines() == ["error: source: unknown operation 'nope'"]
+        assert proc.stderr.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("grid", [",", "", "0.1,,0.2", "0.1, ,0.2", "0:1:1e9",
+                                      "0:1:nan", "0:1:2.5", "0:1", "0:1:2:3", "0:x:3",
+                                      "0:1:1"],
+                             ids=["comma-only", "empty", "empty-cell", "blank-cell",
+                                  "float-num", "nan-num", "fractional-num", "two-parts",
+                                  "four-parts", "bad-stop", "num-one"])
+    def test_bad_grid_rejected(self, tmp_path, capsys, grid):
+        scn = self._write(tmp_path, TMSV_SCENARIO)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--scenario", str(scn), "--param", "source.r",
+                     "--grid", grid, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --grid: ")
+        assert not out.exists()
 
     def test_physicality_error_printed_once(self, tmp_path):
         # sub-vacuum noise on every quadrature violates the uncertainty bound
