@@ -26,9 +26,7 @@ from .sampling import (
     write_batch,
 )
 from .states import (
-    BeamsplitterParams,
     GaussianTwoModeState,
-    LossParams,
     PhysicalityError,
     apply_beamsplitter,
     apply_loss,
@@ -41,13 +39,11 @@ from .states import (
 )
 
 __all__ = [
-    "BeamsplitterParams",
     "CriteriaReport",
     "DuanEprMoments",
     "EstimatedCriteria",
     "FockMixture",
     "GaussianTwoModeState",
-    "LossParams",
     "MomentPair",
     "PhysicalityError",
     "SampleBatch",

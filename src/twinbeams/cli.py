@@ -12,7 +12,9 @@ Exit codes: 0 success, 2 validation error, 3 physicality error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
 
 from . import sampling, scenario
@@ -28,16 +30,21 @@ def _parse_grid(text: str) -> list:
     parts = text.split(":")
     try:
         if len(parts) == 1:
-            return [float(cell) for cell in text.split(",")]
-        start, stop, num = parts
-        start, stop, num = float(start), float(stop), int(num)
+            grid = [float(cell) for cell in text.split(",")]
+        else:
+            start, stop, num = parts
+            start, stop, num = float(start), float(stop), int(num)
     except ValueError:
         raise ValueError("--grid: expected start:stop:num with an integer num, "
                          f"or numbers separated by commas; got {text!r}") from None
-    if num < 2:
-        raise ValueError("--grid: range needs num >= 2")
-    step = (stop - start) / (num - 1)
-    return [start + i * step for i in range(num)]
+    if len(parts) > 1:
+        if num < 2:
+            raise ValueError("--grid: range needs num >= 2")
+        step = (stop - start) / (num - 1)
+        grid = [start + i * step for i in range(num)]
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(f"--grid: values must be finite, got {text!r}")
+    return grid
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,18 +77,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_json(payload: dict, out) -> None:
-    if out:
-        scenario.write_report(payload, out)
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+def _write_json(payload: dict, out) -> None:
+    """Indented JSON with sorted keys, to the path out or to stdout."""
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def _cmd_run(args) -> int:
     scn = scenario.load_scenario(args.scenario)
     payload = scenario.run_scenario(scn)
-    _emit_json(payload, args.out or scn.out)
+    _write_json(payload, args.out or scn.out)
     return EXIT_OK
 
 
@@ -105,7 +111,7 @@ def _cmd_sample(args) -> int:
 def _cmd_estimate(args) -> int:
     batch = sampling.read_batch(args.batch)
     estimated = sampling.estimate_criteria(batch)
-    _emit_json(estimated.to_json(), args.out)
+    _write_json(estimated.to_json(), args.out)
     return EXIT_OK
 
 

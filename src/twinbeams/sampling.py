@@ -16,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import criteria
-from .moments import DuanEprMoments
 from .states import GaussianTwoModeState, PhysicalityError
 
 CSV_HEADER = "sample_index,xplus_1,xminus_1,xplus_2,xminus_2"
@@ -173,14 +172,6 @@ def _covariances(sums: np.ndarray, grams: np.ndarray, counts: np.ndarray) -> np.
     if np.any(np.diagonal(covs, axis1=1, axis2=2) <= 0.0):
         raise EstimationError("zero-variance column in batch")
     return covs
-
-
-def moments_from_samples(samples: np.ndarray) -> DuanEprMoments:
-    """Plug-in (population) second moments of a batch."""
-    samples = np.asarray(samples, dtype=float)
-    cov = _covariances(samples.sum(axis=0)[None], (samples.T @ samples)[None],
-                       np.array([samples.shape[0]], dtype=float))
-    return criteria.state_moments(cov[0])
 
 
 def estimate_criteria(batch: SampleBatch, n_blocks: int = DEFAULT_BLOCKS,

@@ -16,12 +16,11 @@ pipeline order)::
 Sources: vacuum, thermal(f1, f2), tmsv(r), sms(mode, s, theta).
 Steps: beamsplitter(theta, phi), phase(phi1, phi2), loss(eta1, eta2).
 Angles are radians; loss parameters are intensity transmissions.
-Unknown keys, operations, or parameters are errors, never warnings.
+Unknown keys, operations, parameters and nan/inf are errors, never warnings.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, replace
@@ -48,13 +47,11 @@ SOURCES = {
 }
 STEPS = {
     "beamsplitter": (("theta", "phi"), {},
-                     lambda state, theta, phi: states.apply_beamsplitter(
-                         state, states.BeamsplitterParams(theta, phi))),
+                     lambda state, theta, phi: states.apply_beamsplitter(state, theta, phi)),
     "phase": (("phi1", "phi2"), {},
               lambda state, phi1, phi2: states.apply_phase(state, phi1, phi2)),
     "loss": (("eta1", "eta2"), {"eta": ("eta1", "eta2")},
-             lambda state, eta1, eta2: states.apply_loss(
-                 state, states.LossParams(eta1, eta2))),
+             lambda state, eta1, eta2: states.apply_loss(state, eta1, eta2)),
 }
 
 _CALL_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*(.*?)\s*\))?\s*$")
@@ -62,6 +59,17 @@ _CALL_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*(.*?)\s*\))?\s*$")
 
 class ScenarioError(ValueError):
     """Invalid scenario file; the message names the offending field."""
+
+
+def _number(text: str, field: str, convert=float):
+    """text as a finite number; a ScenarioError naming the field otherwise."""
+    try:
+        value = convert(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise ScenarioError(f"{field}: bad value {text.strip()!r}")
 
 
 @dataclass(frozen=True)
@@ -112,13 +120,9 @@ def _parse_call(text: str, kind: str, table: dict) -> OpCall:
     if len(raw_args) != len(params):
         raise ScenarioError(
             f"{kind}: {name} takes {len(params)} parameters {params}, got {len(raw_args)}")
-    args = {}
-    for pname, raw in zip(params, raw_args):
-        try:
-            args[pname] = int(raw) if pname == "mode" else float(raw)
-        except ValueError as exc:
-            raise ScenarioError(f"{kind}: parameter {pname} of {name}: bad value {raw.strip()!r}") from exc
-    return OpCall(name=name, args=args)
+    return OpCall(name=name, args={
+        pname: _number(raw, f"{kind}: parameter {pname} of {name}", int if pname == "mode" else float)
+        for pname, raw in zip(params, raw_args)})
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -146,15 +150,10 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("source: missing")
     source = _parse_call(fields["source"], "source", SOURCES)
 
-    def _number(key, convert, default=None):
-        if key not in fields:
-            return default
-        try:
-            return convert(fields[key])
-        except ValueError as exc:
-            raise ScenarioError(f"{key}: bad value {fields[key]!r}") from exc
+    def _field(key, convert=float, default=None):
+        return _number(fields[key], key, convert) if key in fields else default
 
-    sampling_n, sampling_seed = _number("sampling_n", int), _number("sampling_seed", int)
+    sampling_n, sampling_seed = _field("sampling_n", int), _field("sampling_seed", int)
     if (sampling_n is None) != (sampling_seed is None):
         raise ScenarioError("sampling_n and sampling_seed must be given together")
     if sampling_n is not None and sampling_n < 200:
@@ -162,8 +161,8 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(
         source=source,
         pipeline=tuple(steps),
-        theta_plus=_number("theta_plus", float, 0.0),
-        theta_minus=_number("theta_minus", float, math.pi / 2),
+        theta_plus=_field("theta_plus", default=0.0),
+        theta_minus=_field("theta_minus", default=math.pi / 2),
         sampling_n=sampling_n,
         sampling_seed=sampling_seed,
         out=fields.get("out"),
@@ -225,12 +224,6 @@ def run_scenario(scenario: Scenario) -> dict:
     }
 
 
-def write_report(payload: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # parameter sweeps
 
@@ -265,10 +258,13 @@ def _sweep_targets(scenario: Scenario, name: str):
     if len(matches) > 1:
         locs = [labels[idx] for idx, _ in matches]
         raise ScenarioError(f"sweep parameter: {name!r} is ambiguous (found in {locs})")
+    if matches[0][1] == ("mode",):
+        raise ScenarioError(f"sweep parameter: {name!r} selects a beam, it is not a sweep axis")
     return matches[0]
 
 
-def set_parameter(scenario: Scenario, name: str, value: float) -> Scenario:
+def set_parameter(scenario: Scenario, name: str, value) -> Scenario:
+    """The scenario with the named parameter set to a float or an array."""
     idx, pnames = _sweep_targets(scenario, name)
     ops = [scenario.source, *scenario.pipeline]
     ops[idx] = OpCall(ops[idx].name, {**ops[idx].args, **dict.fromkeys(pnames, value)})
@@ -280,15 +276,12 @@ SWEEP_COLUMNS = criteria.REPORT_KEYS[:10]
 
 def sweep(scenario: Scenario, parameter: str, grid) -> list:
     """Evaluate the analytic criteria at each grid value of the named
-    parameter.  Rows follow grid order.  The states are built one by
-    one and scored as one covariance stack."""
-    _sweep_targets(scenario, parameter)  # validate before running
+    parameter.  Rows follow grid order.  The grid is the parameter's
+    value, so its states are built and scored as one stack."""
     grid = [float(value) for value in grid]
-    covs = np.empty((len(grid), 4, 4))
-    for k, value in enumerate(grid):
-        covs[k] = build_state(set_parameter(scenario, parameter, value)).cov
+    state = build_state(set_parameter(scenario, parameter, np.array(grid)))
     values = criteria.report_scalars(
-        criteria.state_moments(covs, scenario.theta_plus, scenario.theta_minus))
+        criteria.state_moments(state, scenario.theta_plus, scenario.theta_minus))
     values.update(criteria.levels(values))
     columns = [values[col].tolist() for col in SWEEP_COLUMNS]
     return [{parameter: value, **dict(zip(SWEEP_COLUMNS, row))}

@@ -8,6 +8,11 @@ shot-noise units.  A phase shift by ``phi`` rotates a mode's (X+, X-)
 plane by the standard rotation matrix; a beamsplitter of mixing angle
 ``theta`` sends the mode-1 fluctuation to
 ``cos(theta) dX1 - sin(theta) dX2`` on both quadratures.
+
+A state holds a ``...x4`` mean and a ``...x4x4`` covariance.  Each
+parameter of a constructor or map may be a float or an array (arrays of
+one shape); each entry of the resulting stack equals, bit for bit, the
+single state built from that entry's floats.
 """
 
 from __future__ import annotations
@@ -39,29 +44,34 @@ class PhysicalityError(ValueError):
 
 
 def uncertainty_min_eigenvalue(cov: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian matrix cov + i*Omega.
+    """Smallest eigenvalue of the Hermitian matrix cov + i*Omega, over
+    every covariance of a ...x4x4 stack (inf for an empty stack).
 
     Non-negative (within tolerance) for every physical state; exactly
     zero for the two-mode vacuum, which saturates the bound.
     """
-    return float(np.linalg.eigvalsh(cov + 1j * OMEGA).min())
+    return float(np.linalg.eigvalsh(cov + 1j * OMEGA).min(initial=math.inf))
 
 
 @dataclass(frozen=True)
 class GaussianTwoModeState:
-    """Mean vector and 4x4 covariance matrix of a two-mode Gaussian state."""
+    """Mean vectors (...x4) and covariance matrices (...x4x4) of two-mode
+    Gaussian states; one state has shapes (4,) and (4, 4)."""
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(4).copy()
-        cov = np.asarray(self.cov, dtype=float).reshape(4, 4).copy()
+        mean = np.array(self.mean, dtype=float)
+        cov = np.array(self.cov, dtype=float)
+        if mean.shape[-1:] != (4,) or cov.shape != mean.shape + (4,):
+            raise ValueError("mean and cov must have shapes ...x4 and ...x4x4, "
+                             f"got {mean.shape} and {cov.shape}")
         if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
             raise ValueError("state moments must be finite")
-        if np.abs(cov - cov.T).max() > SYMMETRY_TOL:
+        if np.any(np.abs(cov - np.swapaxes(cov, -1, -2)) > SYMMETRY_TOL):
             raise ValueError("covariance matrix is not symmetric")
-        if np.any(np.diag(cov) <= 0.0):
+        if np.any(np.diagonal(cov, axis1=-2, axis2=-1) <= 0.0):
             raise ValueError("covariance diagonal entries must be positive")
         min_eig = uncertainty_min_eigenvalue(cov)
         if min_eig < -PHYSICALITY_TOL:
@@ -86,26 +96,43 @@ class GaussianTwoModeState:
         return cls(mean=payload["mean"], cov=payload["cov"])
 
 
-@dataclass(frozen=True)
-class BeamsplitterParams:
-    """Mixing angle (amplitude coefficients r = cos, t = sin) and the
-    phase applied to mode 2 before mixing."""
-
-    mixing_angle: float
-    phase: float = 0.0
+# ---------------------------------------------------------------------------
+# building blocks: every entry may be a float or an array
 
 
-@dataclass(frozen=True)
-class LossParams:
-    """Intensity transmissions of the per-mode attenuation channels."""
+def _check(ok, message: str, *values) -> None:
+    """Raise ValueError(message) filled with the values where ok first fails."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        first = [np.broadcast_to(v, ok.shape).flat[np.argmin(ok)] for v in values]
+        raise ValueError(message.format(*first))
 
-    eta1: float
-    eta2: float
 
-    def __post_init__(self):
-        for name, eta in (("eta1", self.eta1), ("eta2", self.eta2)):
-            if not 0.0 <= eta <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {eta}")
+def _squeezing(fn, x, name: str) -> np.ndarray:
+    """fn of each entry of the squeezing parameter x (name in errors); fn
+    calls math's cosh, sinh or exp, since numpy's differ in the last bit."""
+    def entry(v):
+        try:
+            return fn(v)
+        except OverflowError:
+            raise ValueError(f"squeezing parameter {name} = {v} overflows the covariance") from None
+    return np.vectorize(entry, otypes=[float])(x)
+
+
+def _matrix(rows) -> np.ndarray:
+    """Square matrix of the rows, a ...xNxN stack when entries are arrays."""
+    entries = np.broadcast_arrays(*(np.asarray(e, dtype=float) for row in rows for e in row))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (len(rows), len(rows)))
+
+
+def _diag(a, b) -> np.ndarray:
+    """diag(a, a, b, b)."""
+    return _matrix([[a, 0.0, 0.0, 0.0], [0.0, a, 0.0, 0.0],
+                    [0.0, 0.0, b, 0.0], [0.0, 0.0, 0.0, b]])
+
+
+def _zero_mean(cov: np.ndarray) -> GaussianTwoModeState:
+    return GaussianTwoModeState(mean=np.zeros(cov.shape[:-1]), cov=cov)
 
 
 # ---------------------------------------------------------------------------
@@ -117,96 +144,81 @@ def make_vacuum() -> GaussianTwoModeState:
     return GaussianTwoModeState(mean=np.zeros(4), cov=np.eye(4))
 
 
-def make_thermal(f1: float, f2: float) -> GaussianTwoModeState:
+def make_thermal(f1, f2) -> GaussianTwoModeState:
     """Phase-symmetric noisy beams with Fano factors f1, f2 >= 1."""
-    if f1 < 1.0 or f2 < 1.0:
-        raise ValueError(f"thermal Fano factors must be >= 1, got ({f1}, {f2})")
-    return GaussianTwoModeState(mean=np.zeros(4), cov=np.diag([f1, f1, f2, f2]))
+    _check((f1 >= 1.0) & (f2 >= 1.0), "thermal Fano factors must be >= 1, got ({}, {})", f1, f2)
+    return _zero_mean(_diag(f1, f2))
 
 
-def make_two_mode_squeezed(r: float) -> GaussianTwoModeState:
+def make_two_mode_squeezed(r) -> GaussianTwoModeState:
     """Two-mode squeezed vacuum with squeezing parameter r >= 0.
 
     X+ quadratures are correlated, X- anti-correlated; the difference
     X+_1 - X+_2 has variance 2*exp(-2r).
     """
-    if r < 0.0:
-        raise ValueError(f"squeezing parameter must be >= 0, got {r}")
-    try:
-        ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    except OverflowError:
-        raise ValueError(f"squeezing parameter r = {r} overflows the covariance") from None
-    cov = np.array(
-        [
-            [ch, 0.0, sh, 0.0],
-            [0.0, ch, 0.0, -sh],
-            [sh, 0.0, ch, 0.0],
-            [0.0, -sh, 0.0, ch],
-        ]
-    )
-    return GaussianTwoModeState(mean=np.zeros(4), cov=cov)
+    _check(r >= 0.0, "squeezing parameter must be >= 0, got {}", r)
+    ch = _squeezing(lambda v: math.cosh(2.0 * v), r, "r")
+    sh = _squeezing(lambda v: math.sinh(2.0 * v), r, "r")
+    return _zero_mean(_matrix([[ch, 0.0, sh, 0.0], [0.0, ch, 0.0, -sh],
+                               [sh, 0.0, ch, 0.0], [0.0, -sh, 0.0, ch]]))
 
 
-def make_single_mode_squeezed(mode: int, s: float, theta_sq: float = 0.0) -> GaussianTwoModeState:
+def make_single_mode_squeezed(mode: int, s, theta_sq=0.0) -> GaussianTwoModeState:
     """One mode squeezed by s along the quadrature at angle theta_sq,
     the other mode in vacuum."""
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
-    rot = _rotation(theta_sq)
-    try:
-        squeezed = np.diag([math.exp(-2.0 * s), math.exp(2.0 * s)])
-    except OverflowError:
-        raise ValueError(f"squeezing parameter s = {s} overflows the covariance") from None
-    block = rot @ squeezed @ rot.T
-    cov = np.eye(4)
+    c, sn = np.cos(theta_sq), np.sin(theta_sq)
+    rot = _matrix([[c, -sn], [sn, c]])
+    squeezed = _matrix([[_squeezing(lambda v: math.exp(-2.0 * v), s, "s"), 0.0],
+                        [0.0, _squeezing(lambda v: math.exp(2.0 * v), s, "s")]])
+    block = rot @ squeezed @ np.swapaxes(rot, -1, -2)
+    cov = np.broadcast_to(np.eye(4), block.shape[:-2] + (4, 4)).copy()
     i = 0 if mode == 1 else 2
-    cov[i : i + 2, i : i + 2] = block
-    return GaussianTwoModeState(mean=np.zeros(4), cov=cov)
+    cov[..., i : i + 2, i : i + 2] = block
+    return _zero_mean(cov)
 
 
 # ---------------------------------------------------------------------------
 # linear-optical maps
 
 
-def _rotation(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s], [s, c]])
+def _apply(state: GaussianTwoModeState, x: np.ndarray, y=-0.0) -> GaussianTwoModeState:
+    """The state after mean -> x mean, cov -> x cov x^T + y.  Adding the
+    default y = -0.0 changes no value, the sign of a zero included."""
+    return GaussianTwoModeState(mean=(x @ state.mean[..., None])[..., 0],
+                                cov=x @ state.cov @ np.swapaxes(x, -1, -2) + y)
 
 
-def _apply_symplectic(state: GaussianTwoModeState, s_mat: np.ndarray) -> GaussianTwoModeState:
-    return GaussianTwoModeState(mean=s_mat @ state.mean, cov=s_mat @ state.cov @ s_mat.T)
-
-
-def beamsplitter_matrix(params: BeamsplitterParams) -> np.ndarray:
+def beamsplitter_matrix(theta, phi=0.0) -> np.ndarray:
     """Orthogonal symplectic matrix of the beamsplitter.
 
     Output mode 1 carries cos(theta) dX1 - sin(theta) dX2 on both
-    quadratures (after the phase on mode 2); output mode 2 is the
+    quadratures (after the phase phi on mode 2); output mode 2 is the
     orthogonal combination.
     """
-    phase2 = np.eye(4)
-    phase2[2:, 2:] = _rotation(params.phase)
-    return np.kron(_rotation(params.mixing_angle), np.eye(2)) @ phase2
+    c, s, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+    return _matrix([[c, 0.0, -s * cp, s * sp], [0.0, c, -s * sp, -s * cp],
+                    [s, 0.0, c * cp, -c * sp], [0.0, s, c * sp, c * cp]])
 
 
-def apply_beamsplitter(state: GaussianTwoModeState, params: BeamsplitterParams) -> GaussianTwoModeState:
-    return _apply_symplectic(state, beamsplitter_matrix(params))
+def apply_beamsplitter(state: GaussianTwoModeState, theta, phi=0.0) -> GaussianTwoModeState:
+    return _apply(state, beamsplitter_matrix(theta, phi))
 
 
-def apply_phase(state: GaussianTwoModeState, phi1: float, phi2: float) -> GaussianTwoModeState:
+def apply_phase(state: GaussianTwoModeState, phi1, phi2) -> GaussianTwoModeState:
     """Rotate each mode's (X+, X-) plane by phi1, phi2."""
-    s_mat = np.zeros((4, 4))
-    s_mat[0:2, 0:2] = _rotation(phi1)
-    s_mat[2:4, 2:4] = _rotation(phi2)
-    return _apply_symplectic(state, s_mat)
+    c1, s1, c2, s2 = np.cos(phi1), np.sin(phi1), np.cos(phi2), np.sin(phi2)
+    return _apply(state, _matrix([[c1, -s1, 0.0, 0.0], [s1, c1, 0.0, 0.0],
+                                  [0.0, 0.0, c2, -s2], [0.0, 0.0, s2, c2]]))
 
 
-def apply_loss(state: GaussianTwoModeState, params: LossParams) -> GaussianTwoModeState:
+def apply_loss(state: GaussianTwoModeState, eta1, eta2) -> GaussianTwoModeState:
     """Gaussian attenuation: each mode is mixed with vacuum at
-    intensity transmission eta."""
-    x = np.diag([math.sqrt(params.eta1)] * 2 + [math.sqrt(params.eta2)] * 2)
-    y = np.diag([1.0 - params.eta1] * 2 + [1.0 - params.eta2] * 2)
-    return GaussianTwoModeState(mean=x @ state.mean, cov=x @ state.cov @ x.T + y)
+    intensity transmission eta in [0, 1]."""
+    for name, eta in (("eta1", eta1), ("eta2", eta2)):
+        _check((eta >= 0.0) & (eta <= 1.0), name + " must lie in [0, 1], got {}", eta)
+    return _apply(state, _diag(np.sqrt(eta1), np.sqrt(eta2)), _diag(1.0 - eta1, 1.0 - eta2))
 
 
 # ---------------------------------------------------------------------------

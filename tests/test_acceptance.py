@@ -22,9 +22,7 @@ from twinbeams.moments import MomentPair
 from twinbeams.sampling import draw_samples, estimate_criteria
 from twinbeams.scenario import parse_scenario, sweep
 from twinbeams.states import (
-    BeamsplitterParams,
     GaussianTwoModeState,
-    LossParams,
     apply_beamsplitter,
     apply_loss,
     apply_phase,
@@ -56,7 +54,7 @@ def random_twin_family_state(rng):
     criteria is strictly ordered on this family."""
     s = make_two_mode_squeezed(rng.uniform(0.0, 2.5))
     eta = rng.uniform(0.0, 1.0)
-    s = apply_loss(s, LossParams(eta, eta))
+    s = apply_loss(s, eta, eta)
     excess = rng.uniform(0.0, 3.0) * (rng.random() < 0.5)
     return GaussianTwoModeState(mean=np.zeros(4), cov=s.cov + excess * np.eye(4))
 
@@ -98,8 +96,7 @@ def test_criterion_2_balanced_identities():
 def test_criterion_3_classical_split_exactness():
     worst_c = worst_g = 0.0
     for f_in in np.linspace(1.0, 100.0, 50):
-        out = apply_beamsplitter(make_thermal(f_in, 1.0),
-                                 BeamsplitterParams(math.pi / 4))
+        out = apply_beamsplitter(make_thermal(f_in, 1.0), math.pi / 4)
         m = quadrature_moments(out, 0.0, 0.0)
         worst_c = max(worst_c, abs(m.c12 - (f_in - 1.0) / (f_in + 1.0)))
         worst_g = max(worst_g, abs(gemellity(m).value - 1.0))
@@ -107,7 +104,7 @@ def test_criterion_3_classical_split_exactness():
     for _ in range(10):
         f_in = rng.uniform(1.5, 50.0)
         theta = rng.uniform(0.15, math.pi / 2 - 0.15)
-        out = apply_beamsplitter(make_thermal(f_in, 1.0), BeamsplitterParams(theta))
+        out = apply_beamsplitter(make_thermal(f_in, 1.0), theta)
         m = quadrature_moments(out, 0.0, 0.0)
         expected = classical_unbalanced_correlation(m.f1, m.f2)
         worst_c = max(worst_c, abs(abs(m.c12) - expected))
@@ -199,7 +196,7 @@ def test_criterion_6_hierarchy_suite():
                 witness_v = True
                 break
     # witness: non-separable but not EPR (40% transmission on strong squeezing)
-    dm = state_moments(apply_loss(make_two_mode_squeezed(3.0), LossParams(0.4, 0.4)))
+    dm = state_moments(apply_loss(make_two_mode_squeezed(3.0), 0.4, 0.4))
     witness_epr = (duan_separability(dm) < 2.0
                    and epr_product(dm, 1) >= 1.0 and epr_product(dm, 2) >= 1.0)
     if not witness_v:
@@ -225,8 +222,7 @@ def test_criterion_8_statistical_path():
     cases = {
         "vacuum": make_vacuum(),
         "tmsv(1.103)": make_two_mode_squeezed(1.103),
-        "split thermal(9)": apply_beamsplitter(make_thermal(9.0, 1.0),
-                                               BeamsplitterParams(math.pi / 4)),
+        "split thermal(9)": apply_beamsplitter(make_thermal(9.0, 1.0), math.pi / 4),
     }
     checked_keys = (
         "fplus_1", "fplus_2", "cplus", "fminus_1", "fminus_2", "cminus",
@@ -262,8 +258,7 @@ def test_criterion_9_classicality_preservation():
         s = GaussianTwoModeState(mean=rng.normal(size=4), cov=np.eye(4) + b @ b.T)
         for _ in range(rng.integers(1, 4)):
             s = apply_beamsplitter(
-                s, BeamsplitterParams(rng.uniform(-math.pi, math.pi),
-                                      rng.uniform(-math.pi, math.pi)))
+                s, rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
             s = apply_phase(s, rng.uniform(-math.pi, math.pi),
                             rng.uniform(-math.pi, math.pi))
         worst = min(worst, float(np.linalg.eigvalsh(s.cov - np.eye(4)).min()))

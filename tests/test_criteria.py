@@ -17,9 +17,7 @@ from twinbeams.criteria import (
 )
 from twinbeams.moments import DuanEprMoments, MomentPair
 from twinbeams.states import (
-    BeamsplitterParams,
     GaussianTwoModeState,
-    LossParams,
     apply_beamsplitter,
     apply_loss,
     apply_phase,
@@ -53,9 +51,9 @@ def random_state(rng):
         s = make_thermal(rng.uniform(1.0, 10.0), rng.uniform(1.0, 10.0))
     else:
         s = make_two_mode_squeezed(rng.uniform(0.0, 1.5))
-        s = apply_loss(s, LossParams(rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0)))
+        s = apply_loss(s, rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0))
     s = apply_phase(s, rng.uniform(0, math.pi), rng.uniform(0, math.pi))
-    s = apply_beamsplitter(s, BeamsplitterParams(rng.uniform(0, math.pi / 2)))
+    s = apply_beamsplitter(s, rng.uniform(0, math.pi / 2))
     return s
 
 
@@ -67,7 +65,7 @@ def random_twin_family_state(rng):
     50/50 separability combination misses them."""
     s = make_two_mode_squeezed(rng.uniform(0.0, 2.5))
     eta = rng.uniform(0.0, 1.0)
-    s = apply_loss(s, LossParams(eta, eta))
+    s = apply_loss(s, eta, eta)
     excess = rng.uniform(0.0, 3.0) * (rng.random() < 0.5)
     return GaussianTwoModeState(mean=np.zeros(4), cov=s.cov + excess * np.eye(4))
 
@@ -221,7 +219,7 @@ class TestSeparabilityAndEpr:
 
     def test_loss_threshold_half(self):
         # EPR product crosses 1 at 50% transmission for symmetric loss
-        state = lambda eta: apply_loss(make_two_mode_squeezed(3.0), LossParams(eta, eta))
+        state = lambda eta: apply_loss(make_two_mode_squeezed(3.0), eta, eta)
         below = epr_product(state_moments(state(0.45)), 1)
         above = epr_product(state_moments(state(0.55)), 1)
         assert below > 1.0 > above
@@ -229,7 +227,7 @@ class TestSeparabilityAndEpr:
     def test_duan_robust_to_loss(self):
         for eta in np.linspace(0.05, 0.95, 10):
             dm = state_moments(
-                apply_loss(make_two_mode_squeezed(3.0), LossParams(eta, eta)))
+                apply_loss(make_two_mode_squeezed(3.0), eta, eta))
             assert duan_separability(dm) < 2.0
 
     def test_correlation_form_diagnostic_consistent(self):
@@ -299,7 +297,7 @@ class TestHierarchy:
 
     def test_separable_but_not_epr_witness(self):
         dm = state_moments(
-            apply_loss(make_two_mode_squeezed(3.0), LossParams(0.4, 0.4)))
+            apply_loss(make_two_mode_squeezed(3.0), 0.4, 0.4))
         assert duan_separability(dm) < 2.0
         assert epr_product(dm, 1) >= 1.0 and epr_product(dm, 2) >= 1.0
 
@@ -309,8 +307,7 @@ class TestHierarchy:
             s = make_thermal(rng.uniform(1.0, 20.0), rng.uniform(1.0, 20.0))
             for _ in range(rng.integers(1, 4)):
                 s = apply_beamsplitter(
-                    s, BeamsplitterParams(rng.uniform(0, math.pi),
-                                          rng.uniform(0, math.pi)))
+                    s, rng.uniform(0, math.pi), rng.uniform(0, math.pi))
                 s = apply_phase(s, rng.uniform(0, math.pi), rng.uniform(0, math.pi))
             dm = state_moments(s)
             assert gemellity(dm.plus).value >= 1.0 - 1e-9
@@ -329,7 +326,7 @@ class TestClassify:
         assert rep.g == pytest.approx(0.11, abs=0.005)
 
     def test_split_thermal_no_levels(self):
-        s = apply_beamsplitter(make_thermal(9.0, 1.0), BeamsplitterParams(math.pi / 4))
+        s = apply_beamsplitter(make_thermal(9.0, 1.0), math.pi / 4)
         rep = classify(s)
         assert rep.g == pytest.approx(1.0, abs=1e-9)
         assert not (rep.level1 or rep.level2 or rep.level3 or rep.level4)

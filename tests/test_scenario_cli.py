@@ -255,7 +255,12 @@ class TestCli:
         ("tmsv(400)", "source tmsv: squeezing parameter r = 400.0 overflows the covariance"),
         ("sms(1, 400, 0)",
          "source sms: squeezing parameter s = 400.0 overflows the covariance"),
-    ], ids=["unknown-op", "tmsv-overflow", "sms-overflow"])
+        ("tmsv(0.5)\ntheta_plus = nan", "theta_plus: bad value 'nan'"),
+        ("tmsv(0.5)\ntheta_minus = inf", "theta_minus: bad value 'inf'"),
+        ("tmsv(nan)", "source: parameter r of tmsv: bad value 'nan'"),
+        ("tmsv(0.5)\nstep = phase(inf, 0)", "line 3 step: parameter phi1 of phase: bad value 'inf'"),
+    ], ids=["unknown-op", "tmsv-overflow", "sms-overflow", "nan-theta-plus", "inf-theta-minus",
+            "nan-op-argument", "inf-op-argument"])
     def test_validation_error_printed_once(self, tmp_path, source, message):
         scn = self._write(tmp_path, f"schema = twinbeams-scenario-1\nsource = {source}\n")
         proc = self._run_fresh(["run", "--scenario", str(scn)])
@@ -264,10 +269,12 @@ class TestCli:
 
     @pytest.mark.parametrize("grid", [",", "", "0.1,,0.2", "0.1, ,0.2", "0:1:1e9",
                                       "0:1:nan", "0:1:2.5", "0:1", "0:1:2:3", "0:x:3",
-                                      "0:1:1"],
+                                      "0:1:1", "0:inf:3", "nan,1", "0.5,inf",
+                                      "1e308:-1e308:3"],
                              ids=["comma-only", "empty", "empty-cell", "blank-cell",
                                   "float-num", "nan-num", "fractional-num", "two-parts",
-                                  "four-parts", "bad-stop", "num-one"])
+                                  "four-parts", "bad-stop", "num-one", "inf-stop", "nan-cell",
+                                  "inf-cell", "overflowing-step"])
     def test_bad_grid_rejected(self, tmp_path, capsys, grid):
         scn = self._write(tmp_path, TMSV_SCENARIO)
         out = tmp_path / "sweep.csv"
@@ -276,6 +283,28 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: --grid: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("param", ["source.mode", "mode"])
+    def test_mode_sweep_rejected(self, tmp_path, capsys, param):
+        scn = self._write(tmp_path, "schema = twinbeams-scenario-1\nsource = sms(1, 0.5, 0.2)\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--scenario", str(scn), "--param", param,
+                     "--grid", "1,2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: sweep parameter: '{param}' selects a beam, it is not a sweep axis"]
+        assert not out.exists()
+
+    def test_json_to_stdout_equals_json_to_file(self, tmp_path, capsys):
+        scn = self._write(tmp_path, TMSV_SCENARIO)
+        batch = tmp_path / "batch.csv"
+        assert main(["sample", "--scenario", str(scn), "--n", "300", "--seed", "2",
+                     "--out", str(batch)]) == 0
+        for args in (["run", "--scenario", str(scn)], ["estimate", "--batch", str(batch)]):
+            out = tmp_path / "out.json"
+            assert main(args + ["--out", str(out)]) == 0
+            capsys.readouterr()
+            assert main(args) == 0
+            assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
     def test_physicality_error_printed_once(self, tmp_path):
         # sub-vacuum noise on every quadrature violates the uncertainty bound

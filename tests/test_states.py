@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from twinbeams.states import (
-    BeamsplitterParams,
     GaussianTwoModeState,
-    LossParams,
     PhysicalityError,
     apply_beamsplitter,
     apply_loss,
@@ -74,7 +72,7 @@ class TestConstructors:
         cov[2:4, 2:4] = s2
         mixed = apply_beamsplitter(
             GaussianTwoModeState(mean=np.zeros(4), cov=cov),
-            BeamsplitterParams(math.pi / 4),
+            math.pi / 4,
         )
         assert np.allclose(mixed.cov, make_two_mode_squeezed(r).cov, atol=1e-12)
 
@@ -132,23 +130,23 @@ class TestStateValidation:
 class TestBeamsplitter:
     def test_zero_angle_is_identity(self):
         s = make_thermal(3.0, 2.0)
-        out = apply_beamsplitter(s, BeamsplitterParams(0.0))
+        out = apply_beamsplitter(s, 0.0)
         assert np.allclose(out.cov, s.cov, atol=1e-12)
 
     def test_balanced_split_of_thermal(self):
-        out = apply_beamsplitter(make_thermal(9.0, 1.0), BeamsplitterParams(math.pi / 4))
+        out = apply_beamsplitter(make_thermal(9.0, 1.0), math.pi / 4)
         assert out.cov[0, 0] == pytest.approx(5.0)
         assert out.cov[2, 2] == pytest.approx(5.0)
         assert out.cov[0, 2] == pytest.approx(4.0)
 
     def test_vacuum_fixed_point(self):
-        out = apply_beamsplitter(make_vacuum(), BeamsplitterParams(0.9, 0.4))
+        out = apply_beamsplitter(make_vacuum(), 0.9, 0.4)
         assert np.allclose(out.cov, np.eye(4), atol=1e-12)
 
     def test_inverse_angle_restores_state(self):
         s = make_two_mode_squeezed(0.7)
         roundtrip = apply_beamsplitter(
-            apply_beamsplitter(s, BeamsplitterParams(0.6)), BeamsplitterParams(-0.6))
+            apply_beamsplitter(s, 0.6), -0.6)
         assert np.abs(roundtrip.cov - s.cov).max() <= 1e-12
 
     def test_output_one_matches_r_t_combination(self):
@@ -156,7 +154,7 @@ class TestBeamsplitter:
         rng = np.random.default_rng(5)
         s = random_classical_state(rng)
         theta = 0.777
-        out = apply_beamsplitter(s, BeamsplitterParams(theta))
+        out = apply_beamsplitter(s, theta)
         c, t = math.cos(theta), math.sin(theta)
         expected = (
             c * c * s.cov[0, 0] + t * t * s.cov[2, 2] - 2 * c * t * s.cov[0, 2])
@@ -181,28 +179,28 @@ class TestPhaseAndLoss:
 
     def test_full_transmission_identity(self):
         s = make_two_mode_squeezed(0.6)
-        assert np.allclose(apply_loss(s, LossParams(1.0, 1.0)).cov, s.cov)
+        assert np.allclose(apply_loss(s, 1.0, 1.0).cov, s.cov)
 
     def test_full_loss_gives_vacuum(self):
         s = make_two_mode_squeezed(1.5)
-        out = apply_loss(s, LossParams(0.0, 0.0))
+        out = apply_loss(s, 0.0, 0.0)
         assert np.allclose(out.cov, np.eye(4), atol=1e-12)
 
     def test_symmetric_loss_on_tmsv(self):
         r, eta = 0.8, 0.3
-        out = apply_loss(make_two_mode_squeezed(r), LossParams(eta, eta))
+        out = apply_loss(make_two_mode_squeezed(r), eta, eta)
         assert out.cov[0, 0] == pytest.approx(eta * math.cosh(2 * r) + 1 - eta)
         assert out.cov[0, 2] == pytest.approx(eta * math.sinh(2 * r))
 
     def test_loss_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            LossParams(1.2, 0.5)
+            apply_loss(make_vacuum(), 1.2, 0.5)
         with pytest.raises(ValueError):
-            LossParams(0.5, -0.1)
+            apply_loss(make_vacuum(), 0.5, -0.1)
 
     def test_loss_scales_mean(self):
         s = GaussianTwoModeState(mean=np.array([2.0, 0.0, 0.0, 0.0]), cov=np.eye(4))
-        out = apply_loss(s, LossParams(0.25, 1.0))
+        out = apply_loss(s, 0.25, 1.0)
         assert out.mean[0] == pytest.approx(1.0)
 
 
@@ -217,7 +215,7 @@ class TestQuadratureMoments:
         assert m.c12 == pytest.approx(math.tanh(1.0))
 
     def test_split_thermal_correlation(self):
-        st = apply_beamsplitter(make_thermal(9.0, 1.0), BeamsplitterParams(math.pi / 4))
+        st = apply_beamsplitter(make_thermal(9.0, 1.0), math.pi / 4)
         m = quadrature_moments(st, 0.0, 0.0)
         assert m.c12 == pytest.approx(0.8, abs=1e-12)
 
@@ -239,8 +237,7 @@ class TestPhysicalityPreservation:
         for _ in range(1000):
             s = random_classical_state(rng)
             s = apply_beamsplitter(
-                s, BeamsplitterParams(rng.uniform(-math.pi, math.pi),
-                                      rng.uniform(-math.pi, math.pi)))
+                s, rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
             s = apply_phase(s, rng.uniform(-math.pi, math.pi),
                             rng.uniform(-math.pi, math.pi))
             assert np.linalg.eigvalsh(s.cov - np.eye(4)).min() >= -1e-9
@@ -249,7 +246,7 @@ class TestPhysicalityPreservation:
         rng = np.random.default_rng(29)
         for _ in range(200):
             s = make_two_mode_squeezed(rng.uniform(0, 2))
-            s = apply_beamsplitter(s, BeamsplitterParams(rng.uniform(0, math.pi)))
+            s = apply_beamsplitter(s, rng.uniform(0, math.pi))
             s = apply_phase(s, rng.uniform(0, math.pi), rng.uniform(0, math.pi))
-            s = apply_loss(s, LossParams(rng.uniform(0, 1), rng.uniform(0, 1)))
+            s = apply_loss(s, rng.uniform(0, 1), rng.uniform(0, 1))
             assert uncertainty_min_eigenvalue(s.cov) >= -1e-9
