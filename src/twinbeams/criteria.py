@@ -234,4 +234,6 @@ def classify(state: GaussianTwoModeState,
              theta_minus: float = math.pi / 2) -> CriteriaReport:
     """Evaluate all five levels on a state.  Levels 1-2 use the `plus`
     quadrature pair; levels 3-4 use both conjugate pairs."""
+    if state.cov.ndim != 2:
+        raise ValueError(f"classify takes one state, got a stack of shape {state.cov.shape[:-2]}")
     return report_from_moments(state_moments(state, theta_plus, theta_minus))

@@ -9,7 +9,9 @@ come from a delete-one-block jackknife.
 
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,6 +22,7 @@ from .states import GaussianTwoModeState, PhysicalityError
 
 CSV_HEADER = "sample_index,xplus_1,xminus_1,xplus_2,xminus_2"
 DEFAULT_BLOCKS = 100
+WRITE_CHUNK = 65536  # rows converted to Python floats at a time
 
 
 class BatchFormatError(ValueError):
@@ -90,6 +93,9 @@ def draw_samples(state: GaussianTwoModeState, n: int, seed: int,
     The stream is the numpy PCG64 generator seeded with `seed`;
     identical (state, n, seed) reproduce the batch bit-for-bit.
     """
+    if state.cov.ndim != 2:
+        raise ValueError(
+            f"draw_samples takes one state, got a stack of shape {state.cov.shape[:-2]}")
     if n < 2:
         raise ValueError("need at least 2 samples")
     try:
@@ -108,56 +114,78 @@ def draw_samples(state: GaussianTwoModeState, n: int, seed: int,
 
 def write_batch(batch: SampleBatch, path) -> None:
     """CSV with '#' metadata lines, a fixed header, and full-precision
-    decimal values (round-trippable IEEE doubles)."""
+    decimal values (round-trippable IEEE doubles).  Rows are converted
+    WRITE_CHUNK at a time, so memory beyond the batch stays bounded."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# seed: {batch.seed}\n")
         handle.write(f"# source_label: {batch.source_label}\n")
         handle.write(CSV_HEADER + "\n")
-        for i, row in enumerate(batch.samples.tolist()):
-            handle.write(f"{i},{row[0]!r},{row[1]!r},{row[2]!r},{row[3]!r}\n")
+        for start in range(0, batch.n, WRITE_CHUNK):
+            rows = batch.samples[start:start + WRITE_CHUNK].tolist()
+            handle.write("".join([f"{i},{a!r},{b!r},{c!r},{d!r}\n"
+                                  for i, (a, b, c, d) in enumerate(rows, start)]))
 
 
 def read_batch(path) -> SampleBatch:
+    """Parse a sample CSV.  Blank and whitespace-only lines are skipped;
+    '#' lines may come before the header only.  The lines up to the
+    header are read here, the data block in one numpy parse; when that
+    parse fails, a line-by-line scan names the first bad line."""
     seed = 0
     source_label = ""
-    rows = []
     with open(path, "r", encoding="utf-8") as handle:
-        header_seen = False
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
                 continue
+            if not line.startswith("#"):
+                break
+            body = line[1:].strip()
+            if body.startswith("seed:"):
+                try:
+                    seed = int(body.split(":", 1)[1].strip())
+                except ValueError as exc:
+                    raise BatchFormatError(f"line {lineno}: bad seed value") from exc
+            elif body.startswith("source_label:"):
+                source_label = body.split(":", 1)[1].strip()
+        else:
+            raise BatchFormatError("missing header row")
+        if line != CSV_HEADER:
+            raise BatchFormatError(
+                f"line {lineno}: expected header {CSV_HEADER!r}, got {line!r}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty block is caught below
+                data = np.loadtxt(filter(str.strip, handle), delimiter=",",
+                                  comments=None, ndmin=2)
+        except ValueError:
+            data = None
+    if data is None or data.shape[0] < 2 or data.shape[1] != 5:
+        raise BatchFormatError(_first_fault(path, lineno))
+    return SampleBatch(samples=data[:, 1:], seed=seed, source_label=source_label)
+
+
+def _first_fault(path, header_lineno: int) -> str:
+    """Locate what the one-call parse rejected: the first data line
+    that fails on its own (same parser), else a short block."""
+    rows = 0
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = itertools.islice(handle, header_lineno, None)
+        for lineno, raw in enumerate(lines, start=header_lineno + 1):
+            line = raw.strip()
+            if not line:
+                continue
             if line.startswith("#"):
-                if header_seen:
-                    raise BatchFormatError(f"line {lineno}: comment after header")
-                body = line[1:].strip()
-                if body.startswith("seed:"):
-                    try:
-                        seed = int(body.split(":", 1)[1].strip())
-                    except ValueError as exc:
-                        raise BatchFormatError(f"line {lineno}: bad seed value") from exc
-                elif body.startswith("source_label:"):
-                    source_label = body.split(":", 1)[1].strip()
-                continue
-            if not header_seen:
-                if line != CSV_HEADER:
-                    raise BatchFormatError(
-                        f"line {lineno}: expected header {CSV_HEADER!r}, got {line!r}")
-                header_seen = True
-                continue
+                return f"line {lineno}: comment after header"
             cells = line.split(",")
             if len(cells) != 5:
-                raise BatchFormatError(
-                    f"line {lineno}: expected 5 columns, got {len(cells)}")
+                return f"line {lineno}: expected 5 columns, got {len(cells)}"
             try:
-                rows.append([float(c) for c in cells[1:]])
-            except ValueError as exc:
-                raise BatchFormatError(f"line {lineno}: non-numeric cell") from exc
-        if not header_seen:
-            raise BatchFormatError("missing header row")
-    if len(rows) < 2:
-        raise BatchFormatError("batch holds fewer than 2 samples")
-    return SampleBatch(samples=np.array(rows), seed=seed, source_label=source_label)
+                np.loadtxt([line], delimiter=",", comments=None)
+            except ValueError:
+                return f"line {lineno}: non-numeric cell"
+            rows += 1
+    return "batch holds fewer than 2 samples" if rows < 2 else "data block does not parse"
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +194,8 @@ def read_batch(path) -> SampleBatch:
 
 def _covariances(sums: np.ndarray, grams: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Plug-in (population) covariances of a stack of batches, each
-    given by its row count, column sums and Gram matrix."""
+    given by its row count and the column sums and Gram matrix of its
+    rows taken about one common point."""
     means = sums / counts[:, None]
     covs = grams / counts[:, None, None] - means[:, :, None] * means[:, None, :]
     if np.any(np.diagonal(covs, axis1=1, axis2=2) <= 0.0):
@@ -183,13 +212,21 @@ def estimate_criteria(batch: SampleBatch, n_blocks: int = DEFAULT_BLOCKS,
     n = batch.n
     if n < 2 * n_blocks:
         raise ValueError(f"need at least {2 * n_blocks} samples for {n_blocks} blocks")
-    blocks = np.array_split(batch.samples, n_blocks)
-    total_x = batch.samples.sum(axis=0)
-    total_xx = batch.samples.T @ batch.samples
-    covs = _covariances(
-        np.array([total_x] + [total_x - block.sum(axis=0) for block in blocks]),
-        np.array([total_xx] + [total_xx - block.T @ block for block in blocks]),
-        np.array([n] + [n - block.shape[0] for block in blocks], dtype=float))
+    # Each block is centred on the full-batch mean before its sum and Gram
+    # matrix are taken, one block at a time, so the raw-moment form in
+    # _covariances does not cancel on displaced beams.
+    mean = batch.samples.mean(axis=0)
+    counts, sums, grams = np.empty(n_blocks), np.empty((n_blocks, 4)), np.empty((n_blocks, 4, 4))
+    for k, block in enumerate(np.array_split(batch.samples, n_blocks)):
+        centred = block - mean
+        counts[k], sums[k], grams[k] = len(block), centred.sum(axis=0), centred.T @ centred
+
+    def with_total(part):
+        """Entry 0 the full batch, entry k the batch without block k."""
+        total = part.sum(axis=0)
+        return np.concatenate([total[None], total - part])
+
+    covs = _covariances(with_total(sums), with_total(grams), with_total(counts))
     dm = criteria.state_moments(covs, theta_plus, theta_minus)
     values = criteria.report_scalars(dm)
     values.update(fplus_1=dm.plus.f1, fplus_2=dm.plus.f2, cplus=dm.plus.c12,

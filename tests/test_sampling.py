@@ -1,10 +1,15 @@
 import math
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from twinbeams.criteria import report_scalars, state_moments
 from twinbeams.sampling import (
+    CSV_HEADER,
+    WRITE_CHUNK,
     BatchFormatError,
     EstimationError,
     SampleBatch,
@@ -14,6 +19,8 @@ from twinbeams.sampling import (
     write_batch,
 )
 from twinbeams.states import make_two_mode_squeezed, make_vacuum
+
+GOLDEN_BATCH = Path(__file__).parent / "data" / "golden_batch.csv"
 
 
 class TestDrawSamples:
@@ -82,6 +89,106 @@ class TestBatchRoundTrip:
         path.write_text("0,1.0,2.0,3.0,4.0\n")
         with pytest.raises(BatchFormatError, match="header"):
             read_batch(path)
+
+
+# The reader's grammar, each case written with `{h}` for the header.
+# Accepted files hold seed 5, label "x" and the two rows of GRAMMAR_ROWS.
+GRAMMAR_ROWS = [[1.5, 2.5, 3.5, 4.5], [-1.0, 0.25, 1e-3, 7.0]]
+ACCEPTED = {
+    "empty-lines": "# seed: 5\n# source_label: x\n\n{h}\n\n0,1.5,2.5,3.5,4.5\n\n\n"
+                   "1,-1.0,0.25,1e-3,7\n\n",
+    "crlf": "# seed: 5\r\n# source_label: x\r\n{h}\r\n0,1.5,2.5,3.5,4.5\r\n"
+            "1,-1.0,0.25,1e-3,7\r\n",
+    "spaces-around-cells": "# seed: 5\n# source_label:  x \n  {h} \n 0 , 1.5 ,2.5,\t3.5 , 4.5 \n"
+                           "1, -1.0,0.25 ,1e-3,7\t\n",
+    "comments-before-header": "# written by hand\n# seed: 5\n#\n# source_label: x\n"
+                              "# units: shot noise\n{h}\n0,1.5,2.5,3.5,4.5\n1,-1.0,0.25,1e-3,7\n",
+    "whitespace-only-lines": " \n# seed: 5\n\t\n# source_label: x\n{h}\n   \n0,1.5,2.5,3.5,4.5\n"
+                             " \t \n1,-1.0,0.25,1e-3,7\n  ",
+}
+# rejected files: (text, error, the whole message)
+REJECTED = {
+    "six-columns": ("{h}\n0,1,2,3,4\n\n1,1,2,3,4,5\n2,1,2,3,4\n", BatchFormatError,
+                    "line 4: expected 5 columns, got 6"),
+    "six-columns-first-row": ("{h}\n0,1,2,3,4,5\n1,1,2,3,4,5\n", BatchFormatError,
+                              "line 2: expected 5 columns, got 6"),
+    "comment-after-header": ("# seed: 5\n{h}\n0,1,2,3,4\n\n# late note\n1,1,2,3,4\n",
+                             BatchFormatError, "line 5: comment after header"),
+    "non-numeric-after-blank-lines": ("# seed: 5\n{h}\n0,1,2,3,4\n \n\n1,1,2,x,4\n",
+                                      BatchFormatError, "line 6: non-numeric cell"),
+    # the whole row goes through numpy's parser: the index cell is a
+    # number, and Python-only float syntax is not (the parent took both)
+    "non-numeric-index": ("{h}\n0,1,2,3,4\nb,1,2,3,4\n", BatchFormatError,
+                          "line 3: non-numeric cell"),
+    "digit-underscore": ("{h}\n0,1,2,3,4\n1,1_0,2,3,4\n", BatchFormatError,
+                         "line 3: non-numeric cell"),
+    "nan": ("{h}\n0,1,2,3,4\n1,1,nan,3,4\n", ValueError, "samples must be finite"),
+    "one-row": ("{h}\n0,1,2,3,4\n\n", BatchFormatError, "batch holds fewer than 2 samples"),
+    "no-rows": ("# seed: 5\n{h}\n", BatchFormatError, "batch holds fewer than 2 samples"),
+}
+
+
+def _write_text(path, text):
+    path.write_bytes(text.format(h=CSV_HEADER).encode("utf-8"))
+    return path
+
+
+class TestBatchGrammar:
+    @pytest.mark.parametrize("text", ACCEPTED.values(), ids=ACCEPTED.keys())
+    def test_accepted(self, tmp_path, text):
+        batch = read_batch(_write_text(tmp_path / "batch.csv", text))
+        assert batch.samples.tolist() == GRAMMAR_ROWS
+        assert (batch.seed, batch.source_label) == (5, "x")
+
+    @pytest.mark.parametrize("text, error, message", REJECTED.values(), ids=REJECTED.keys())
+    def test_rejected(self, tmp_path, text, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            read_batch(_write_text(tmp_path / "batch.csv", text))
+
+
+class TestBatchBytes:
+    def test_writer_matches_golden_file(self, tmp_path):
+        batch = draw_samples(make_two_mode_squeezed(0.3), 50, seed=9,
+                             source_label="tmsv(0.3)")
+        path = tmp_path / "batch.csv"
+        write_batch(batch, path)
+        assert path.read_bytes() == GOLDEN_BATCH.read_bytes()
+        assert read_batch(GOLDEN_BATCH).samples.tobytes() == batch.samples.tobytes()
+
+    def test_round_trip_over_chunk_seam(self, tmp_path):
+        batch = draw_samples(make_two_mode_squeezed(0.3), WRITE_CHUNK + 3, seed=47,
+                             source_label="seam")
+        path = tmp_path / "batch.csv"
+        write_batch(batch, path)
+        rows = "".join(f"{i},{a!r},{b!r},{c!r},{d!r}\n"
+                       for i, (a, b, c, d) in enumerate(batch.samples.tolist()))
+        expected = f"# seed: 47\n# source_label: seam\n{CSV_HEADER}\n{rows}"
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert read_batch(path).samples.tobytes() == batch.samples.tobytes()
+
+
+def _peak_bytes(fn, *args):
+    """Peak traced allocation of one call."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBatchMemory:
+    def test_read_peak_within_three_arrays(self, tmp_path):
+        batch = draw_samples(make_vacuum(), 200_000, seed=37)
+        path = tmp_path / "batch.csv"
+        write_batch(batch, path)
+        assert _peak_bytes(read_batch, path) < 3 * batch.samples.nbytes
+
+    def test_write_peak_does_not_grow_with_n(self, tmp_path):
+        small, large = (_peak_bytes(write_batch, draw_samples(make_vacuum(), n, seed=41),
+                                    tmp_path / f"{n}.csv")
+                        for n in (200_000, 800_000))
+        assert large <= 1.1 * small
 
 
 class TestEstimateCriteria:

@@ -102,6 +102,26 @@ def test_jackknife_matches_leave_one_block_out_reference(angles):
         assert est.estimates[key].stderr == pytest.approx(stderr, rel=1e-9), key
 
 
+@pytest.mark.parametrize("offset", [1e5, 1e7])
+def test_jackknife_on_displaced_batch_matches_reference(offset):
+    # raw sums about 0 lose the variance to cancellation at these means
+    state = apply_loss(
+        apply_beamsplitter(make_two_mode_squeezed(0.6), 0.5, 0.2), 0.8, 0.6)
+    samples = sampling.draw_samples(state, 5003, seed=41).samples + offset
+    est = sampling.estimate_criteria(sampling.SampleBatch(samples=samples, seed=41), n_blocks=50)
+    for key, (value, stderr) in jackknife_reference(samples, 50).items():
+        assert est.estimates[key].value == pytest.approx(value, rel=1e-9), key
+        assert est.estimates[key].stderr == pytest.approx(stderr, rel=1e-9), key
+
+
+@pytest.mark.parametrize("call", [classify, lambda state: sampling.draw_samples(state, 300, 1)],
+                         ids=["classify", "draw_samples"])
+def test_one_state_calls_reject_a_stack(call):
+    stack = apply_loss(make_two_mode_squeezed(1.0), np.array([0.5, 0.7]), 0.5)
+    with pytest.raises(ValueError, match=re.escape("takes one state, got a stack of shape (2,)")):
+        call(stack)
+
+
 # ---------------------------------------------------------------------------
 # the state path: a grid as a parameter value builds one stack
 
