@@ -9,8 +9,11 @@ come from a delete-one-block jackknife.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,7 +25,8 @@ from .states import GaussianTwoModeState, PhysicalityError
 
 CSV_HEADER = "sample_index,xplus_1,xminus_1,xplus_2,xminus_2"
 DEFAULT_BLOCKS = 100
-WRITE_CHUNK = 65536  # rows converted to Python floats at a time
+WRITE_CHUNK = 65536  # rows formatted per task
+READ_RANGE = 1 << 22  # bytes of the data block parsed per task
 
 
 class BatchFormatError(ValueError):
@@ -40,7 +44,10 @@ class Estimate(NamedTuple):
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """N x 4 homodyne record in (X+_1, X-_1, X+_2, X-_2) ordering."""
+    """N x 4 homodyne record in (X+_1, X-_1, X+_2, X-_2) ordering.
+
+    The batch keeps a read-only array that owns its data as it is given
+    (nobody can change it under the batch); any other array is copied."""
 
     samples: np.ndarray
     seed: int
@@ -54,8 +61,9 @@ class SampleBatch:
             raise ValueError("need at least 2 samples")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        samples = samples.copy()
-        samples.setflags(write=False)
+        if samples.flags.writeable or not samples.flags.owndata:
+            samples = samples.copy()
+            samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -103,9 +111,10 @@ def draw_samples(state: GaussianTwoModeState, n: int, seed: int,
     except np.linalg.LinAlgError as exc:
         raise PhysicalityError("covariance matrix is not positive definite") from exc
     rng = np.random.Generator(np.random.PCG64(seed))
-    normals = rng.standard_normal((n, 4))
-    return SampleBatch(samples=normals @ chol.T + state.mean,
-                       seed=seed, source_label=source_label)
+    samples = rng.standard_normal((n, 4)) @ chol.T
+    samples += state.mean  # the bits of `+ mean`, without a third N x 4 array
+    samples.setflags(write=False)
+    return SampleBatch(samples=samples, seed=seed, source_label=source_label)
 
 
 # ---------------------------------------------------------------------------
@@ -114,27 +123,37 @@ def draw_samples(state: GaussianTwoModeState, n: int, seed: int,
 
 def write_batch(batch: SampleBatch, path) -> None:
     """CSV with '#' metadata lines, a fixed header, and full-precision
-    decimal values (round-trippable IEEE doubles).  Rows are converted
-    WRITE_CHUNK at a time, so memory beyond the batch stays bounded."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"# seed: {batch.seed}\n")
-        handle.write(f"# source_label: {batch.source_label}\n")
-        handle.write(CSV_HEADER + "\n")
-        for start in range(0, batch.n, WRITE_CHUNK):
-            rows = batch.samples[start:start + WRITE_CHUNK].tolist()
-            handle.write("".join([f"{i},{a!r},{b!r},{c!r},{d!r}\n"
-                                  for i, (a, b, c, d) in enumerate(rows, start)]))
+    decimal values (round-trippable IEEE doubles).  Rows are formatted
+    WRITE_CHUNK at a time, by one worker per CPU, and written in order."""
+    header = f"# seed: {batch.seed}\n# source_label: {batch.source_label}\n{CSV_HEADER}\n"
+    with contextlib.closing(_ordered_map(_format_rows, batch.samples,
+                                         range(0, batch.n, WRITE_CHUNK))) as chunks, \
+            open(path, "wb") as handle:
+        handle.write(header.encode("utf-8"))
+        handle.writelines(chunks)
+
+
+def _format_rows(samples: np.ndarray, start: int) -> bytes:
+    """CSV rows start .. start + WRITE_CHUNK - 1, sample index first."""
+    rows = samples[start:start + WRITE_CHUNK].tolist()
+    return "".join([f"{i},{a!r},{b!r},{c!r},{d!r}\n"
+                    for i, (a, b, c, d) in enumerate(rows, start)]).encode("utf-8")
 
 
 def read_batch(path) -> SampleBatch:
     """Parse a sample CSV.  Blank and whitespace-only lines are skipped;
     '#' lines may come before the header only.  The lines up to the
-    header are read here, the data block in one numpy parse; when that
-    parse fails, a line-by-line scan names the first bad line."""
+    header are read here; the data block is parsed in byte ranges, by
+    one worker per CPU.  When a range fails, a line-by-line scan names
+    the first bad line."""
     seed = 0
     source_label = ""
-    with open(path, "r", encoding="utf-8") as handle:
+    offset = 0  # bytes up to the end of the last line read
+    # newline="" splits lines as text mode does but keeps their ends, so
+    # the byte offset of the data block can be counted
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         for lineno, raw in enumerate(handle, start=1):
+            offset += len(raw.encode("utf-8"))
             line = raw.strip()
             if not line:
                 continue
@@ -150,23 +169,132 @@ def read_batch(path) -> SampleBatch:
                 source_label = body.split(":", 1)[1].strip()
         else:
             raise BatchFormatError("missing header row")
-        if line != CSV_HEADER:
-            raise BatchFormatError(
-                f"line {lineno}: expected header {CSV_HEADER!r}, got {line!r}")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # an empty block is caught below
-                data = np.loadtxt(filter(str.strip, handle), delimiter=",",
-                                  comments=None, ndmin=2)
-        except ValueError:
-            data = None
-    if data is None or data.shape[0] < 2 or data.shape[1] != 5:
+    if line != CSV_HEADER:
+        raise BatchFormatError(
+            f"line {lineno}: expected header {CSV_HEADER!r}, got {line!r}")
+    samples = _parse_data(path, offset)
+    if samples is None or len(samples) < 2:
         raise BatchFormatError(_first_fault(path, lineno))
-    return SampleBatch(samples=data[:, 1:], seed=seed, source_label=source_label)
+    samples.setflags(write=False)
+    return SampleBatch(samples=samples, seed=seed, source_label=source_label)
+
+
+def _parse_data(path, offset: int):
+    """Columns 1-4 of the data block that starts at byte `offset`, as a
+    fresh N x 4 array; None when a range does not parse or there is none."""
+    parts = []
+    with contextlib.closing(_ordered_map(_parse_range, path, _ranges(path, offset))) as results:
+        for part in results:
+            if part is None:
+                return None
+            parts.append(part)
+    return np.concatenate(parts) if parts else None
+
+
+def _ranges(path, start: int) -> list:
+    """Byte ranges (start, end) that cover the file from `start`, each
+    about READ_RANGE long and cut just after a newline, so no line is split."""
+    ranges = []
+    with open(path, "rb") as handle:
+        size = handle.seek(0, os.SEEK_END)
+        while start < size:
+            handle.seek(start + READ_RANGE)
+            handle.readline()
+            end = min(handle.tell(), size)
+            ranges.append((start, end))
+            start = end
+    return ranges
+
+
+def _parse_range(path, span: tuple):
+    """Columns 1-4 of the rows in one byte range, or None when a row
+    does not parse or has other than 5 cells."""
+    start, end = span
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        text = io.TextIOWrapper(io.BytesIO(handle.read(end - start)), encoding="utf-8")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a range of blank lines
+            data = np.loadtxt(filter(str.strip, text), delimiter=",",
+                              comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape[1] != 5:
+        return None if len(data) else np.empty((0, 4))
+    return data[:, 1:].copy()  # frees the index column
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where that cannot be asked or no
+    worker can be forked."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _ordered_map(func, shared, tasks):
+    """Yield func(shared, task) for each task, in task order.
+
+    With W = min(CPUs, len(tasks)) >= 2, W forked workers inherit
+    `shared`, which is never pickled.  Worker w runs tasks[w::W] and
+    sends each result down its own pipe; the parent takes them
+    round-robin.  A worker blocks until the parent has taken its last
+    result, so the parent and each worker hold one result at a time,
+    whatever the number of tasks (a pool's result queue would let
+    finished results pile up in the parent).  Every worker is killed and
+    joined when the generator ends, raises or is closed.  With W = 1,
+    func runs in this process.
+    """
+    workers = min(_cpu_count(), len(tasks))
+    if workers > 1:
+        import multiprocessing  # here: a top-level import slows `import twinbeams`
+
+        if multiprocessing.current_process().daemon:  # it may not have children
+            workers = 1
+    if workers < 2:
+        for task in tasks:
+            yield func(shared, task)
+        return
+    # fork, not spawn: the workers inherit `shared` instead of a pickled copy
+    context = multiprocessing.get_context("fork")
+    procs, pipes = [], []
+    try:
+        for w in range(workers):
+            receiver, sender = context.Pipe(duplex=False)
+            pipes.append(receiver)
+            procs.append(context.Process(target=_serve, daemon=True,
+                                         args=(func, shared, tasks[w::workers], sender)))
+            procs[-1].start()
+            sender.close()
+        for k in range(len(tasks)):
+            try:
+                ok, result = pipes[k % workers].recv()
+            except EOFError:
+                raise RuntimeError(f"worker {k % workers} ended before sending its result") from None
+            if not ok:
+                raise result
+            yield result
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.join()
+        for pipe in pipes:
+            pipe.close()
+
+
+def _serve(func, shared, tasks, pipe) -> None:
+    """Body of one worker: send (True, result) per task, or (False, the
+    exception) and stop."""
+    try:
+        for task in tasks:
+            pipe.send((True, func(shared, task)))
+    except Exception as exc:
+        pipe.send((False, exc))
 
 
 def _first_fault(path, header_lineno: int) -> str:
-    """Locate what the one-call parse rejected: the first data line
+    """Locate what the ranged parse rejected: the first data line
     that fails on its own (same parser), else a short block."""
     rows = 0
     with open(path, "r", encoding="utf-8") as handle:

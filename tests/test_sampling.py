@@ -1,11 +1,15 @@
 import math
+import multiprocessing
+import os
 import re
+import signal
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from twinbeams import sampling
 from twinbeams.criteria import report_scalars, state_moments
 from twinbeams.sampling import (
     CSV_HEADER,
@@ -18,7 +22,7 @@ from twinbeams.sampling import (
     read_batch,
     write_batch,
 )
-from twinbeams.states import make_two_mode_squeezed, make_vacuum
+from twinbeams.states import GaussianTwoModeState, make_two_mode_squeezed, make_vacuum
 
 GOLDEN_BATCH = Path(__file__).parent / "data" / "golden_batch.csv"
 
@@ -54,6 +58,46 @@ class TestDrawSamples:
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
             draw_samples(make_vacuum(), 1, seed=0)
+
+    def test_equals_one_shot_draw_bit_for_bit(self):
+        state = GaussianTwoModeState(mean=[1e5, -3.0, 0.25, 7.0],
+                                     cov=make_two_mode_squeezed(0.8).cov)
+        normals = np.random.Generator(np.random.PCG64(43)).standard_normal((1000, 4))
+        expected = normals @ np.linalg.cholesky(state.cov).T + state.mean
+        assert draw_samples(state, 1000, seed=43).samples.tobytes() == expected.tobytes()
+
+    def test_peak_below_two_batches(self):
+        n = 200_000
+        assert _peak_bytes(draw_samples, make_vacuum(), n, 3) < 2.2 * n * 4 * 8
+
+
+class TestSampleBatch:
+    def test_caller_array_is_copied(self):
+        samples = np.arange(12.0).reshape(3, 4)
+        read_only_view = samples[:]
+        read_only_view.setflags(write=False)
+        batches = [SampleBatch(samples=a, seed=0) for a in (samples, read_only_view)]
+        samples[0, 0] = 99.0
+        assert [b.samples[0, 0] for b in batches] == [0.0, 0.0]
+        assert not any(b.samples.flags.writeable for b in batches)
+
+    def test_read_only_owner_is_kept(self):
+        samples = np.array(GRAMMAR_ROWS)
+        samples.setflags(write=False)
+        assert SampleBatch(samples=samples, seed=0).samples is samples
+
+    def test_fresh_batches_are_not_copied(self, tmp_path, monkeypatch):
+        given = []
+
+        def spy(samples, **fields):
+            given.append(samples)
+            return SampleBatch(samples=samples, **fields)
+
+        monkeypatch.setattr(sampling, "SampleBatch", spy)
+        drawn = draw_samples(make_vacuum(), 100, seed=1)
+        write_batch(drawn, tmp_path / "batch.csv")
+        read = read_batch(tmp_path / "batch.csv")
+        assert drawn.samples is given[0] and read.samples is given[1]
 
 
 class TestBatchRoundTrip:
@@ -177,6 +221,127 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
+def _patch_workers(monkeypatch, count):
+    monkeypatch.setattr(sampling, "_cpu_count", lambda: count)
+
+
+def _golden_batch():
+    return draw_samples(make_two_mode_squeezed(0.3), 50, seed=9, source_label="tmsv(0.3)")
+
+
+def _fail_on(start):
+    """A row formatter that fails on the chunk beginning at `start`."""
+    format_rows = sampling._format_rows
+
+    def fail(samples, chunk):
+        if chunk == start:
+            raise ZeroDivisionError(f"chunk {chunk}")
+        return format_rows(samples, chunk)
+
+    return fail
+
+
+def _exit_on(start):
+    """A row formatter whose worker dies on the chunk beginning at `start`."""
+    format_rows = sampling._format_rows
+
+    def die(samples, chunk):
+        if chunk == start:
+            os._exit(7)
+        return format_rows(samples, chunk)
+
+    return die
+
+
+class TestWorkers:
+    """The forked path, with the CPU count patched to 1, 2 and 3 workers
+    and chunks and ranges patched small so that 50 rows span many."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_write_bytes_do_not_depend_on_workers(self, tmp_path, monkeypatch, workers):
+        _patch_workers(monkeypatch, workers)
+        monkeypatch.setattr(sampling, "WRITE_CHUNK", 7)
+        path = tmp_path / "batch.csv"
+        write_batch(_golden_batch(), path)
+        assert path.read_bytes() == GOLDEN_BATCH.read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("range_bytes", [1, 64, 333])
+    def test_read_over_range_seams(self, tmp_path, monkeypatch, workers, range_bytes):
+        _patch_workers(monkeypatch, workers)
+        monkeypatch.setattr(sampling, "READ_RANGE", range_bytes)
+        head, data = GOLDEN_BATCH.read_text().split(CSV_HEADER + "\n")
+        rows = data.splitlines()
+        # CRLF ends and whitespace-only lines fall on range seams
+        data = "".join(f"{row}\r\n{' ' * (k % 3)}\t\r\n" if k % 2 else f" {row} \r\n"
+                       for k, row in enumerate(rows))
+        path = tmp_path / "batch.csv"
+        path.write_bytes(f"{head}{CSV_HEADER}\r\n\r\n{data}  \n".encode())
+        batch = read_batch(path)
+        assert batch.samples.tobytes() == _golden_batch().samples.tobytes()
+        assert (batch.seed, batch.source_label) == (9, "tmsv(0.3)")
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("bad, message", [
+        ("47,1,2,x,4", "line 51: non-numeric cell"),
+        ("47,1,2,3,4,5", "line 51: expected 5 columns, got 6"),
+        ("# late", "line 51: comment after header"),
+    ])
+    def test_bad_line_in_late_range(self, tmp_path, monkeypatch, workers, bad, message):
+        monkeypatch.setattr(sampling, "READ_RANGE", 64)
+        lines = GOLDEN_BATCH.read_text().splitlines(keepends=True)
+        lines[50] = bad + "\n"  # row 47 of 50
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(lines))
+        errors = []
+        for count in (1, workers):
+            _patch_workers(monkeypatch, count)
+            with pytest.raises(BatchFormatError) as info:
+                read_batch(path)
+            errors.append(str(info.value))
+        assert errors == [message, message]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("formatter, error, match", [
+        (_fail_on(0), ZeroDivisionError, "^chunk 0$"),
+        (_exit_on(0), RuntimeError, "^worker 0 ended before sending its result$"),
+    ], ids=["raises", "dies"])
+    def test_worker_failure_raises_and_leaves_no_child(self, tmp_path, monkeypatch,
+                                                       formatter, error, match):
+        # worker 1 is then blocked sending a chunk larger than a pipe buffer,
+        # so only killing it lets write_batch return; the alarm turns a hang
+        # into a failure
+        _patch_workers(monkeypatch, 2)
+        monkeypatch.setattr(sampling, "WRITE_CHUNK", 2000)
+        monkeypatch.setattr(sampling, "_format_rows", formatter)
+        batch = draw_samples(make_vacuum(), 6000, seed=2)
+
+        def hang(signum, frame):
+            raise TimeoutError("write_batch did not return")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(30)
+        try:
+            with pytest.raises(error, match=match):
+                write_batch(batch, tmp_path / "batch.csv")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    def test_daemon_process_writes_in_process(self, tmp_path, monkeypatch):
+        # a daemonic process may not start children, so it formats itself
+        _patch_workers(monkeypatch, 2)
+        monkeypatch.setattr(sampling, "WRITE_CHUNK", 7)
+        path = tmp_path / "batch.csv"
+        context = multiprocessing.get_context("fork")
+        proc = context.Process(target=write_batch, args=(_golden_batch(), path), daemon=True)
+        proc.start()
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+        assert path.read_bytes() == GOLDEN_BATCH.read_bytes()
+
+
 class TestBatchMemory:
     def test_read_peak_within_three_arrays(self, tmp_path):
         batch = draw_samples(make_vacuum(), 200_000, seed=37)
@@ -188,6 +353,15 @@ class TestBatchMemory:
         small, large = (_peak_bytes(write_batch, draw_samples(make_vacuum(), n, seed=41),
                                     tmp_path / f"{n}.csv")
                         for n in (200_000, 800_000))
+        assert large <= 1.1 * small
+
+    def test_write_peak_does_not_grow_with_n_in_process(self, tmp_path, monkeypatch):
+        # chunks made smaller to bound the run time; each N spans >= 12 chunks
+        _patch_workers(monkeypatch, 1)
+        monkeypatch.setattr(sampling, "WRITE_CHUNK", 4096)
+        small, large = (_peak_bytes(write_batch, draw_samples(make_vacuum(), n, seed=41),
+                                    tmp_path / f"{n}.csv")
+                        for n in (12 * 4096, 48 * 4096))
         assert large <= 1.1 * small
 
 
