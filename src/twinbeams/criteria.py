@@ -17,7 +17,8 @@ covariance stack they return arrays, entry k equal to the K = 1 result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -71,7 +72,62 @@ def classical_unbalanced_correlation(f1: float, f2: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# level 1: gemellity
+# the closed forms: computed once per quadrature pair, combined in one table
+
+
+def _pair_forms(m: MomentPair) -> SimpleNamespace:
+    """Every closed form of one quadrature pair, elementwise: s = (F1 +
+    F2)/2, the covariance b, the gemellity s - hypot((F1 - F2)/2, b) with
+    its angle theta, and V12 = F1 (1 - C^2), the residual variance of
+    beam 1 after optimal linear inference from beam 2 at gain
+    C sqrt(F1 F2) / F2 = b / F2 (V21 and gain21 with the beams swapped).
+    """
+    s, a, b = 0.5 * (m.f1 + m.f2), 0.5 * (m.f1 - m.f2), m.covariance
+    one_minus_c2 = 1.0 - m.c12 * m.c12
+    return SimpleNamespace(s=s, b=b, gemellity=np.maximum(s - np.hypot(a, b), 0.0),
+                           theta=0.5 * (math.pi - np.arctan2(b, a)),
+                           v12=m.f1 * one_minus_c2, v21=m.f2 * one_minus_c2,
+                           gain12=b / m.f2, gain21=b / m.f1)
+
+
+DUAN_NOTE = ("the minimized gemellities are lower than the fixed 50/50 "
+             "combinations entering S12")
+DUAN_SLACK = 1e-12
+
+
+def report_scalars(dm: DuanEprMoments) -> dict:
+    """The criteria table of the moments dm, keyed by CriteriaReport
+    field name: every criterion value, the optimal angle and gains, the
+    level 1-4 verdicts and the Duan-note flag, elementwise.  Levels 1-2
+    use the `plus` pair.  S12 sums the fixed balanced 50/50 combinations
+    Var(X+_1 - X+_2)/2 and Var(X-_1 + X-_2)/2; the Duan note flags a
+    minimized gemellity below its fixed combination on either pair.
+    """
+    plus, minus = _pair_forms(dm.plus), _pair_forms(dm.minus)
+    balanced_plus, balanced_minus = plus.s - plus.b, minus.s + minus.b
+    separability = balanced_plus + balanced_minus
+    epr12, epr21 = plus.v12 * minus.v12, plus.v21 * minus.v21
+    return {
+        "gemellity": plus.gemellity,
+        "conditional_variance_12": plus.v12,
+        "conditional_variance_21": plus.v21,
+        "separability": separability,
+        "epr_product_12": epr12,
+        "epr_product_21": epr21,
+        "level1": plus.gemellity < 1.0,
+        "level2": (plus.v12 < 1.0) | (plus.v21 < 1.0),
+        "level3": separability < 2.0,
+        "level4": (epr12 < 1.0) | (epr21 < 1.0),
+        "optimal_theta": plus.theta,
+        "optimal_gain_12": plus.gain12,
+        "optimal_gain_21": plus.gain21,
+        "duan_note": ((plus.gemellity < balanced_plus - DUAN_SLACK)
+                      | (minus.gemellity < balanced_minus - DUAN_SLACK)),
+    }
+
+
+# ---------------------------------------------------------------------------
+# moment-level entry points, read from the table's closed forms
 
 
 def gemellity(m: MomentPair) -> GemellityResult:
@@ -80,48 +136,21 @@ def gemellity(m: MomentPair) -> GemellityResult:
 
     Closed form: (F1+F2)/2 - sqrt(C^2 F1 F2 + ((F1-F2)/2)^2).
     """
-    a = 0.5 * (m.f1 - m.f2)
-    b = m.covariance
-    value = 0.5 * (m.f1 + m.f2) - np.hypot(a, b)
-    theta = 0.5 * (math.pi - np.arctan2(b, a))
-    return GemellityResult(value=np.maximum(value, 0.0), theta=theta)
-
-
-# ---------------------------------------------------------------------------
-# level 2: conditional variance
+    forms = _pair_forms(m)
+    return GemellityResult(value=forms.gemellity, theta=forms.theta)
 
 
 def conditional_variance(f_a: float, f_b: float, c: float) -> ConditionalVarianceResult:
     """Residual variance of beam a after optimal linear inference from
     beam b: F_a (1 - C^2), reached at gain g = C sqrt(F_a F_b) / F_b."""
-    if np.any(f_a <= 0.0) or np.any(f_b <= 0.0):
-        raise ValueError("variances must be positive")
-    if np.any(np.abs(c) > 1.0):
-        raise ValueError("correlation must lie in [-1, 1]")
-    value = f_a * (1.0 - c * c)
-    gain = c * np.sqrt(f_a * f_b) / f_b
-    return ConditionalVarianceResult(value=value, gain=gain)
-
-
-# ---------------------------------------------------------------------------
-# levels 3-4: separability and EPR
-
-
-def _balanced_combinations(dm: DuanEprMoments) -> tuple:
-    """(g_plus, g_minus): the two fixed balanced 50/50 combinations
-    whose sum is S12."""
-    return (0.5 * (dm.plus.f1 + dm.plus.f2) - dm.plus.covariance,
-            0.5 * (dm.minus.f1 + dm.minus.f2) + dm.minus.covariance)
+    forms = _pair_forms(MomentPair(f1=f_a, f2=f_b, c12=c))
+    return ConditionalVarianceResult(value=forms.v12, gain=forms.gain12)
 
 
 def duan_separability(dm: DuanEprMoments) -> float:
-    """S12 = Var(X+_1 - X+_2)/2 + Var(X-_1 + X-_2)/2.
-
-    Uses the fixed balanced 50/50 combinations, not the minimized
-    gemellity; S12 < 2 certifies a non-separable Gaussian state.
-    """
-    g_plus, g_minus = _balanced_combinations(dm)
-    return g_plus + g_minus
+    """S12 = Var(X+_1 - X+_2)/2 + Var(X-_1 + X-_2)/2; S12 < 2 certifies
+    a non-separable Gaussian state."""
+    return report_scalars(dm)["separability"]
 
 
 def epr_product(dm: DuanEprMoments, direction: int) -> float:
@@ -129,92 +158,43 @@ def epr_product(dm: DuanEprMoments, direction: int) -> float:
     conjugate quadratures from the other; < 1 certifies EPR beams."""
     if direction not in (1, 2):
         raise ValueError(f"direction must be 1 or 2, got {direction}")
-    pairs = [(m.f1, m.f2, m.c12) if direction == 1 else (m.f2, m.f1, m.c12)
-             for m in (dm.plus, dm.minus)]
-    v_plus, v_minus = (conditional_variance(*pair).value for pair in pairs)
-    return v_plus * v_minus
+    return report_scalars(dm)[f"epr_product_{direction}{3 - direction}"]
 
 
 # ---------------------------------------------------------------------------
 # the full report
 
 
-# JSON key of each CriteriaReport field, in field order
-REPORT_KEYS = (
-    "gemellity", "conditional_variance_12", "conditional_variance_21",
-    "separability", "epr_product_12", "epr_product_21",
-    "level1", "level2", "level3", "level4", "level5_note",
-    "optimal_theta", "optimal_gain_12", "optimal_gain_21", "duan_note",
-)
-
-DUAN_NOTE = ("the minimized gemellities are lower than the fixed 50/50 "
-             "combinations entering S12")
-
-
 @dataclass(frozen=True)
 class CriteriaReport:
-    """All criterion values for one state, with per-level verdicts."""
+    """All criterion values for one state, with per-level verdicts;
+    the fields are the keys of the criteria table and of the JSON report."""
 
-    g: float
-    v12: float
-    v21: float
-    s12: float
-    epr12: float
-    epr21: float
+    gemellity: float
+    conditional_variance_12: float
+    conditional_variance_21: float
+    separability: float
+    epr_product_12: float
+    epr_product_21: float
     level1: bool
     level2: bool
     level3: bool
     level4: bool
     level5_note: str
     optimal_theta: float
-    optimal_g12: float
-    optimal_g21: float
+    optimal_gain_12: float
+    optimal_gain_21: float
     duan_note: Optional[str] = None
 
     def to_json(self) -> dict:
-        return dict(zip(REPORT_KEYS, vars(self).values()))
-
-
-def report_scalars(dm: DuanEprMoments) -> dict:
-    """Criterion values as a flat dict; shared by the analytic and the
-    sample-estimate paths so both use identical closed forms."""
-    gem = gemellity(dm.plus)
-    v12 = conditional_variance(dm.plus.f1, dm.plus.f2, dm.plus.c12)
-    v21 = conditional_variance(dm.plus.f2, dm.plus.f1, dm.plus.c12)
-    return {
-        "gemellity": gem.value,
-        "conditional_variance_12": v12.value,
-        "conditional_variance_21": v21.value,
-        "separability": duan_separability(dm),
-        "epr_product_12": epr_product(dm, 1),
-        "epr_product_21": epr_product(dm, 2),
-        "optimal_theta": gem.theta,
-        "optimal_gain_12": v12.gain,
-        "optimal_gain_21": v21.gain,
-    }
-
-
-def levels(values: dict) -> dict:
-    """Verdicts of levels 1-4 on report_scalars values, elementwise."""
-    return {
-        "level1": values["gemellity"] < 1.0,
-        "level2": ((values["conditional_variance_12"] < 1.0)
-                   | (values["conditional_variance_21"] < 1.0)),
-        "level3": values["separability"] < 2.0,
-        "level4": (values["epr_product_12"] < 1.0) | (values["epr_product_21"] < 1.0),
-    }
+        return asdict(self)
 
 
 def report_from_moments(dm: DuanEprMoments) -> CriteriaReport:
-    values = report_scalars(dm)
-    values.update(levels(values))
-    g_plus, g_minus = _balanced_combinations(dm)
-    slack = 1e-12
-    lower = (values["gemellity"] < g_plus - slack
-             or gemellity(dm.minus).value < g_minus - slack)
-    values.update(level5_note=LEVEL5_NOTE, duan_note=DUAN_NOTE if lower else None)
     # .item() gives Python floats and bools, whose repr and JSON are plain
-    return CriteriaReport(*(np.asarray(values[key]).item() for key in REPORT_KEYS))
+    values = {key: np.asarray(value).item() for key, value in report_scalars(dm).items()}
+    values["duan_note"] = DUAN_NOTE if values["duan_note"] else None
+    return CriteriaReport(level5_note=LEVEL5_NOTE, **values)
 
 
 def state_moments(source,

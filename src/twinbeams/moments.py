@@ -23,9 +23,9 @@ class MomentPair:
     c12: float
 
     def __post_init__(self):
-        if not (np.all(self.f1 > 0.0) and np.all(self.f2 > 0.0)):
+        if not np.all((self.f1 > 0.0) & (self.f2 > 0.0)):
             raise ValueError(f"variances must be positive, got F1={self.f1}, F2={self.f2}")
-        if np.any(np.abs(self.c12) > 1.0):
+        if np.any(abs(self.c12) > 1.0):
             raise ValueError(f"correlation must lie in [-1, 1], got {self.c12}")
 
     @property

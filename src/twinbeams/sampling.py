@@ -106,6 +106,8 @@ def draw_samples(state: GaussianTwoModeState, n: int, seed: int,
             f"draw_samples takes one state, got a stack of shape {state.cov.shape[:-2]}")
     if n < 2:
         raise ValueError("need at least 2 samples")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     try:
         chol = np.linalg.cholesky(state.cov)
     except np.linalg.LinAlgError as exc:
@@ -356,7 +358,9 @@ def estimate_criteria(batch: SampleBatch, n_blocks: int = DEFAULT_BLOCKS,
 
     covs = _covariances(with_total(sums), with_total(grams), with_total(counts))
     dm = criteria.state_moments(covs, theta_plus, theta_minus)
-    values = criteria.report_scalars(dm)
+    # every number of the criteria table; its verdicts and flag are bools
+    values = {key: column for key, column in criteria.report_scalars(dm).items()
+              if column.dtype != bool}
     values.update(fplus_1=dm.plus.f1, fplus_2=dm.plus.f2, cplus=dm.plus.c12,
                   fminus_1=dm.minus.f1, fminus_2=dm.minus.f2, cminus=dm.minus.c12)
 

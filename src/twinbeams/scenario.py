@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -271,7 +271,8 @@ def set_parameter(scenario: Scenario, name: str, value) -> Scenario:
     return replace(scenario, source=ops[0], pipeline=tuple(ops[1:]))
 
 
-SWEEP_COLUMNS = criteria.REPORT_KEYS[:10]
+# the criterion values and level 1-4 verdicts: the first ten report fields
+SWEEP_COLUMNS = tuple(field.name for field in fields(criteria.CriteriaReport))[:10]
 
 
 def sweep(scenario: Scenario, parameter: str, grid) -> list:
@@ -280,10 +281,9 @@ def sweep(scenario: Scenario, parameter: str, grid) -> list:
     value, so its states are built and scored as one stack."""
     grid = [float(value) for value in grid]
     state = build_state(set_parameter(scenario, parameter, np.array(grid)))
-    values = criteria.report_scalars(
+    table = criteria.report_scalars(
         criteria.state_moments(state, scenario.theta_plus, scenario.theta_minus))
-    values.update(criteria.levels(values))
-    columns = [values[col].tolist() for col in SWEEP_COLUMNS]
+    columns = [table[col].tolist() for col in SWEEP_COLUMNS]
     return [{parameter: value, **dict(zip(SWEEP_COLUMNS, row))}
             for value, row in zip(grid, zip(*columns))]
 

@@ -25,7 +25,9 @@ import numpy as np
 
 from .moments import MomentPair
 
+# asymmetry allowed: max(SYMMETRY_TOL, SYMMETRY_EPS * eps * max|cov|) per covariance
 SYMMETRY_TOL = 1e-12
+SYMMETRY_EPS = 64
 PHYSICALITY_TOL = 1e-9
 
 # Symplectic form for the (X+_1, X-_1, X+_2, X-_2) ordering.
@@ -69,7 +71,9 @@ class GaussianTwoModeState:
                              f"got {mean.shape} and {cov.shape}")
         if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
             raise ValueError("state moments must be finite")
-        if np.any(np.abs(cov - np.swapaxes(cov, -1, -2)) > SYMMETRY_TOL):
+        scale = np.abs(cov).max(axis=(-2, -1), initial=0.0)
+        tol = np.maximum(SYMMETRY_TOL, SYMMETRY_EPS * np.finfo(float).eps * scale)
+        if np.any(np.abs(cov - np.swapaxes(cov, -1, -2)) > tol[..., None, None]):
             raise ValueError("covariance matrix is not symmetric")
         if np.any(np.diagonal(cov, axis1=-2, axis2=-1) <= 0.0):
             raise ValueError("covariance diagonal entries must be positive")
@@ -241,6 +245,8 @@ def quadrature_moments(source, theta1: float, theta2: float) -> MomentPair:
     u1, u2 = (math.cos(theta1), math.sin(theta1)), (math.cos(theta2), math.sin(theta2))
     cross = sum(u1[i] * u2[j] * cov[..., i, 2 + j] for i in (0, 1) for j in (0, 1))
     c12 = cross / np.sqrt(f1 * f2)
-    if np.any(np.abs(c12) > 1.0 + 1e-12):
-        raise ValueError(f"correlation overshoot beyond rounding: {np.abs(c12).max()}")
-    return MomentPair(f1=f1, f2=f2, c12=np.clip(c12, -1.0, 1.0))
+    if np.any(abs(c12) > 1.0):  # clip a rounding overshoot, reject a larger one
+        if np.any(abs(c12) > 1.0 + 1e-12):
+            raise ValueError(f"correlation overshoot beyond rounding: {np.abs(c12).max()}")
+        c12 = np.clip(c12, -1.0, 1.0)
+    return MomentPair(f1=f1, f2=f2, c12=c12)

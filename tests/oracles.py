@@ -81,7 +81,7 @@ def epr_correlation_diagnostic(dm: DuanEprMoments, direction: int = 1) -> bool:
 
 def _estimates(rows: np.ndarray, theta_plus: float, theta_minus: float) -> dict:
     dm = state_moments(np.cov(rows, rowvar=False, bias=True), theta_plus, theta_minus)
-    values = report_scalars(dm)
+    values = {key: value for key, value in report_scalars(dm).items() if value.dtype != bool}
     values.update(fplus_1=dm.plus.f1, fplus_2=dm.plus.f2, cplus=dm.plus.c12,
                   fminus_1=dm.minus.f1, fminus_2=dm.minus.f2, cminus=dm.minus.c12)
     return values

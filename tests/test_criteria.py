@@ -323,12 +323,12 @@ class TestClassify:
     def test_strong_tmsv_satisfies_all(self):
         rep = classify(make_two_mode_squeezed(1.103))
         assert rep.level1 and rep.level2 and rep.level3 and rep.level4
-        assert rep.g == pytest.approx(0.11, abs=0.005)
+        assert rep.gemellity == pytest.approx(0.11, abs=0.005)
 
     def test_split_thermal_no_levels(self):
         s = apply_beamsplitter(make_thermal(9.0, 1.0), math.pi / 4)
         rep = classify(s)
-        assert rep.g == pytest.approx(1.0, abs=1e-9)
+        assert rep.gemellity == pytest.approx(1.0, abs=1e-9)
         assert not (rep.level1 or rep.level2 or rep.level3 or rep.level4)
 
     def test_report_json_keys(self):

@@ -349,16 +349,15 @@ class TestBatchMemory:
         write_batch(batch, path)
         assert _peak_bytes(read_batch, path) < 3 * batch.samples.nbytes
 
-    def test_write_peak_does_not_grow_with_n(self, tmp_path):
-        small, large = (_peak_bytes(write_batch, draw_samples(make_vacuum(), n, seed=41),
-                                    tmp_path / f"{n}.csv")
-                        for n in (200_000, 800_000))
-        assert large <= 1.1 * small
-
-    def test_write_peak_does_not_grow_with_n_in_process(self, tmp_path, monkeypatch):
-        # chunks made smaller to bound the run time; each N spans >= 12 chunks
-        _patch_workers(monkeypatch, 1)
+    @pytest.mark.parametrize("workers", [None, 1], ids=["pool", "one-worker"])
+    def test_write_peak_does_not_grow_with_n(self, tmp_path, monkeypatch, workers):
+        # None leaves the worker count to the CPUs.  Chunks made smaller to
+        # bound the run time; each N spans >= 12 chunks
+        if workers is not None:
+            _patch_workers(monkeypatch, workers)
         monkeypatch.setattr(sampling, "WRITE_CHUNK", 4096)
+        # a first write outside the trace, so neither peak holds an import
+        write_batch(draw_samples(make_vacuum(), 2 * 4096, seed=41), tmp_path / "warm.csv")
         small, large = (_peak_bytes(write_batch, draw_samples(make_vacuum(), n, seed=41),
                                     tmp_path / f"{n}.csv")
                         for n in (12 * 4096, 48 * 4096))
@@ -399,7 +398,8 @@ class TestEstimateCriteria:
         dm = state_moments(np.cov(batch.samples, rowvar=False, ddof=0))
         est = estimate_criteria(batch)
         analytic = report_scalars(dm)
-        for key, value in analytic.items():
+        numbers = {key: value for key, value in analytic.items() if value.dtype != bool}
+        for key, value in numbers.items():
             assert est.estimates[key].value == pytest.approx(value, abs=1e-12)
 
     def test_requires_enough_samples_for_blocks(self):

@@ -250,20 +250,27 @@ class TestCli:
         return subprocess.run([sys.executable, "-c", code, *args], env=env,
                               capture_output=True, text=True, timeout=60)
 
-    @pytest.mark.parametrize("source, message", [
-        ("nope()", "source: unknown operation 'nope'"),
-        ("tmsv(400)", "source tmsv: squeezing parameter r = 400.0 overflows the covariance"),
+    @pytest.mark.parametrize("source, message, command", [
+        ("nope()", "source: unknown operation 'nope'", ["run"]),
+        ("tmsv(400)", "source tmsv: squeezing parameter r = 400.0 overflows the covariance",
+         ["run"]),
         ("sms(1, 400, 0)",
-         "source sms: squeezing parameter s = 400.0 overflows the covariance"),
-        ("tmsv(0.5)\ntheta_plus = nan", "theta_plus: bad value 'nan'"),
-        ("tmsv(0.5)\ntheta_minus = inf", "theta_minus: bad value 'inf'"),
-        ("tmsv(nan)", "source: parameter r of tmsv: bad value 'nan'"),
-        ("tmsv(0.5)\nstep = phase(inf, 0)", "line 3 step: parameter phi1 of phase: bad value 'inf'"),
+         "source sms: squeezing parameter s = 400.0 overflows the covariance", ["run"]),
+        ("tmsv(0.5)\ntheta_plus = nan", "theta_plus: bad value 'nan'", ["run"]),
+        ("tmsv(0.5)\ntheta_minus = inf", "theta_minus: bad value 'inf'", ["run"]),
+        ("tmsv(nan)", "source: parameter r of tmsv: bad value 'nan'", ["run"]),
+        ("tmsv(0.5)\nstep = phase(inf, 0)", "line 3 step: parameter phi1 of phase: bad value 'inf'",
+         ["run"]),
+        ("tmsv(0.5)\nsampling_n = 300\nsampling_seed = -1",
+         "seed must be a non-negative integer, got -1", ["run"]),
+        ("tmsv(0.5)", "seed must be a non-negative integer, got -1",
+         ["sample", "--n", "300", "--seed", "-1", "--out", "{tmp}/batch.csv"]),
     ], ids=["unknown-op", "tmsv-overflow", "sms-overflow", "nan-theta-plus", "inf-theta-minus",
-            "nan-op-argument", "inf-op-argument"])
-    def test_validation_error_printed_once(self, tmp_path, source, message):
+            "nan-op-argument", "inf-op-argument", "negative-sampling-seed", "negative-sample-seed"])
+    def test_validation_error_printed_once(self, tmp_path, source, message, command):
         scn = self._write(tmp_path, f"schema = twinbeams-scenario-1\nsource = {source}\n")
-        proc = self._run_fresh(["run", "--scenario", str(scn)])
+        argv = [arg.format(tmp=tmp_path) for arg in command]
+        proc = self._run_fresh([*argv, "--scenario", str(scn)])
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"error: {message}"]
 
@@ -327,6 +334,14 @@ class TestCli:
         golden = json.loads(
             (pathlib.Path(__file__).parent / "data" / "golden_report.json").read_text())
         assert _approx_equal(produced, golden)
+
+    def test_golden_sweep_csv(self, tmp_path):
+        # the sweep values must not move: same bytes as the frozen table
+        scn = self._write(tmp_path, TILTED_THERMAL_SCENARIO)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--scenario", str(scn), "--param", "step3.eta",
+                     "--grid", "0:1:41", "--out", str(out)]) == 0
+        assert out.read_bytes() == (Path(__file__).parent / "data" / "golden_sweep.csv").read_bytes()
 
 
 def _approx_equal(a, b, tol=1e-12):

@@ -99,6 +99,23 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="symmetric"):
             GaussianTwoModeState(mean=np.zeros(4), cov=cov)
 
+    @pytest.mark.parametrize("build", [
+        lambda: apply_beamsplitter(make_two_mode_squeezed(5.0), math.pi / 4),
+        lambda: apply_beamsplitter(make_two_mode_squeezed(6.0), math.pi / 4),
+        lambda: apply_beamsplitter(make_two_mode_squeezed(7.0), math.pi / 4),
+        lambda: apply_loss(make_two_mode_squeezed(5.0), 0.9, 0.8),
+    ], ids=["tmsv5-split", "tmsv6-split", "tmsv7-split", "tmsv5-loss"])
+    def test_accepts_rounding_asymmetry_of_large_cov(self, build):
+        # the maps round each entry relative to max|cov|, beyond an absolute 1e-12
+        cov = build().cov
+        assert np.abs(cov - cov.T).max() > 1e-12
+
+    def test_rejects_asymmetry_relative_to_large_cov(self):
+        cov = make_two_mode_squeezed(7.0).cov.copy()
+        cov[0, 1] += 1e-6 * np.abs(cov).max()
+        with pytest.raises(ValueError, match="symmetric"):
+            GaussianTwoModeState(mean=np.zeros(4), cov=cov)
+
     def test_rejects_nonpositive_diagonal(self):
         cov = np.eye(4)
         cov[2, 2] = 0.0
