@@ -18,6 +18,7 @@ from .criteria import (
 from .fock import FockMixture, photon_statistics
 from .moments import DuanEprMoments, MomentPair
 from .sampling import (
+    DrawnBatch,
     EstimatedCriteria,
     SampleBatch,
     draw_samples,
@@ -40,6 +41,7 @@ from .states import (
 
 __all__ = [
     "CriteriaReport",
+    "DrawnBatch",
     "DuanEprMoments",
     "EstimatedCriteria",
     "FockMixture",

@@ -13,9 +13,10 @@ import contextlib
 import io
 import itertools
 import math
+import numbers
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -70,6 +71,36 @@ class SampleBatch:
     def n(self) -> int:
         return self.samples.shape[0]
 
+    def blocks(self, n_blocks: int) -> list:
+        """The rows cut into n_blocks near-equal consecutive blocks."""
+        return np.array_split(self.samples, n_blocks)
+
+
+@dataclass(frozen=True)
+class DrawnBatch:
+    """The batch that draw_samples(state, n, seed) returns, drawn one
+    block at a time as `blocks` is iterated; a block is dropped once it
+    is scored, so memory is O(n / n_blocks) instead of O(n).  The blocks
+    equal those of the drawn SampleBatch bit for bit."""
+
+    state: GaussianTwoModeState
+    n: int
+    seed: int
+    source_label: str = ""
+    chol: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "chol", _cholesky(self.state, self.n, self.seed))
+
+    def blocks(self, n_blocks: int):
+        rng = np.random.Generator(np.random.PCG64(self.seed))
+        size, extra = divmod(self.n, n_blocks)
+        for k in range(n_blocks):  # the block sizes of np.array_split
+            block = _draw(rng, self.chol, self.state.mean, size + (k < extra), self.n)
+            if not np.all(np.isfinite(block)):
+                raise ValueError("samples must be finite")
+            yield block
+
 
 @dataclass(frozen=True)
 class EstimatedCriteria:
@@ -101,6 +132,15 @@ def draw_samples(state: GaussianTwoModeState, n: int, seed: int,
     The stream is the numpy PCG64 generator seeded with `seed`;
     identical (state, n, seed) reproduce the batch bit-for-bit.
     """
+    chol = _cholesky(state, n, seed)
+    samples = _draw(np.random.Generator(np.random.PCG64(seed)), chol, state.mean, n, n)
+    samples.setflags(write=False)
+    return SampleBatch(samples=samples, seed=seed, source_label=source_label)
+
+
+def _cholesky(state: GaussianTwoModeState, n: int, seed: int) -> np.ndarray:
+    """The Cholesky factor of the state's covariance, once n and seed
+    are checked."""
     if state.cov.ndim != 2:
         raise ValueError(
             f"draw_samples takes one state, got a stack of shape {state.cov.shape[:-2]}")
@@ -109,14 +149,23 @@ def draw_samples(state: GaussianTwoModeState, n: int, seed: int,
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     try:
-        chol = np.linalg.cholesky(state.cov)
+        return np.linalg.cholesky(state.cov)
     except np.linalg.LinAlgError as exc:
         raise PhysicalityError("covariance matrix is not positive definite") from exc
-    rng = np.random.Generator(np.random.PCG64(seed))
-    samples = rng.standard_normal((n, 4)) @ chol.T
-    samples += state.mean  # the bits of `+ mean`, without a third N x 4 array
-    samples.setflags(write=False)
-    return SampleBatch(samples=samples, seed=seed, source_label=source_label)
+
+
+def _draw(rng: np.random.Generator, chol: np.ndarray, mean: np.ndarray,
+          rows: int, n: int) -> np.ndarray:
+    """The next `rows` samples of the stream: normals @ chol.T + mean.
+    Consecutive calls continue one batch of n samples; each row has
+    the bits it has in a one-shot draw of the batch."""
+    try:
+        samples = rng.standard_normal((rows, 4)) @ chol.T
+    except MemoryError:
+        raise ValueError(f"n = {n}: drawing {rows} x 4 samples needs {2 * rows * 4 * 8} "
+                         "bytes, more than can be allocated") from None
+    samples += mean  # the bits of `+ mean`, without a third rows x 4 array
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -333,22 +382,29 @@ def _covariances(sums: np.ndarray, grams: np.ndarray, counts: np.ndarray) -> np.
     return covs
 
 
-def estimate_criteria(batch: SampleBatch, n_blocks: int = DEFAULT_BLOCKS,
+def estimate_criteria(batch: SampleBatch | DrawnBatch, n_blocks: int = DEFAULT_BLOCKS,
                       theta_plus: float = 0.0,
                       theta_minus: float = math.pi / 2) -> EstimatedCriteria:
     """Point estimates from the full batch at the measurement angles of
     `criteria.classify`; standard errors from a delete-one-block jackknife
-    over `n_blocks` near-equal blocks, all scored as one covariance stack."""
+    over `n_blocks` near-equal blocks, all scored as one covariance stack.
+
+    `batch` is a SampleBatch or a DrawnBatch: only its n, seed,
+    source_label and blocks are read, and one block is scored at a time."""
+    if not isinstance(n_blocks, numbers.Integral) or n_blocks < 2:
+        raise ValueError(f"n_blocks must be an integer >= 2, got {n_blocks!r}")
     n = batch.n
     if n < 2 * n_blocks:
         raise ValueError(f"need at least {2 * n_blocks} samples for {n_blocks} blocks")
-    # Each block is centred on the full-batch mean before its sum and Gram
-    # matrix are taken, one block at a time, so the raw-moment form in
-    # _covariances does not cancel on displaced beams.
-    mean = batch.samples.mean(axis=0)
+    # Each block is centred on the first block's mean (within about
+    # sigma / sqrt(n / n_blocks) of the batch mean) before its sum and Gram
+    # matrix are taken, so the raw-moment form in _covariances does not
+    # cancel on displaced beams.
     counts, sums, grams = np.empty(n_blocks), np.empty((n_blocks, 4)), np.empty((n_blocks, 4, 4))
-    for k, block in enumerate(np.array_split(batch.samples, n_blocks)):
-        centred = block - mean
+    for k, block in enumerate(batch.blocks(n_blocks)):
+        if k == 0:
+            centre = block.mean(axis=0)
+        centred = block - centre
         counts[k], sums[k], grams[k] = len(block), centred.sum(axis=0), centred.T @ centred
 
     def with_total(part):

@@ -202,7 +202,8 @@ def run_scenario(scenario: Scenario) -> dict:
     report = criteria.classify(state, scenario.theta_plus, scenario.theta_minus)
     estimated = None
     if scenario.sampling_n is not None:
-        batch = sampling.draw_samples(
+        # drawn block by block inside the jackknife, never held whole
+        batch = sampling.DrawnBatch(
             state, scenario.sampling_n, scenario.sampling_seed,
             source_label=scenario.source.format())
         estimated = sampling.estimate_criteria(

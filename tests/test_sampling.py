@@ -8,13 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from twinbeams import sampling
+from twinbeams import sampling, scenario
 from twinbeams.criteria import report_scalars, state_moments
 from twinbeams.sampling import (
     CSV_HEADER,
     WRITE_CHUNK,
     BatchFormatError,
+    DrawnBatch,
     EstimationError,
     SampleBatch,
     draw_samples,
@@ -22,7 +25,13 @@ from twinbeams.sampling import (
     read_batch,
     write_batch,
 )
-from twinbeams.states import GaussianTwoModeState, make_two_mode_squeezed, make_vacuum
+from twinbeams.states import (
+    GaussianTwoModeState,
+    apply_beamsplitter,
+    apply_loss,
+    make_two_mode_squeezed,
+    make_vacuum,
+)
 
 GOLDEN_BATCH = Path(__file__).parent / "data" / "golden_batch.csv"
 
@@ -428,3 +437,86 @@ class TestEstimateCriteria:
         assert payload["source_label"] == "vac"
         assert "gemellity" in payload["estimates"]
         assert set(payload["estimates"]["gemellity"]) == {"value", "stderr"}
+
+    @pytest.mark.parametrize("n_blocks", [1, 0, -3, 2.5, "100", None])
+    @pytest.mark.parametrize("drawn", [False, True], ids=["sample-batch", "drawn-batch"])
+    def test_n_blocks_must_be_an_integer_of_at_least_two(self, n_blocks, drawn):
+        state = make_two_mode_squeezed(0.3)
+        batch = (DrawnBatch if drawn else draw_samples)(state, 1000, 5)
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_blocks must be an integer >= 2, got {n_blocks!r}")):
+            estimate_criteria(batch, n_blocks=n_blocks)
+
+
+# ---------------------------------------------------------------------------
+# the streamed batch of a sampled run
+
+ANGLES = st.one_of(st.just((0.0, math.pi / 2)), st.tuples(st.floats(-3.2, 3.2),
+                                                        st.floats(-3.2, 3.2)))
+
+
+def _sampled_scenario(n, seed, r, eta, angles):
+    return scenario.parse_scenario(
+        f"schema = twinbeams-scenario-1\nsource = tmsv({r!r})\n"
+        f"step = beamsplitter(0.5, 0.2)\nstep = loss({eta!r}, 0.6)\n"
+        f"theta_plus = {angles[0]!r}\ntheta_minus = {angles[1]!r}\n"
+        f"sampling_n = {n}\nsampling_seed = {seed}\n")
+
+
+class TestDrawnBatch:
+    # Bit equality rests on BLAS rounding a row the same whatever the row
+    # count of the product; CI runs this class on one BLAS thread as well.
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(200, 5000), seed=st.integers(0, 2 ** 32 - 1),
+           r=st.floats(0.0, 2.0), eta=st.floats(0.05, 1.0), angles=ANGLES)
+    @example(n=200, seed=0, r=0.6, eta=0.8, angles=(0.0, math.pi / 2))
+    @example(n=5003, seed=41, r=0.6, eta=0.8, angles=(0.3, 1.9))
+    @example(n=4999, seed=2 ** 32 - 1, r=1.5, eta=1.0, angles=(0.3, 1.9))
+    def test_sampled_run_estimate_equals_estimate_of_drawn_samples(self, n, seed, r, eta,
+                                                                   angles):
+        scn = _sampled_scenario(n, seed, r, eta, angles)
+        batch = draw_samples(scenario.build_state(scn), n, seed,
+                             source_label=scn.source.format())
+        expected = estimate_criteria(batch, theta_plus=angles[0],
+                                     theta_minus=angles[1]).to_json()
+        assert scenario.run_scenario(scn)["estimated"] == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(200, 5000), seed=st.integers(0, 2 ** 32 - 1),
+           offset=st.sampled_from([0.0, -7.5, 1e5]), angles=ANGLES)
+    @example(n=200, seed=3, offset=1e5, angles=(0.3, 1.9))
+    @example(n=1234, seed=9, offset=1e5, angles=(0.0, math.pi / 2))
+    def test_blocks_equal_those_of_drawn_samples(self, n, seed, offset, angles):
+        cov = apply_loss(apply_beamsplitter(make_two_mode_squeezed(0.6), 0.5, 0.2),
+                         0.8, 0.6).cov
+        state = GaussianTwoModeState(mean=offset * np.array([1.0, -0.5, 0.25, 1.0]), cov=cov)
+        drawn = DrawnBatch(state, n, seed, source_label="displaced")
+        batch = draw_samples(state, n, seed, source_label="displaced")
+        for got, want in zip(drawn.blocks(100), batch.blocks(100), strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert (estimate_criteria(drawn, theta_plus=angles[0], theta_minus=angles[1]).to_json()
+                == estimate_criteria(batch, theta_plus=angles[0],
+                                     theta_minus=angles[1]).to_json())
+
+    @pytest.mark.parametrize("state, seed, message", [
+        (make_vacuum(), -1, "seed must be a non-negative integer, got -1"),
+        (apply_loss(make_two_mode_squeezed(1.0), np.array([0.5, 0.7]), 0.5), 0,
+         "takes one state, got a stack of shape (2,)"),
+    ], ids=["negative-seed", "stack"])
+    def test_checks_of_draw_samples(self, state, seed, message):
+        for make in (draw_samples, DrawnBatch):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                make(state, 1000, seed)
+
+    def test_sampled_run_peak_scales_with_the_block_not_the_batch(self):
+        # A sampled run holds a few blocks of n / 100 rows at a time, never
+        # the n x 4 batch: each peak stays below six blocks, 6% of one
+        # batch array.
+        def peak(n):
+            return _peak_bytes(scenario.run_scenario, _sampled_scenario(
+                n, 43, 0.8, 0.9, (0.0, math.pi / 2)))
+
+        peak(1000)  # outside the measurement: first-call allocations
+        for n in (200_000, 800_000):
+            assert peak(n) < 6 * (n // 100) * 4 * 8, n

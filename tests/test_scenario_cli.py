@@ -265,8 +265,12 @@ class TestCli:
          "seed must be a non-negative integer, got -1", ["run"]),
         ("tmsv(0.5)", "seed must be a non-negative integer, got -1",
          ["sample", "--n", "300", "--seed", "-1", "--out", "{tmp}/batch.csv"]),
+        ("tmsv(0.5)", f"n = {10 ** 15}: drawing {10 ** 15} x 4 samples needs {64 * 10 ** 15} "
+         "bytes, more than can be allocated",
+         ["sample", "--n", str(10 ** 15), "--seed", "1", "--out", "{tmp}/batch.csv"]),
     ], ids=["unknown-op", "tmsv-overflow", "sms-overflow", "nan-theta-plus", "inf-theta-minus",
-            "nan-op-argument", "inf-op-argument", "negative-sampling-seed", "negative-sample-seed"])
+            "nan-op-argument", "inf-op-argument", "negative-sampling-seed", "negative-sample-seed",
+            "oversized-sample"])
     def test_validation_error_printed_once(self, tmp_path, source, message, command):
         scn = self._write(tmp_path, f"schema = twinbeams-scenario-1\nsource = {source}\n")
         argv = [arg.format(tmp=tmp_path) for arg in command]
