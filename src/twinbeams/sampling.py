@@ -78,10 +78,11 @@ class SampleBatch:
 
 @dataclass(frozen=True)
 class DrawnBatch:
-    """The batch that draw_samples(state, n, seed) returns, drawn one
-    block at a time as `blocks` is iterated; a block is dropped once it
-    is scored, so memory is O(n / n_blocks) instead of O(n).  The blocks
-    equal those of the drawn SampleBatch bit for bit."""
+    """n i.i.d. quadrature samples of the state, drawn from the numpy
+    PCG64 stream seeded with `seed` one block at a time as `blocks` is
+    iterated, so memory is O(n / n_blocks) once each block is dropped.
+    Each block continues the stream: identical (state, n, seed) give the
+    same rows bit for bit whatever the block count."""
 
     state: GaussianTwoModeState
     n: int
@@ -90,15 +91,31 @@ class DrawnBatch:
     chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "chol", _cholesky(self.state, self.n, self.seed))
+        cov = self.state.cov
+        if cov.ndim != 2:
+            raise ValueError(f"draw_samples takes one state, got a stack of shape {cov.shape[:-2]}")
+        if self.n < 2:
+            raise ValueError("need at least 2 samples")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        try:
+            object.__setattr__(self, "chol", np.linalg.cholesky(cov))
+        except np.linalg.LinAlgError as exc:
+            raise PhysicalityError("covariance matrix is not positive definite") from exc
 
     def blocks(self, n_blocks: int):
+        """The rows, normals @ chol.T + mean, in the n_blocks consecutive
+        blocks of np.array_split's sizes."""
         rng = np.random.Generator(np.random.PCG64(self.seed))
         size, extra = divmod(self.n, n_blocks)
-        for k in range(n_blocks):  # the block sizes of np.array_split
-            block = _draw(rng, self.chol, self.state.mean, size + (k < extra), self.n)
-            if not np.all(np.isfinite(block)):
-                raise ValueError("samples must be finite")
+        for k in range(n_blocks):
+            rows = size + (k < extra)
+            try:
+                block = rng.standard_normal((rows, 4)) @ self.chol.T
+            except MemoryError:
+                raise ValueError(f"n = {self.n}: drawing {rows} x 4 samples needs "
+                                 f"{2 * rows * 4 * 8} bytes, more than can be allocated") from None
+            block += self.state.mean  # the bits of `+ mean`, without a third rows x 4 array
             yield block
 
 
@@ -127,45 +144,12 @@ class EstimatedCriteria:
 
 def draw_samples(state: GaussianTwoModeState, n: int, seed: int,
                  source_label: str = "") -> SampleBatch:
-    """Draw n i.i.d. quadrature samples from the state.
-
-    The stream is the numpy PCG64 generator seeded with `seed`;
-    identical (state, n, seed) reproduce the batch bit-for-bit.
-    """
-    chol = _cholesky(state, n, seed)
-    samples = _draw(np.random.Generator(np.random.PCG64(seed)), chol, state.mean, n, n)
+    """Draw n i.i.d. quadrature samples from the state: the one block of
+    DrawnBatch(state, n, seed), so identical (state, n, seed) reproduce
+    the batch bit for bit."""
+    samples, = DrawnBatch(state, n, seed).blocks(1)
     samples.setflags(write=False)
     return SampleBatch(samples=samples, seed=seed, source_label=source_label)
-
-
-def _cholesky(state: GaussianTwoModeState, n: int, seed: int) -> np.ndarray:
-    """The Cholesky factor of the state's covariance, once n and seed
-    are checked."""
-    if state.cov.ndim != 2:
-        raise ValueError(
-            f"draw_samples takes one state, got a stack of shape {state.cov.shape[:-2]}")
-    if n < 2:
-        raise ValueError("need at least 2 samples")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    try:
-        return np.linalg.cholesky(state.cov)
-    except np.linalg.LinAlgError as exc:
-        raise PhysicalityError("covariance matrix is not positive definite") from exc
-
-
-def _draw(rng: np.random.Generator, chol: np.ndarray, mean: np.ndarray,
-          rows: int, n: int) -> np.ndarray:
-    """The next `rows` samples of the stream: normals @ chol.T + mean.
-    Consecutive calls continue one batch of n samples; each row has
-    the bits it has in a one-shot draw of the batch."""
-    try:
-        samples = rng.standard_normal((rows, 4)) @ chol.T
-    except MemoryError:
-        raise ValueError(f"n = {n}: drawing {rows} x 4 samples needs {2 * rows * 4 * 8} "
-                         "bytes, more than can be allocated") from None
-    samples += mean  # the bits of `+ mean`, without a third rows x 4 array
-    return samples
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,12 @@ def parse_scenario(text: str) -> Scenario:
     def _field(key, convert=float, default=None):
         return _number(fields[key], key, convert) if key in fields else default
 
+    def _angle(text):
+        """The angle, or nan where its double (the measured variance's
+        argument) overflows."""
+        value = float(text)
+        return value if math.isfinite(2.0 * value) else math.nan
+
     sampling_n, sampling_seed = _field("sampling_n", int), _field("sampling_seed", int)
     if (sampling_n is None) != (sampling_seed is None):
         raise ScenarioError("sampling_n and sampling_seed must be given together")
@@ -161,8 +167,8 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(
         source=source,
         pipeline=tuple(steps),
-        theta_plus=_field("theta_plus", default=0.0),
-        theta_minus=_field("theta_minus", default=math.pi / 2),
+        theta_plus=_field("theta_plus", _angle, 0.0),
+        theta_minus=_field("theta_minus", _angle, math.pi / 2),
         sampling_n=sampling_n,
         sampling_seed=sampling_seed,
         out=fields.get("out"),

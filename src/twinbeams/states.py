@@ -29,6 +29,10 @@ from .moments import MomentPair
 SYMMETRY_TOL = 1e-12
 SYMMETRY_EPS = 64
 PHYSICALITY_TOL = 1e-9
+# Bound on |entry| of mean and cov.  The jackknife squares deviations of
+# EPR products, which scale as cov^2, so cov^4 (summed over ~100 blocks)
+# must stay below float64's max of ~1.8e308: |cov| well under 1e77.
+_MAX_MOMENT = 1e75
 
 # Symplectic form for the (X+_1, X-_1, X+_2, X-_2) ordering.
 OMEGA = np.array(
@@ -69,9 +73,11 @@ class GaussianTwoModeState:
         if mean.shape[-1:] != (4,) or cov.shape != mean.shape + (4,):
             raise ValueError("mean and cov must have shapes ...x4 and ...x4x4, "
                              f"got {mean.shape} and {cov.shape}")
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
-            raise ValueError("state moments must be finite")
         scale = np.abs(cov).max(axis=(-2, -1), initial=0.0)
+        peak = np.maximum(np.abs(mean).max(initial=0.0), scale.max(initial=0.0))
+        if not peak <= _MAX_MOMENT:  # nan fails too
+            raise ValueError(f"state moments must be finite and at most {_MAX_MOMENT:g} "
+                             f"in magnitude, got {float(peak)!r}")
         tol = np.maximum(SYMMETRY_TOL, SYMMETRY_EPS * np.finfo(float).eps * scale)
         if np.any(np.abs(cov - np.swapaxes(cov, -1, -2)) > tol[..., None, None]):
             raise ValueError("covariance matrix is not symmetric")

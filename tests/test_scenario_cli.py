@@ -23,6 +23,8 @@ from twinbeams.scenario import (
     sweep,
 )
 
+BOUND = "state moments must be finite and at most 1e+75 in magnitude, got"
+
 TMSV_SCENARIO = """\
 schema = twinbeams-scenario-1
 source = tmsv(1.103)
@@ -268,9 +270,17 @@ class TestCli:
         ("tmsv(0.5)", f"n = {10 ** 15}: drawing {10 ** 15} x 4 samples needs {64 * 10 ** 15} "
          "bytes, more than can be allocated",
          ["sample", "--n", str(10 ** 15), "--seed", "1", "--out", "{tmp}/batch.csv"]),
+        ("thermal(1e300, 1e300)", f"source thermal: {BOUND} 1e+300", ["run"]),
+        ("thermal(1e300, 1e300)\nsampling_n = 1000\nsampling_seed = 1",
+         f"source thermal: {BOUND} 1e+300", ["run"]),
+        ("thermal(1e300, 1e300)", f"source thermal: {BOUND} 1e+300",
+         ["sample", "--n", "300", "--seed", "1", "--out", "{tmp}/batch.csv"]),
+        ("tmsv(200)", f"source tmsv: {BOUND} {math.cosh(400.0)!r}", ["run"]),
+        ("tmsv(0.5)\ntheta_plus = 1e308", "theta_plus: bad value '1e308'", ["run"]),
     ], ids=["unknown-op", "tmsv-overflow", "sms-overflow", "nan-theta-plus", "inf-theta-minus",
             "nan-op-argument", "inf-op-argument", "negative-sampling-seed", "negative-sample-seed",
-            "oversized-sample"])
+            "oversized-sample", "huge-thermal", "huge-thermal-sampled", "huge-thermal-sample",
+            "huge-tmsv", "overflowing-theta-plus"])
     def test_validation_error_printed_once(self, tmp_path, source, message, command):
         scn = self._write(tmp_path, f"schema = twinbeams-scenario-1\nsource = {source}\n")
         argv = [arg.format(tmp=tmp_path) for arg in command]
@@ -304,6 +314,26 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [
             f"error: sweep parameter: '{param}' selects a beam, it is not a sweep axis"]
         assert not out.exists()
+
+    def test_sweep_beyond_moment_bound_rejected(self, tmp_path):
+        scn = self._write(tmp_path, "schema = twinbeams-scenario-1\nsource = thermal(2.0, 2.0)\n")
+        out = tmp_path / "sweep.csv"
+        proc = self._run_fresh(["sweep", "--scenario", str(scn), "--param", "f",
+                                "--grid", "1,1e100,1e200,1e300", "--out", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: source thermal: {BOUND} 1e+300"]
+        assert not out.exists()
+
+    def test_sampled_run_at_moment_bound_is_finite(self, tmp_path):
+        # the bound leaves the jackknife's squared EPR deviations finite
+        scn = self._write(tmp_path, "schema = twinbeams-scenario-1\n"
+                          "source = thermal(1e75, 1e75)\nstep = beamsplitter(0.3, 0.2)\n"
+                          "sampling_n = 1000\nsampling_seed = 1\n")
+        payload = run_scenario(load_scenario(scn))
+        numbers = [*payload["analytic"].values(),
+                   *(v for est in payload["estimated"]["estimates"].values()
+                     for v in est.values())]
+        assert all(math.isfinite(v) for v in numbers if isinstance(v, float))
 
     def test_json_to_stdout_equals_json_to_file(self, tmp_path, capsys):
         scn = self._write(tmp_path, TMSV_SCENARIO)

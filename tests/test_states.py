@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,15 @@ class TestStateValidation:
         cov[2, 2] = 0.0
         with pytest.raises(ValueError, match="diagonal"):
             GaussianTwoModeState(mean=np.zeros(4), cov=cov)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 2e75])
+    @pytest.mark.parametrize("field", ["mean", "cov"])
+    def test_rejects_moment_beyond_bound(self, field, value):
+        moments = {"mean": np.zeros(4), "cov": np.eye(4)}
+        moments[field].flat[1] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"at most 1e+75 in magnitude, got {abs(value)!r}")):
+            GaussianTwoModeState(**moments)
 
     def test_rejects_unphysical_cov(self):
         with pytest.raises(PhysicalityError):
