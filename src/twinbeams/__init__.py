@@ -5,6 +5,8 @@ states."""
 
 from .criteria import (
     CriteriaReport,
+    DuanEprMoments,
+    MomentPair,
     classical_split_correlation,
     classical_unbalanced_correlation,
     classify,
@@ -12,11 +14,11 @@ from .criteria import (
     duan_separability,
     epr_product,
     gemellity,
+    quadrature_moments,
     report_from_moments,
     state_moments,
 )
 from .fock import FockMixture, photon_statistics
-from .moments import DuanEprMoments, MomentPair
 from .sampling import (
     DrawnBatch,
     EstimatedCriteria,
@@ -36,7 +38,6 @@ from .states import (
     make_thermal,
     make_two_mode_squeezed,
     make_vacuum,
-    quadrature_moments,
 )
 
 __all__ = [

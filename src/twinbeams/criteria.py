@@ -1,4 +1,5 @@
-"""The five-level ladder of quantum-correlation criteria.
+"""Measured quadrature moments and the five-level ladder of
+quantum-correlation criteria computed from them.
 
 Level 1  gemellity G < 1          -- no classical-field description
 Level 2  conditional variance V < 1 -- QND-grade correlation
@@ -9,6 +10,9 @@ Level 5  Bell                     -- never reachable with Gaussian states
 Levels 1-2 need a single quadrature pair; levels 3-4 need moments on
 both conjugate quadratures.  All inequalities are strict: a state
 sitting exactly on a boundary (e.g. vacuum) does NOT satisfy the level.
+
+All variances are normalized to the shot-noise (coherent-state) level,
+so a vacuum or coherent beam has unit variance on every quadrature.
 
 The closed forms are elementwise: on the moments of a K x 4 x 4
 covariance stack they return arrays, entry k equal to the K = 1 result.
@@ -23,8 +27,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .moments import DuanEprMoments, MomentPair
-from .states import GaussianTwoModeState, quadrature_moments
+from .states import GaussianTwoModeState
 
 LEVEL5_NOTE = "not evaluable for Gaussian states (positive Wigner function)"
 
@@ -69,6 +72,84 @@ def classical_unbalanced_correlation(f1: float, f2: float) -> float:
     if f1 < 1.0 or f2 < 1.0:
         raise ValueError(f"Fano factors must be >= 1, got ({f1}, {f2})")
     return math.sqrt((1.0 - 1.0 / f1) * (1.0 - 1.0 / f2))
+
+
+# ---------------------------------------------------------------------------
+# measured moments: the input of every criterion
+
+
+@dataclass(frozen=True)
+class MomentPair:
+    """Noise moments of one quadrature measured on each of two beams.
+
+    f1, f2 are the shot-normalized variances (Fano factors), c12 the
+    normalized correlation coefficient between the two fluctuations.
+    Fields are floats, or equal-shape arrays holding one pair per entry.
+    """
+
+    f1: float
+    f2: float
+    c12: float
+
+    def __post_init__(self):
+        if not np.all((self.f1 > 0.0) & (self.f2 > 0.0)):
+            raise ValueError(f"variances must be positive, got F1={self.f1}, F2={self.f2}")
+        if np.any(abs(self.c12) > 1.0):
+            raise ValueError(f"correlation must lie in [-1, 1], got {self.c12}")
+
+    @property
+    def covariance(self) -> float:
+        """Unnormalized covariance <dX1 dX2>."""
+        return self.c12 * np.sqrt(self.f1 * self.f2)
+
+
+@dataclass(frozen=True)
+class DuanEprMoments:
+    """Moments on both conjugate quadratures, the input of the
+    separability and EPR criteria.
+
+    `plus` holds the moments of (X+_1, X+_2), `minus` those of
+    (X-_1, X-_2).  Values may come from a state or directly from
+    measured numbers; joint physicality is not enforced here.
+    """
+
+    plus: MomentPair
+    minus: MomentPair
+
+
+def _measured_variance(cov: np.ndarray, i: int, theta: float):
+    """Variance of cos(theta) X+ + sin(theta) X- on the mode whose X+ is
+    coordinate i; the double-angle form is exact on a phase-symmetric mode."""
+    a, b, v = cov[..., i, i], cov[..., i + 1, i + 1], cov[..., i, i + 1]
+    return 0.5 * (a + b) + 0.5 * (a - b) * math.cos(2.0 * theta) + v * math.sin(2.0 * theta)
+
+
+def quadrature_moments(source, theta1: float, theta2: float) -> MomentPair:
+    """Variances and correlation of the quadratures
+    cos(theta_i) X+_i + sin(theta_i) X-_i measured on each mode, for a
+    state or, as arrays, for each covariance of a ...x4x4 stack."""
+    cov = np.asarray(getattr(source, "cov", source), dtype=float)
+    f1, f2 = _measured_variance(cov, 0, theta1), _measured_variance(cov, 2, theta2)
+    u1, u2 = (math.cos(theta1), math.sin(theta1)), (math.cos(theta2), math.sin(theta2))
+    cross = sum(u1[i] * u2[j] * cov[..., i, 2 + j] for i in (0, 1) for j in (0, 1))
+    c12 = cross / np.sqrt(f1 * f2)
+    if np.any(abs(c12) > 1.0):  # clip a rounding overshoot, reject a larger one
+        if np.any(abs(c12) > 1.0 + 1e-12):
+            raise ValueError(f"correlation overshoot beyond rounding: {np.abs(c12).max()}")
+        c12 = np.clip(c12, -1.0, 1.0)
+    return MomentPair(f1=f1, f2=f2, c12=c12)
+
+
+def state_moments(source,
+                  theta_plus: float = 0.0,
+                  theta_minus: float = math.pi / 2) -> DuanEprMoments:
+    """Moments of the conjugate quadrature pair selected by the two
+    measurement angles (same angle on both modes per pair), of a state
+    or of each covariance in a ...x4x4 stack."""
+    return DuanEprMoments(
+        plus=quadrature_moments(source, theta_plus, theta_plus),
+        minus=quadrature_moments(source, theta_minus, theta_minus),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +276,6 @@ def report_from_moments(dm: DuanEprMoments) -> CriteriaReport:
     values = {key: np.asarray(value).item() for key, value in report_scalars(dm).items()}
     values["duan_note"] = DUAN_NOTE if values["duan_note"] else None
     return CriteriaReport(level5_note=LEVEL5_NOTE, **values)
-
-
-def state_moments(source,
-                  theta_plus: float = 0.0,
-                  theta_minus: float = math.pi / 2) -> DuanEprMoments:
-    """Moments of the conjugate quadrature pair selected by the two
-    measurement angles (same angle on both modes per pair), of a state
-    or of each covariance in a ...x4x4 stack."""
-    return DuanEprMoments(
-        plus=quadrature_moments(source, theta_plus, theta_plus),
-        minus=quadrature_moments(source, theta_minus, theta_minus),
-    )
 
 
 def classify(state: GaussianTwoModeState,

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import criteria
-from .states import GaussianTwoModeState, PhysicalityError
+from .states import MAX_MOMENT, GaussianTwoModeState, PhysicalityError
 
 CSV_HEADER = "sample_index,xplus_1,xminus_1,xplus_2,xminus_2"
 DEFAULT_BLOCKS = 100
@@ -35,7 +35,8 @@ class BatchFormatError(ValueError):
 
 
 class EstimationError(ValueError):
-    """Degenerate batch (e.g. a zero-variance column)."""
+    """Degenerate batch (e.g. a zero-variance column, or moments that
+    overflow double precision)."""
 
 
 class Estimate(NamedTuple):
@@ -366,20 +367,10 @@ def _covariances(sums: np.ndarray, grams: np.ndarray, counts: np.ndarray) -> np.
     return covs
 
 
-def estimate_criteria(batch: SampleBatch | DrawnBatch, n_blocks: int = DEFAULT_BLOCKS,
-                      theta_plus: float = 0.0,
-                      theta_minus: float = math.pi / 2) -> EstimatedCriteria:
-    """Point estimates from the full batch at the measurement angles of
-    `criteria.classify`; standard errors from a delete-one-block jackknife
-    over `n_blocks` near-equal blocks, all scored as one covariance stack.
-
-    `batch` is a SampleBatch or a DrawnBatch: only its n, seed,
-    source_label and blocks are read, and one block is scored at a time."""
-    if not isinstance(n_blocks, numbers.Integral) or n_blocks < 2:
-        raise ValueError(f"n_blocks must be an integer >= 2, got {n_blocks!r}")
-    n = batch.n
-    if n < 2 * n_blocks:
-        raise ValueError(f"need at least {2 * n_blocks} samples for {n_blocks} blocks")
+@np.errstate(over="raise", invalid="raise")
+def _jackknife(batch, n_blocks: int, theta_plus: float, theta_minus: float) -> dict:
+    """The Estimate of every number of the criteria table and of the
+    moments, keyed by name; an overflow raises FloatingPointError."""
     # Each block is centred on the first block's mean (within about
     # sigma / sqrt(n / n_blocks) of the batch mean) before its sum and Gram
     # matrix are taken, so the raw-moment form in _covariances does not
@@ -411,5 +402,28 @@ def estimate_criteria(batch: SampleBatch | DrawnBatch, n_blocks: int = DEFAULT_B
         reps = column[1:]
         stderr = math.sqrt(factor * float(np.sum((reps - reps.mean()) ** 2)))
         estimates[key] = Estimate(value=float(column[0]), stderr=stderr)
+    return estimates
+
+
+def estimate_criteria(batch: SampleBatch | DrawnBatch, n_blocks: int = DEFAULT_BLOCKS,
+                      theta_plus: float = 0.0,
+                      theta_minus: float = math.pi / 2) -> EstimatedCriteria:
+    """Point estimates from the full batch at the measurement angles of
+    `criteria.classify`; standard errors from a delete-one-block jackknife
+    over `n_blocks` near-equal blocks, all scored as one covariance stack.
+
+    `batch` is a SampleBatch or a DrawnBatch: only its n, seed,
+    source_label and blocks are read, and one block is scored at a time.
+    Moments that overflow double precision raise EstimationError."""
+    if not isinstance(n_blocks, numbers.Integral) or n_blocks < 2:
+        raise ValueError(f"n_blocks must be an integer >= 2, got {n_blocks!r}")
+    n = batch.n
+    if n < 2 * n_blocks:
+        raise ValueError(f"need at least {2 * n_blocks} samples for {n_blocks} blocks")
+    try:
+        estimates = _jackknife(batch, n_blocks, theta_plus, theta_minus)
+    except FloatingPointError:
+        raise EstimationError("batch moments overflow double precision; a state's moments "
+                              f"are at most {MAX_MOMENT:g} in magnitude") from None
     return EstimatedCriteria(estimates=estimates, n_samples=n, n_blocks=n_blocks,
                              seed=batch.seed, source_label=batch.source_label)

@@ -23,16 +23,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import MomentPair
+# Each check allows the rounding of the maps: max(floor, ROUNDING_EPS * eps
+# * scale), scale the largest |entry| of the covariance (or the bound itself).
+ROUNDING_EPS = 64
+SYMMETRY_TOL = 1e-12  # floor on the asymmetry of a covariance
+PHYSICALITY_TOL = 1e-9  # floor on -(min eigenvalue of cov + i*Omega)
 
-# asymmetry allowed: max(SYMMETRY_TOL, SYMMETRY_EPS * eps * max|cov|) per covariance
-SYMMETRY_TOL = 1e-12
-SYMMETRY_EPS = 64
-PHYSICALITY_TOL = 1e-9
+
+def _rounding_tol(floor, scale):
+    """max(floor, ROUNDING_EPS * eps * scale), elementwise."""
+    return np.maximum(floor, ROUNDING_EPS * np.finfo(float).eps * scale)
+
+
 # Bound on |entry| of mean and cov.  The jackknife squares deviations of
 # EPR products, which scale as cov^2, so cov^4 (summed over ~100 blocks)
 # must stay below float64's max of ~1.8e308: |cov| well under 1e77.
-_MAX_MOMENT = 1e75
+MAX_MOMENT = 1e75
+_MAX_MOMENT_ROUNDED = MAX_MOMENT + _rounding_tol(0.0, MAX_MOMENT)
 
 # Symplectic form for the (X+_1, X-_1, X+_2, X-_2) ordering.
 OMEGA = np.array(
@@ -49,14 +56,14 @@ class PhysicalityError(ValueError):
     """Raised when a covariance matrix violates the uncertainty bound."""
 
 
-def uncertainty_min_eigenvalue(cov: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian matrix cov + i*Omega, over
-    every covariance of a ...x4x4 stack (inf for an empty stack).
+def uncertainty_min_eigenvalue(cov: np.ndarray):
+    """Smallest eigenvalue of the Hermitian matrix cov + i*Omega: a float
+    for one covariance, an array with one per covariance of a ...x4x4 stack.
 
     Non-negative (within tolerance) for every physical state; exactly
     zero for the two-mode vacuum, which saturates the bound.
     """
-    return float(np.linalg.eigvalsh(cov + 1j * OMEGA).min(initial=math.inf))
+    return np.linalg.eigvalsh(cov + 1j * OMEGA).min(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -75,19 +82,20 @@ class GaussianTwoModeState:
                              f"got {mean.shape} and {cov.shape}")
         scale = np.abs(cov).max(axis=(-2, -1), initial=0.0)
         peak = np.maximum(np.abs(mean).max(initial=0.0), scale.max(initial=0.0))
-        if not peak <= _MAX_MOMENT:  # nan fails too
-            raise ValueError(f"state moments must be finite and at most {_MAX_MOMENT:g} "
+        if not peak <= _MAX_MOMENT_ROUNDED:  # nan fails too
+            raise ValueError(f"state moments must be finite and at most {MAX_MOMENT:g} "
                              f"in magnitude, got {float(peak)!r}")
-        tol = np.maximum(SYMMETRY_TOL, SYMMETRY_EPS * np.finfo(float).eps * scale)
+        tol = _rounding_tol(SYMMETRY_TOL, scale)
         if np.any(np.abs(cov - np.swapaxes(cov, -1, -2)) > tol[..., None, None]):
             raise ValueError("covariance matrix is not symmetric")
         if np.any(np.diagonal(cov, axis1=-2, axis2=-1) <= 0.0):
             raise ValueError("covariance diagonal entries must be positive")
         min_eig = uncertainty_min_eigenvalue(cov)
-        if min_eig < -PHYSICALITY_TOL:
+        unphysical = min_eig < -_rounding_tol(PHYSICALITY_TOL, scale)
+        if np.any(unphysical):
             raise PhysicalityError(
                 "covariance matrix violates the uncertainty bound "
-                f"(min eigenvalue of cov + i*Omega = {min_eig:.3e})"
+                f"(min eigenvalue of cov + i*Omega = {min_eig[unphysical].min():.3e})"
             )
         mean.setflags(write=False)
         cov.setflags(write=False)
@@ -229,30 +237,3 @@ def apply_loss(state: GaussianTwoModeState, eta1, eta2) -> GaussianTwoModeState:
     for name, eta in (("eta1", eta1), ("eta2", eta2)):
         _check((eta >= 0.0) & (eta <= 1.0), name + " must lie in [0, 1], got {}", eta)
     return _apply(state, _diag(np.sqrt(eta1), np.sqrt(eta2)), _diag(1.0 - eta1, 1.0 - eta2))
-
-
-# ---------------------------------------------------------------------------
-# measurement moments
-
-
-def _measured_variance(cov: np.ndarray, i: int, theta: float):
-    """Variance of cos(theta) X+ + sin(theta) X- on the mode whose X+ is
-    coordinate i; the double-angle form is exact on a phase-symmetric mode."""
-    a, b, v = cov[..., i, i], cov[..., i + 1, i + 1], cov[..., i, i + 1]
-    return 0.5 * (a + b) + 0.5 * (a - b) * math.cos(2.0 * theta) + v * math.sin(2.0 * theta)
-
-
-def quadrature_moments(source, theta1: float, theta2: float) -> MomentPair:
-    """Variances and correlation of the quadratures
-    cos(theta_i) X+_i + sin(theta_i) X-_i measured on each mode, for a
-    state or, as arrays, for each covariance of a ...x4x4 stack."""
-    cov = np.asarray(getattr(source, "cov", source), dtype=float)
-    f1, f2 = _measured_variance(cov, 0, theta1), _measured_variance(cov, 2, theta2)
-    u1, u2 = (math.cos(theta1), math.sin(theta1)), (math.cos(theta2), math.sin(theta2))
-    cross = sum(u1[i] * u2[j] * cov[..., i, 2 + j] for i in (0, 1) for j in (0, 1))
-    c12 = cross / np.sqrt(f1 * f2)
-    if np.any(abs(c12) > 1.0):  # clip a rounding overshoot, reject a larger one
-        if np.any(abs(c12) > 1.0 + 1e-12):
-            raise ValueError(f"correlation overshoot beyond rounding: {np.abs(c12).max()}")
-        c12 = np.clip(c12, -1.0, 1.0)
-    return MomentPair(f1=f1, f2=f2, c12=c12)

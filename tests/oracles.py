@@ -15,8 +15,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from twinbeams.criteria import report_scalars, state_moments
-from twinbeams.moments import DuanEprMoments, MomentPair
+from twinbeams.criteria import DuanEprMoments, MomentPair, report_scalars, state_moments
 
 ORACLE_XTOL = 1e-11
 

@@ -9,16 +9,17 @@ import numpy as np
 import pytest
 
 from twinbeams.criteria import (
+    MomentPair,
     classical_unbalanced_correlation,
     conditional_variance,
     duan_separability,
     epr_product,
     gemellity,
+    quadrature_moments,
     report_scalars,
     state_moments,
 )
 from twinbeams.fock import FockMixture, photon_statistics
-from twinbeams.moments import MomentPair
 from twinbeams.sampling import draw_samples, estimate_criteria
 from twinbeams.scenario import parse_scenario, sweep
 from twinbeams.states import (
@@ -29,7 +30,6 @@ from twinbeams.states import (
     make_thermal,
     make_two_mode_squeezed,
     make_vacuum,
-    quadrature_moments,
 )
 
 from oracles import conditional_variance_operational, gemellity_operational

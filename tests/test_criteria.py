@@ -5,6 +5,8 @@ import pytest
 
 from twinbeams.criteria import (
     LEVEL5_NOTE,
+    DuanEprMoments,
+    MomentPair,
     classical_split_correlation,
     classical_unbalanced_correlation,
     classify,
@@ -15,7 +17,6 @@ from twinbeams.criteria import (
     report_from_moments,
     state_moments,
 )
-from twinbeams.moments import DuanEprMoments, MomentPair
 from twinbeams.states import (
     GaussianTwoModeState,
     apply_beamsplitter,

@@ -11,6 +11,7 @@ import pytest
 import twinbeams
 from twinbeams import criteria
 from twinbeams.cli import main
+from twinbeams.sampling import SampleBatch, write_batch
 from twinbeams.scenario import (
     SWEEP_COLUMNS,
     Scenario,
@@ -334,6 +335,19 @@ class TestCli:
                    *(v for est in payload["estimated"]["estimates"].values()
                      for v in est.values())]
         assert all(math.isfinite(v) for v in numbers if isinstance(v, float))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e40])
+    def test_estimate_overflow_exit_2_one_line(self, tmp_path, scale):
+        # 1e160 overflows the Gram matrix, 1e40 the jackknife's squared deviations
+        batch = tmp_path / "batch.csv"
+        samples = scale * np.random.default_rng(0).standard_normal((1000, 4))
+        write_batch(SampleBatch(samples=samples, seed=0), batch)
+        proc = self._run_fresh(["estimate", "--batch", str(batch)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: batch moments overflow double precision; "
+            "a state's moments are at most 1e+75 in magnitude"]
 
     def test_json_to_stdout_equals_json_to_file(self, tmp_path, capsys):
         scn = self._write(tmp_path, TMSV_SCENARIO)

@@ -5,17 +5,18 @@ import re
 import numpy as np
 import pytest
 
+from twinbeams.criteria import quadrature_moments
 from twinbeams.states import (
     GaussianTwoModeState,
     PhysicalityError,
     apply_beamsplitter,
     apply_loss,
     apply_phase,
+    beamsplitter_matrix,
     make_single_mode_squeezed,
     make_thermal,
     make_two_mode_squeezed,
     make_vacuum,
-    quadrature_moments,
     uncertainty_min_eigenvalue,
 )
 
@@ -123,7 +124,7 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="diagonal"):
             GaussianTwoModeState(mean=np.zeros(4), cov=cov)
 
-    @pytest.mark.parametrize("value", [np.nan, -np.inf, 2e75])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 2e75, 1.000000000001e75])
     @pytest.mark.parametrize("field", ["mean", "cov"])
     def test_rejects_moment_beyond_bound(self, field, value):
         moments = {"mean": np.zeros(4), "cov": np.eye(4)}
@@ -132,9 +133,40 @@ class TestStateValidation:
                 f"at most 1e+75 in magnitude, got {abs(value)!r}")):
             GaussianTwoModeState(**moments)
 
+    def test_map_rounding_above_moment_bound_accepted(self):
+        # a rotation rounds an entry of 1e75 up by an ulp; its source passed
+        peak = 0.0
+        for theta in np.linspace(0.0, 3.0, 301):
+            state = apply_beamsplitter(make_thermal(1e75, 1e75), float(theta), 0.2)
+            peak = max(peak, np.abs(state.cov).max())
+        assert peak > 1e75
+
     def test_rejects_unphysical_cov(self):
         with pytest.raises(PhysicalityError):
             GaussianTwoModeState(mean=np.zeros(4), cov=0.5 * np.eye(4))
+
+    def test_physicality_tolerance_is_per_covariance(self):
+        # the rounding allowed a large covariance does not cover a small one
+        covs = np.array([1e70 * np.eye(4), 0.5 * np.eye(4)])
+        with pytest.raises(PhysicalityError, match=re.escape("= -5.000e-01")):
+            GaussianTwoModeState(mean=np.zeros((2, 4)), cov=covs)
+
+    @pytest.mark.parametrize("theta", [None, 0.3], ids=["alone", "split"])
+    def test_tmsv_builds_up_to_r12(self, theta):
+        # tmsv(8) misses an absolute 1e-9 by rounding: min eigenvalue -1.96e-9
+        for r in np.linspace(0.0, 12.0, 241):
+            state = make_two_mode_squeezed(float(r))
+            if theta is not None:
+                apply_beamsplitter(state, theta)
+
+    def test_balanced_split_of_tmsv_within_rounding_margin(self):
+        # the margin holds for every r, though a few r > 9 are rejected for
+        # a squeezed variance that cancels to <= 0 in the rotated covariance
+        x = beamsplitter_matrix(math.pi / 4)
+        for r in np.linspace(0.0, 12.0, 241):
+            cov = x @ make_two_mode_squeezed(float(r)).cov @ x.T
+            rounding = 64 * np.finfo(float).eps * np.abs(cov).max()
+            assert uncertainty_min_eigenvalue(cov) >= -max(1e-9, rounding)
 
     def test_state_is_immutable(self):
         v = make_vacuum()
