@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .states import GaussianTwoModeState
+from .states import GaussianTwoModeState, _check
 
 LEVEL5_NOTE = "not evaluable for Gaussian states (positive Wigner function)"
 
@@ -92,8 +92,7 @@ class MomentPair:
     c12: float
 
     def __post_init__(self):
-        if not np.all((self.f1 > 0.0) & (self.f2 > 0.0)):
-            raise ValueError(f"variances must be positive, got F1={self.f1}, F2={self.f2}")
+        _check_variances(self.f1, self.f2)
         if np.any(abs(self.c12) > 1.0):
             raise ValueError(f"correlation must lie in [-1, 1], got {self.c12}")
 
@@ -117,6 +116,12 @@ class DuanEprMoments:
     minus: MomentPair
 
 
+def _check_variances(f1, f2) -> None:
+    """Raise ValueError naming the first pair of variances that is not
+    positive (nan fails too)."""
+    _check((f1 > 0.0) & (f2 > 0.0), "variances must be positive, got F1={}, F2={}", f1, f2)
+
+
 def _measured_variance(cov: np.ndarray, i: int, theta: float):
     """Variance of cos(theta) X+ + sin(theta) X- on the mode whose X+ is
     coordinate i; the double-angle form is exact on a phase-symmetric mode."""
@@ -130,6 +135,7 @@ def quadrature_moments(source, theta1: float, theta2: float) -> MomentPair:
     state or, as arrays, for each covariance of a ...x4x4 stack."""
     cov = np.asarray(getattr(source, "cov", source), dtype=float)
     f1, f2 = _measured_variance(cov, 0, theta1), _measured_variance(cov, 2, theta2)
+    _check_variances(f1, f2)  # before the square root below
     u1, u2 = (math.cos(theta1), math.sin(theta1)), (math.cos(theta2), math.sin(theta2))
     cross = sum(u1[i] * u2[j] * cov[..., i, 2 + j] for i in (0, 1) for j in (0, 1))
     c12 = cross / np.sqrt(f1 * f2)

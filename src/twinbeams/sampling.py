@@ -367,7 +367,7 @@ def _covariances(sums: np.ndarray, grams: np.ndarray, counts: np.ndarray) -> np.
     return covs
 
 
-@np.errstate(over="raise", invalid="raise")
+@np.errstate(over="raise")
 def _jackknife(batch, n_blocks: int, theta_plus: float, theta_minus: float) -> dict:
     """The Estimate of every number of the criteria table and of the
     moments, keyed by name; an overflow raises FloatingPointError."""

@@ -24,7 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 # Each check allows the rounding of the maps: max(floor, ROUNDING_EPS * eps
-# * scale), scale the largest |entry| of the covariance (or the bound itself).
+# * scale), scale the largest |entry| of the covariance for the symmetry
+# check, its smallest variance for the uncertainty bound (so a large mode's
+# rounding cannot cover a small mode's violation), the bound itself for
+# the moment bound.
 ROUNDING_EPS = 64
 SYMMETRY_TOL = 1e-12  # floor on the asymmetry of a covariance
 PHYSICALITY_TOL = 1e-9  # floor on -(min eigenvalue of cov + i*Omega)
@@ -88,10 +91,11 @@ class GaussianTwoModeState:
         tol = _rounding_tol(SYMMETRY_TOL, scale)
         if np.any(np.abs(cov - np.swapaxes(cov, -1, -2)) > tol[..., None, None]):
             raise ValueError("covariance matrix is not symmetric")
-        if np.any(np.diagonal(cov, axis1=-2, axis2=-1) <= 0.0):
+        variances = np.diagonal(cov, axis1=-2, axis2=-1)
+        if np.any(variances <= 0.0):
             raise ValueError("covariance diagonal entries must be positive")
         min_eig = uncertainty_min_eigenvalue(cov)
-        unphysical = min_eig < -_rounding_tol(PHYSICALITY_TOL, scale)
+        unphysical = min_eig < -_rounding_tol(PHYSICALITY_TOL, variances.min(axis=-1))
         if np.any(unphysical):
             raise PhysicalityError(
                 "covariance matrix violates the uncertainty bound "

@@ -349,6 +349,20 @@ class TestCli:
             "error: batch moments overflow double precision; "
             "a state's moments are at most 1e+75 in magnitude"]
 
+    def test_estimate_nonpositive_measured_variance_exit_2_one_line(self, tmp_path):
+        # X+_1 at 1e10 and X-_1 at 1e-5: the variance measured at pi/2 cancels
+        # to below 0, far inside the moment bound, so no overflow is reported
+        batch = tmp_path / "batch.csv"
+        samples = np.random.default_rng(0).standard_normal((1000, 4))
+        samples[:, 0] *= 1e10
+        samples[:, 1] *= 1e-5
+        write_batch(SampleBatch(samples=samples, seed=0), batch)
+        proc = self._run_fresh(["estimate", "--batch", str(batch)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: variances must be positive, got F1=-")
+
     def test_json_to_stdout_equals_json_to_file(self, tmp_path, capsys):
         scn = self._write(tmp_path, TMSV_SCENARIO)
         batch = tmp_path / "batch.csv"
