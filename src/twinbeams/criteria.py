@@ -44,6 +44,9 @@ LEVEL_STATEMENTS = {
 }
 
 
+THETA_PLUS, THETA_MINUS = 0.0, math.pi / 2  # default angles: X+ and X- on both modes
+
+
 class GemellityResult(NamedTuple):
     value: float
     theta: float
@@ -93,8 +96,7 @@ class MomentPair:
 
     def __post_init__(self):
         _check_variances(self.f1, self.f2)
-        if np.any(abs(self.c12) > 1.0):
-            raise ValueError(f"correlation must lie in [-1, 1], got {self.c12}")
+        _check(abs(self.c12) <= 1.0, "correlation must lie in [-1, 1], got {}", self.c12)
 
     @property
     def covariance(self) -> float:
@@ -122,6 +124,14 @@ def _check_variances(f1, f2) -> None:
     _check((f1 > 0.0) & (f2 > 0.0), "variances must be positive, got F1={}, F2={}", f1, f2)
 
 
+def measurement_angle(value) -> float:
+    """value as an angle whose double (the measured variance's argument) is finite."""
+    angle = float(value)
+    if not math.isfinite(2.0 * angle):  # nan and inf fail too
+        raise ValueError(f"measurement angle must be finite with a finite double, got {value}")
+    return angle
+
+
 def _measured_variance(cov: np.ndarray, i: int, theta: float):
     """Variance of cos(theta) X+ + sin(theta) X- on the mode whose X+ is
     coordinate i; the double-angle form is exact on a phase-symmetric mode."""
@@ -133,6 +143,7 @@ def quadrature_moments(source, theta1: float, theta2: float) -> MomentPair:
     """Variances and correlation of the quadratures
     cos(theta_i) X+_i + sin(theta_i) X-_i measured on each mode, for a
     state or, as arrays, for each covariance of a ...x4x4 stack."""
+    theta1, theta2 = measurement_angle(theta1), measurement_angle(theta2)
     cov = np.asarray(getattr(source, "cov", source), dtype=float)
     f1, f2 = _measured_variance(cov, 0, theta1), _measured_variance(cov, 2, theta2)
     _check_variances(f1, f2)  # before the square root below
@@ -146,9 +157,8 @@ def quadrature_moments(source, theta1: float, theta2: float) -> MomentPair:
     return MomentPair(f1=f1, f2=f2, c12=c12)
 
 
-def state_moments(source,
-                  theta_plus: float = 0.0,
-                  theta_minus: float = math.pi / 2) -> DuanEprMoments:
+def state_moments(source, theta_plus: float = THETA_PLUS,
+                  theta_minus: float = THETA_MINUS) -> DuanEprMoments:
     """Moments of the conjugate quadrature pair selected by the two
     measurement angles (same angle on both modes per pair), of a state
     or of each covariance in a ...x4x4 stack."""
@@ -284,9 +294,8 @@ def report_from_moments(dm: DuanEprMoments) -> CriteriaReport:
     return CriteriaReport(level5_note=LEVEL5_NOTE, **values)
 
 
-def classify(state: GaussianTwoModeState,
-             theta_plus: float = 0.0,
-             theta_minus: float = math.pi / 2) -> CriteriaReport:
+def classify(state: GaussianTwoModeState, theta_plus: float = THETA_PLUS,
+             theta_minus: float = THETA_MINUS) -> CriteriaReport:
     """Evaluate all five levels on a state.  Levels 1-2 use the `plus`
     quadrature pair; levels 3-4 use both conjugate pairs."""
     if state.cov.ndim != 2:

@@ -13,7 +13,6 @@ import contextlib
 import io
 import itertools
 import math
-import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -22,10 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import criteria
-from .states import MAX_MOMENT, GaussianTwoModeState, PhysicalityError
+from .states import MAX_MOMENT, GaussianTwoModeState, PhysicalityError, _check
 
 CSV_HEADER = "sample_index,xplus_1,xminus_1,xplus_2,xminus_2"
-DEFAULT_BLOCKS = 100
+BLOCKS = 100  # jackknife blocks of every estimate
+MIN_SAMPLES = 2 * BLOCKS
 WRITE_CHUNK = 65536  # rows formatted per task
 READ_RANGE = 1 << 22  # bytes of the data block parsed per task
 
@@ -37,6 +37,11 @@ class BatchFormatError(ValueError):
 class EstimationError(ValueError):
     """Degenerate batch (e.g. a zero-variance column, or moments that
     overflow double precision)."""
+
+
+def _check_seed(seed) -> None:
+    """The seed rule of both batch types."""
+    _check(seed >= 0, "seed must be a non-negative integer, got {}", seed)
 
 
 class Estimate(NamedTuple):
@@ -63,6 +68,7 @@ class SampleBatch:
             raise ValueError("need at least 2 samples")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
+        _check_seed(self.seed)
         if samples.flags.writeable or not samples.flags.owndata:
             samples = samples.copy()
             samples.setflags(write=False)
@@ -97,8 +103,7 @@ class DrawnBatch:
             raise ValueError(f"draw_samples takes one state, got a stack of shape {cov.shape[:-2]}")
         if self.n < 2:
             raise ValueError("need at least 2 samples")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        _check_seed(self.seed)
         try:
             object.__setattr__(self, "chol", np.linalg.cholesky(cov))
         except np.linalg.LinAlgError as exc:
@@ -126,14 +131,13 @@ class EstimatedCriteria:
 
     estimates: dict
     n_samples: int
-    n_blocks: int
     seed: int
     source_label: str
 
     def to_json(self) -> dict:
         return {
             "n_samples": self.n_samples,
-            "n_blocks": self.n_blocks,
+            "n_blocks": BLOCKS,
             "seed": self.seed,
             "source_label": self.source_label,
             "estimates": {
@@ -199,6 +203,7 @@ def read_batch(path) -> SampleBatch:
             if body.startswith("seed:"):
                 try:
                     seed = int(body.split(":", 1)[1].strip())
+                    _check_seed(seed)
                 except ValueError as exc:
                     raise BatchFormatError(f"line {lineno}: bad seed value") from exc
             elif body.startswith("source_label:"):
@@ -368,15 +373,15 @@ def _covariances(sums: np.ndarray, grams: np.ndarray, counts: np.ndarray) -> np.
 
 
 @np.errstate(over="raise")
-def _jackknife(batch, n_blocks: int, theta_plus: float, theta_minus: float) -> dict:
+def _jackknife(batch, theta_plus: float, theta_minus: float) -> dict:
     """The Estimate of every number of the criteria table and of the
     moments, keyed by name; an overflow raises FloatingPointError."""
     # Each block is centred on the first block's mean (within about
-    # sigma / sqrt(n / n_blocks) of the batch mean) before its sum and Gram
+    # sigma / sqrt(n / BLOCKS) of the batch mean) before its sum and Gram
     # matrix are taken, so the raw-moment form in _covariances does not
     # cancel on displaced beams.
-    counts, sums, grams = np.empty(n_blocks), np.empty((n_blocks, 4)), np.empty((n_blocks, 4, 4))
-    for k, block in enumerate(batch.blocks(n_blocks)):
+    counts, sums, grams = np.empty(BLOCKS), np.empty((BLOCKS, 4)), np.empty((BLOCKS, 4, 4))
+    for k, block in enumerate(batch.blocks(BLOCKS)):
         if k == 0:
             centre = block.mean(axis=0)
         centred = block - centre
@@ -396,7 +401,7 @@ def _jackknife(batch, n_blocks: int, theta_plus: float, theta_minus: float) -> d
                   fminus_1=dm.minus.f1, fminus_2=dm.minus.f2, cminus=dm.minus.c12)
 
     # entry 0 of each column is the full batch, the rest its replicates
-    factor = (n_blocks - 1) / n_blocks
+    factor = (BLOCKS - 1) / BLOCKS
     estimates = {}
     for key, column in values.items():
         reps = column[1:]
@@ -405,25 +410,22 @@ def _jackknife(batch, n_blocks: int, theta_plus: float, theta_minus: float) -> d
     return estimates
 
 
-def estimate_criteria(batch: SampleBatch | DrawnBatch, n_blocks: int = DEFAULT_BLOCKS,
-                      theta_plus: float = 0.0,
-                      theta_minus: float = math.pi / 2) -> EstimatedCriteria:
+def estimate_criteria(batch: SampleBatch | DrawnBatch,
+                      theta_plus: float = criteria.THETA_PLUS,
+                      theta_minus: float = criteria.THETA_MINUS) -> EstimatedCriteria:
     """Point estimates from the full batch at the measurement angles of
     `criteria.classify`; standard errors from a delete-one-block jackknife
-    over `n_blocks` near-equal blocks, all scored as one covariance stack.
+    over BLOCKS near-equal blocks, all scored as one covariance stack.
 
     `batch` is a SampleBatch or a DrawnBatch: only its n, seed,
     source_label and blocks are read, and one block is scored at a time.
     Moments that overflow double precision raise EstimationError."""
-    if not isinstance(n_blocks, numbers.Integral) or n_blocks < 2:
-        raise ValueError(f"n_blocks must be an integer >= 2, got {n_blocks!r}")
-    n = batch.n
-    if n < 2 * n_blocks:
-        raise ValueError(f"need at least {2 * n_blocks} samples for {n_blocks} blocks")
+    if batch.n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples for {BLOCKS} blocks")
     try:
-        estimates = _jackknife(batch, n_blocks, theta_plus, theta_minus)
+        estimates = _jackknife(batch, theta_plus, theta_minus)
     except FloatingPointError:
         raise EstimationError("batch moments overflow double precision; a state's moments "
                               f"are at most {MAX_MOMENT:g} in magnitude") from None
-    return EstimatedCriteria(estimates=estimates, n_samples=n, n_blocks=n_blocks,
-                             seed=batch.seed, source_label=batch.source_label)
+    return EstimatedCriteria(estimates=estimates, n_samples=batch.n, seed=batch.seed,
+                             source_label=batch.source_label)

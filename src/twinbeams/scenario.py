@@ -86,8 +86,8 @@ class OpCall:
 class Scenario:
     source: OpCall
     pipeline: tuple = ()
-    theta_plus: float = 0.0
-    theta_minus: float = math.pi / 2
+    theta_plus: float = criteria.THETA_PLUS
+    theta_minus: float = criteria.THETA_MINUS
     sampling_n: Optional[int] = None
     sampling_seed: Optional[int] = None
     out: Optional[str] = None
@@ -150,29 +150,17 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("source: missing")
     source = _parse_call(fields["source"], "source", SOURCES)
 
-    def _field(key, convert=float, default=None):
-        return _number(fields[key], key, convert) if key in fields else default
-
-    def _angle(text):
-        """The angle, or nan where its double (the measured variance's
-        argument) overflows."""
-        value = float(text)
-        return value if math.isfinite(2.0 * value) else math.nan
-
-    sampling_n, sampling_seed = _field("sampling_n", int), _field("sampling_seed", int)
+    sampling_n, sampling_seed = (_number(fields[key], key, int) if key in fields else None
+                                 for key in ("sampling_n", "sampling_seed"))
     if (sampling_n is None) != (sampling_seed is None):
         raise ScenarioError("sampling_n and sampling_seed must be given together")
-    if sampling_n is not None and sampling_n < 200:
-        raise ScenarioError("sampling_n: must be >= 200")
-    return Scenario(
-        source=source,
-        pipeline=tuple(steps),
-        theta_plus=_field("theta_plus", _angle, 0.0),
-        theta_minus=_field("theta_minus", _angle, math.pi / 2),
-        sampling_n=sampling_n,
-        sampling_seed=sampling_seed,
-        out=fields.get("out"),
-    )
+    if sampling_n is not None and sampling_n < sampling.MIN_SAMPLES:
+        raise ScenarioError(f"sampling_n: must be >= {sampling.MIN_SAMPLES}")
+    # an angle not given keeps the Scenario default
+    angles = {key: _number(fields[key], key, criteria.measurement_angle)
+              for key in ("theta_plus", "theta_minus") if key in fields}
+    return Scenario(source=source, pipeline=tuple(steps), **angles, sampling_n=sampling_n,
+                    sampling_seed=sampling_seed, out=fields.get("out"))
 
 
 def load_scenario(path) -> Scenario:

@@ -356,3 +356,8 @@ class TestClassify:
             MomentPair(0.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             MomentPair(1.0, 1.0, 1.5)
+        with pytest.raises(ValueError, match=r"^correlation must lie in \[-1, 1\], got nan$"):
+            MomentPair(1.0, 1.0, math.nan)
+        # a stack names its first bad entry, not the whole array
+        with pytest.raises(ValueError, match=r"^correlation must lie in \[-1, 1\], got -1.5$"):
+            MomentPair(np.ones(5), np.ones(5), np.array([0.1, 0.2, -1.5, 0.3, 2.0]))

@@ -95,6 +95,10 @@ class TestSampleBatch:
         samples.setflags(write=False)
         assert SampleBatch(samples=samples, seed=0).samples is samples
 
+    def test_negative_seed_rejected_as_by_draw_samples(self):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -3$"):
+            SampleBatch(samples=np.ones((300, 4)), seed=-3)
+
     def test_fresh_batches_are_not_copied(self, tmp_path, monkeypatch):
         given = []
 
@@ -178,6 +182,8 @@ REJECTED = {
     "nan": ("{h}\n0,1,2,3,4\n1,1,nan,3,4\n", ValueError, "samples must be finite"),
     "one-row": ("{h}\n0,1,2,3,4\n\n", BatchFormatError, "batch holds fewer than 2 samples"),
     "no-rows": ("# seed: 5\n{h}\n", BatchFormatError, "batch holds fewer than 2 samples"),
+    "negative-seed": ("# source_label: x\n# seed: -5\n{h}\n0,1,2,3,4\n1,1,2,3,4\n",
+                      BatchFormatError, "line 2: bad seed value"),
 }
 
 
@@ -437,15 +443,6 @@ class TestEstimateCriteria:
         assert payload["source_label"] == "vac"
         assert "gemellity" in payload["estimates"]
         assert set(payload["estimates"]["gemellity"]) == {"value", "stderr"}
-
-    @pytest.mark.parametrize("n_blocks", [1, 0, -3, 2.5, "100", None])
-    @pytest.mark.parametrize("drawn", [False, True], ids=["sample-batch", "drawn-batch"])
-    def test_n_blocks_must_be_an_integer_of_at_least_two(self, n_blocks, drawn):
-        state = make_two_mode_squeezed(0.3)
-        batch = (DrawnBatch if drawn else draw_samples)(state, 1000, 5)
-        with pytest.raises(ValueError, match=re.escape(
-                f"n_blocks must be an integer >= 2, got {n_blocks!r}")):
-            estimate_criteria(batch, n_blocks=n_blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,10 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="sampling"):
             parse_scenario(TMSV_SCENARIO + "sampling_n = 1000\n")
 
+    def test_sampling_n_below_the_floor_rejected(self):
+        with pytest.raises(ScenarioError, match=r"^sampling_n: must be >= 200$"):
+            parse_scenario(TMSV_SCENARIO + "sampling_n = 199\nsampling_seed = 1\n")
+
     def test_out_of_range_parameter_rejected(self):
         scn = parse_scenario(
             "schema = twinbeams-scenario-1\nsource = vacuum\nstep = loss(1.5, 0.5)\n")
@@ -213,6 +217,13 @@ class TestCli:
         assert main(["run", "--scenario", str(scn), "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["schema"] == "twinbeams-report-1"
+
+    def test_sampled_run_at_the_sample_floor(self, tmp_path):
+        scn = self._write(tmp_path, TMSV_SCENARIO + "sampling_n = 200\nsampling_seed = 1\n")
+        out = tmp_path / "report.json"
+        assert main(["run", "--scenario", str(scn), "--out", str(out)]) == 0
+        estimated = json.loads(out.read_text())["estimated"]
+        assert (estimated["n_samples"], estimated["n_blocks"]) == (200, 100)
 
     def test_run_validation_error_exit_2(self, tmp_path):
         scn = self._write(tmp_path, "schema = twinbeams-scenario-1\nsource = nope()\n")

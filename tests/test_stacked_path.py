@@ -87,8 +87,8 @@ def test_estimate_scores_the_jackknife_stack_in_one_call(monkeypatch):
     monkeypatch.setattr(criteria, "report_scalars",
                         lambda dm: calls.append(dm) or real(dm))
     batch = sampling.draw_samples(make_two_mode_squeezed(0.5), 1000, seed=1)
-    sampling.estimate_criteria(batch, n_blocks=20)
-    assert len(calls) == 1 and np.shape(calls[0].plus.f1) == (21,)
+    sampling.estimate_criteria(batch)
+    assert len(calls) == 1 and np.shape(calls[0].plus.f1) == (sampling.BLOCKS + 1,)
 
 
 @pytest.mark.parametrize("angles", [(0.0, math.pi / 2), (0.3, 1.9)], ids=["default", "tilted"])
@@ -96,9 +96,8 @@ def test_jackknife_matches_leave_one_block_out_reference(angles):
     state = apply_loss(
         apply_beamsplitter(make_two_mode_squeezed(0.6), 0.5, 0.2), 0.8, 0.6)
     batch = sampling.draw_samples(state, 5003, seed=41)
-    est = sampling.estimate_criteria(batch, n_blocks=50, theta_plus=angles[0],
-                                     theta_minus=angles[1])
-    reference = jackknife_reference(batch.samples, 50, *angles)
+    est = sampling.estimate_criteria(batch, theta_plus=angles[0], theta_minus=angles[1])
+    reference = jackknife_reference(batch.samples, sampling.BLOCKS, *angles)
     assert est.estimates.keys() == reference.keys()
     for key, (value, stderr) in reference.items():
         assert est.estimates[key].value == pytest.approx(value, rel=1e-9), key
@@ -111,8 +110,8 @@ def test_jackknife_on_displaced_batch_matches_reference(offset):
     state = apply_loss(
         apply_beamsplitter(make_two_mode_squeezed(0.6), 0.5, 0.2), 0.8, 0.6)
     samples = sampling.draw_samples(state, 5003, seed=41).samples + offset
-    est = sampling.estimate_criteria(sampling.SampleBatch(samples=samples, seed=41), n_blocks=50)
-    for key, (value, stderr) in jackknife_reference(samples, 50).items():
+    est = sampling.estimate_criteria(sampling.SampleBatch(samples=samples, seed=41))
+    for key, (value, stderr) in jackknife_reference(samples, sampling.BLOCKS).items():
         assert est.estimates[key].value == pytest.approx(value, rel=1e-9), key
         assert est.estimates[key].stderr == pytest.approx(stderr, rel=1e-9), key
 
@@ -123,6 +122,25 @@ def test_one_state_calls_reject_a_stack(call):
     stack = apply_loss(make_two_mode_squeezed(1.0), np.array([0.5, 0.7]), 0.5)
     with pytest.raises(ValueError, match=re.escape("takes one state, got a stack of shape (2,)")):
         call(stack)
+
+
+@pytest.mark.parametrize("angle", [1e308, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda state, angles: classify(state, **angles),
+    lambda state, angles: state_moments(state, **angles),
+    lambda state, angles: scenario.sweep(
+        Scenario(source=OpCall("tmsv", {"r": 0.5}), **angles), "r", [0.1, 0.2]),
+    lambda state, angles: sampling.estimate_criteria(
+        sampling.draw_samples(state, 1000, 5), **angles),
+    lambda state, angles: sampling.estimate_criteria(
+        sampling.DrawnBatch(state, 1000, 5), **angles),
+], ids=["classify", "state_moments", "sweep", "estimate-sample-batch", "estimate-drawn-batch"])
+@pytest.mark.parametrize("which", ["theta_plus", "theta_minus"])
+def test_angle_without_a_finite_double_rejected(call, which, angle):
+    # the double of 1e308 overflows, so its cosine has no value
+    with pytest.raises(ValueError, match=re.escape(
+            f"measurement angle must be finite with a finite double, got {angle}")):
+        call(make_two_mode_squeezed(0.5), {which: angle})
 
 
 # ---------------------------------------------------------------------------
