@@ -6,7 +6,7 @@ Subcommands:
   sample    draw a homodyne sample batch from the scenario's state (CSV)
   estimate  estimate criteria with standard errors from a batch file
 
-Exit codes: 0 success, 2 validation error, 3 physicality error.
+Exit codes: 0 success, 2 validation error, 3 a state outside the uncertainty bound.
 """
 
 from __future__ import annotations

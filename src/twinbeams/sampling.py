@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import criteria
-from .states import MAX_MOMENT, GaussianTwoModeState, PhysicalityError, _check
+from .states import MAX_MOMENT, GaussianTwoModeState
 
 CSV_HEADER = "sample_index,xplus_1,xminus_1,xplus_2,xminus_2"
 BLOCKS = 100  # jackknife blocks of every estimate
@@ -39,9 +39,15 @@ class EstimationError(ValueError):
     overflow double precision)."""
 
 
-def _check_seed(seed) -> None:
-    """The seed rule of both batch types."""
-    _check(seed >= 0, "seed must be a non-negative integer, got {}", seed)
+def _check_batch(seed, n=2) -> None:
+    """The rule of both batch types: n an integer >= 2, seed a non-negative integer."""
+    whole = [isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (n, seed)]
+    if not whole[0]:
+        raise ValueError(f"n must be an integer, got {n}")
+    if n < 2:
+        raise ValueError("need at least 2 samples")
+    if not (whole[1] and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 class Estimate(NamedTuple):
@@ -64,11 +70,9 @@ class SampleBatch:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 2 or samples.shape[1] != 4:
             raise ValueError(f"samples must be N x 4, got shape {samples.shape}")
-        if samples.shape[0] < 2:
-            raise ValueError("need at least 2 samples")
+        _check_batch(self.seed, samples.shape[0])
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        _check_seed(self.seed)
         if samples.flags.writeable or not samples.flags.owndata:
             samples = samples.copy()
             samples.setflags(write=False)
@@ -101,21 +105,19 @@ class DrawnBatch:
         cov = self.state.cov
         if cov.ndim != 2:
             raise ValueError(f"draw_samples takes one state, got a stack of shape {cov.shape[:-2]}")
-        if self.n < 2:
-            raise ValueError("need at least 2 samples")
-        _check_seed(self.seed)
+        _check_batch(self.seed, self.n)
         try:
             object.__setattr__(self, "chol", np.linalg.cholesky(cov))
         except np.linalg.LinAlgError as exc:
-            raise PhysicalityError("covariance matrix is not positive definite") from exc
+            raise ValueError("covariance too near singular for the sampler's "
+                             "double-precision Cholesky factor") from exc
 
     def blocks(self, n_blocks: int):
         """The rows, normals @ chol.T + mean, in the n_blocks consecutive
         blocks of np.array_split's sizes."""
         rng = np.random.Generator(np.random.PCG64(self.seed))
-        size, extra = divmod(self.n, n_blocks)
-        for k in range(n_blocks):
-            rows = size + (k < extra)
+        for part in np.array_split(np.empty((self.n, 0)), n_blocks):  # n x 0: no data
+            rows = len(part)
             try:
                 block = rng.standard_normal((rows, 4)) @ self.chol.T
             except MemoryError:
@@ -140,10 +142,7 @@ class EstimatedCriteria:
             "n_blocks": BLOCKS,
             "seed": self.seed,
             "source_label": self.source_label,
-            "estimates": {
-                key: {"value": est.value, "stderr": est.stderr}
-                for key, est in self.estimates.items()
-            },
+            "estimates": {key: est._asdict() for key, est in self.estimates.items()},
         }
 
 
@@ -186,8 +185,7 @@ def read_batch(path) -> SampleBatch:
     header are read here; the data block is parsed in byte ranges, by
     one worker per CPU.  When a range fails, a line-by-line scan names
     the first bad line."""
-    seed = 0
-    source_label = ""
+    seed, source_label = 0, ""
     offset = 0  # bytes up to the end of the last line read
     # newline="" splits lines as text mode does but keeps their ends, so
     # the byte offset of the data block can be counted
@@ -203,7 +201,7 @@ def read_batch(path) -> SampleBatch:
             if body.startswith("seed:"):
                 try:
                     seed = int(body.split(":", 1)[1].strip())
-                    _check_seed(seed)
+                    _check_batch(seed)
                 except ValueError as exc:
                     raise BatchFormatError(f"line {lineno}: bad seed value") from exc
             elif body.startswith("source_label:"):
@@ -249,7 +247,7 @@ def _ranges(path, start: int) -> list:
 
 def _parse_range(path, span: tuple):
     """Columns 1-4 of the rows in one byte range, or None when a row
-    does not parse or has other than 5 cells."""
+    does not parse, has other than 5 cells or a non-finite one."""
     start, end = span
     with open(path, "rb") as handle:
         handle.seek(start)
@@ -261,7 +259,7 @@ def _parse_range(path, span: tuple):
                               comments=None, ndmin=2)
     except ValueError:
         return None
-    if data.shape[1] != 5:
+    if data.shape[1] != 5 or not np.isfinite(data).all():
         return None if len(data) else np.empty((0, 4))
     return data[:, 1:].copy()  # frees the index column
 
@@ -269,9 +267,8 @@ def _parse_range(path, span: tuple):
 def _cpu_count() -> int:
     """CPUs this process may run on; 1 where that cannot be asked or no
     worker can be forked."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if can_fork else 1
 
 
 def _ordered_map(func, shared, tasks):
@@ -350,9 +347,11 @@ def _first_fault(path, header_lineno: int) -> str:
             if len(cells) != 5:
                 return f"line {lineno}: expected 5 columns, got {len(cells)}"
             try:
-                np.loadtxt([line], delimiter=",", comments=None)
+                row = np.loadtxt([line], delimiter=",", comments=None)
             except ValueError:
                 return f"line {lineno}: non-numeric cell"
+            if not np.isfinite(row).all():
+                return f"line {lineno}: non-finite cell"
             rows += 1
     return "batch holds fewer than 2 samples" if rows < 2 else "data block does not parse"
 
@@ -420,6 +419,7 @@ def estimate_criteria(batch: SampleBatch | DrawnBatch,
     `batch` is a SampleBatch or a DrawnBatch: only its n, seed,
     source_label and blocks are read, and one block is scored at a time.
     Moments that overflow double precision raise EstimationError."""
+    theta_plus, theta_minus = map(criteria.measurement_angle, (theta_plus, theta_minus))
     if batch.n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples for {BLOCKS} blocks")
     try:

@@ -179,7 +179,9 @@ REJECTED = {
                           "line 3: non-numeric cell"),
     "digit-underscore": ("{h}\n0,1,2,3,4\n1,1_0,2,3,4\n", BatchFormatError,
                          "line 3: non-numeric cell"),
-    "nan": ("{h}\n0,1,2,3,4\n1,1,nan,3,4\n", ValueError, "samples must be finite"),
+    "nan": ("{h}\n0,1,2,3,4\n1,1,nan,3,4\n", BatchFormatError, "line 3: non-finite cell"),
+    "overflowing-cell": ("{h}\n0,1,2,3,4\n\n1,1,2,1e400,4\n", BatchFormatError,
+                         "line 4: non-finite cell"),
     "one-row": ("{h}\n0,1,2,3,4\n\n", BatchFormatError, "batch holds fewer than 2 samples"),
     "no-rows": ("# seed: 5\n{h}\n", BatchFormatError, "batch holds fewer than 2 samples"),
     "negative-seed": ("# source_label: x\n# seed: -5\n{h}\n0,1,2,3,4\n1,1,2,3,4\n",
@@ -300,6 +302,7 @@ class TestWorkers:
     @pytest.mark.parametrize("bad, message", [
         ("47,1,2,x,4", "line 51: non-numeric cell"),
         ("47,1,2,3,4,5", "line 51: expected 5 columns, got 6"),
+        ("47,1,2,nan,4", "line 51: non-finite cell"),
         ("# late", "line 51: comment after header"),
     ])
     def test_bad_line_in_late_range(self, tmp_path, monkeypatch, workers, bad, message):
@@ -505,6 +508,36 @@ class TestDrawnBatch:
         for make in (draw_samples, DrawnBatch):
             with pytest.raises(ValueError, match=re.escape(message)):
                 make(state, 1000, seed)
+
+    @pytest.mark.parametrize("seed", [2.5, 3.0, True])
+    def test_seed_rule_shared_by_both_batch_types(self, seed):
+        message = f"^seed must be a non-negative integer, got {re.escape(str(seed))}$"
+        for make in (lambda: SampleBatch(samples=np.ones((300, 4)), seed=seed),
+                     lambda: DrawnBatch(make_vacuum(), 300, seed),
+                     lambda: draw_samples(make_vacuum(), 300, seed)):
+            with pytest.raises(ValueError, match=message):
+                make()
+
+    def test_float_n_rejected(self):
+        for make in (DrawnBatch, draw_samples):
+            with pytest.raises(ValueError, match=r"^n must be an integer, got 300\.0$"):
+                make(make_vacuum(), 300.0, 1)
+
+    @pytest.mark.parametrize("n, n_blocks", [(2, 1), (3, 5), (200, 100), (1001, 7),
+                                             (12345, 100)])
+    def test_block_sizes_are_those_of_array_split(self, n, n_blocks):
+        sizes = [len(block) for block in DrawnBatch(make_vacuum(), n, 1).blocks(n_blocks)]
+        assert sizes == [len(part) for part in np.array_split(np.empty(n), n_blocks)]
+
+    @pytest.mark.parametrize("angles", [(math.nan, 0.0), (0.0, math.inf), (1e308, 0.0)])
+    def test_bad_angle_rejected_before_any_block(self, monkeypatch, angles):
+        def no_blocks(self, n_blocks):
+            raise AssertionError("a block was requested")
+
+        monkeypatch.setattr(DrawnBatch, "blocks", no_blocks)
+        batch = DrawnBatch(make_two_mode_squeezed(0.5), 2_000_000, 1)
+        with pytest.raises(ValueError, match="^measurement angle must be finite"):
+            estimate_criteria(batch, *angles)
 
     def test_sampled_run_peak_scales_with_the_block_not_the_batch(self):
         # A sampled run holds a few blocks of n / 100 rows at a time, never

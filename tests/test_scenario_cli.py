@@ -25,6 +25,7 @@ from twinbeams.scenario import (
 )
 
 BOUND = "state moments must be finite and at most 1e+75 in magnitude, got"
+CHOLESKY = "covariance too near singular for the sampler's double-precision Cholesky factor"
 
 TMSV_SCENARIO = """\
 schema = twinbeams-scenario-1
@@ -225,6 +226,18 @@ class TestCli:
         estimated = json.loads(out.read_text())["estimated"]
         assert (estimated["n_samples"], estimated["n_blocks"]) == (200, 100)
 
+    def test_scenario_out_key_and_its_override(self, tmp_path, capsys):
+        keyed, given = tmp_path / "keyed.json", tmp_path / "given.json"
+        scn = self._write(tmp_path, TMSV_SCENARIO + f"out = {keyed}\n")
+        assert main(["run", "--scenario", str(scn)]) == 0
+        assert capsys.readouterr().out == ""
+        report = keyed.read_text(encoding="utf-8")
+        assert json.loads(report)["schema"] == "twinbeams-report-1"
+        keyed.unlink()
+        assert main(["run", "--scenario", str(scn), "--out", str(given)]) == 0
+        assert given.read_text(encoding="utf-8") == report
+        assert not keyed.exists()
+
     def test_run_validation_error_exit_2(self, tmp_path):
         scn = self._write(tmp_path, "schema = twinbeams-scenario-1\nsource = nope()\n")
         assert main(["run", "--scenario", str(scn)]) == 2
@@ -289,10 +302,14 @@ class TestCli:
          ["sample", "--n", "300", "--seed", "1", "--out", "{tmp}/batch.csv"]),
         ("tmsv(200)", f"source tmsv: {BOUND} {math.cosh(400.0)!r}", ["run"]),
         ("tmsv(0.5)\ntheta_plus = 1e308", "theta_plus: bad value '1e308'", ["run"]),
+        # these states pass their own uncertainty check; only the sampler's
+        # Cholesky factor fails in rounding, which is no physicality error
+        ("tmsv(10)\nsampling_n = 1000\nsampling_seed = 1", CHOLESKY, ["run"]),
+        ("tmsv(12)\nsampling_n = 1000\nsampling_seed = 1", CHOLESKY, ["run"]),
     ], ids=["unknown-op", "tmsv-overflow", "sms-overflow", "nan-theta-plus", "inf-theta-minus",
             "nan-op-argument", "inf-op-argument", "negative-sampling-seed", "negative-sample-seed",
             "oversized-sample", "huge-thermal", "huge-thermal-sampled", "huge-thermal-sample",
-            "huge-tmsv", "overflowing-theta-plus"])
+            "huge-tmsv", "overflowing-theta-plus", "sampled-tmsv-10", "sampled-tmsv-12"])
     def test_validation_error_printed_once(self, tmp_path, source, message, command):
         scn = self._write(tmp_path, f"schema = twinbeams-scenario-1\nsource = {source}\n")
         argv = [arg.format(tmp=tmp_path) for arg in command]
