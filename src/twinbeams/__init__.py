@@ -22,6 +22,7 @@ from .fock import FockMixture, photon_statistics
 from .sampling import (
     DrawnBatch,
     EstimatedCriteria,
+    FileBatch,
     SampleBatch,
     draw_samples,
     estimate_criteria,
@@ -45,6 +46,7 @@ __all__ = [
     "DrawnBatch",
     "DuanEprMoments",
     "EstimatedCriteria",
+    "FileBatch",
     "FockMixture",
     "GaussianTwoModeState",
     "MomentPair",

@@ -102,14 +102,15 @@ def _cmd_sweep(args) -> int:
 def _cmd_sample(args) -> int:
     scn = scenario.load_scenario(args.scenario)
     state = scenario.build_state(scn)
-    batch = sampling.draw_samples(state, args.n, args.seed,
-                                  source_label=scn.source.format())
+    batch = sampling.DrawnBatch(state, args.n, args.seed, source_label=scn.source.format())
     sampling.write_batch(batch, args.out)
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
     batch = sampling.read_batch(args.batch)
+    if batch.n < sampling.MIN_SAMPLES:
+        batch.samples  # a small file's bad line outranks the sample floor
     estimated = sampling.estimate_criteria(batch)
     _write_json(estimated.to_json(), args.out)
     return EXIT_OK

@@ -9,12 +9,13 @@ come from a delete-one-block jackknife.
 
 from __future__ import annotations
 
+import collections
 import contextlib
-import io
-import itertools
 import math
 import os
-import warnings
+import pickle
+import shutil
+import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -26,7 +27,8 @@ from .states import MAX_MOMENT, GaussianTwoModeState
 CSV_HEADER = "sample_index,xplus_1,xminus_1,xplus_2,xminus_2"
 BLOCKS = 100  # jackknife blocks of every estimate
 MIN_SAMPLES = 2 * BLOCKS
-WRITE_CHUNK = 65536  # rows formatted per task
+WRITE_CHUNK = 16384  # rows formatted per task, at most
+MIN_ROW_BYTES = len("0,0.0,0.0,0.0,0.0\n")  # the shortest CSV row
 READ_RANGE = 1 << 22  # bytes of the data block parsed per task
 
 
@@ -39,8 +41,9 @@ class EstimationError(ValueError):
     overflow double precision)."""
 
 
-def _check_batch(seed, n=2) -> None:
-    """The rule of both batch types: n an integer >= 2, seed a non-negative integer."""
+def _check_batch(seed, n=2) -> int:
+    """The rule of every batch type: n an integer >= 2, seed a non-negative
+    integer; returns the seed as a Python int, the value each batch keeps."""
     whole = [isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (n, seed)]
     if not whole[0]:
         raise ValueError(f"n must be an integer, got {n}")
@@ -48,6 +51,12 @@ def _check_batch(seed, n=2) -> None:
         raise ValueError("need at least 2 samples")
     if not (whole[1] and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return int(seed)
+
+
+def _block_sizes(n: int, n_blocks: int) -> list:
+    """The row counts of np.array_split's n_blocks near-equal blocks of n rows."""
+    return [len(part) for part in np.array_split(np.empty((n, 0)), n_blocks)]  # n x 0: no data
 
 
 class Estimate(NamedTuple):
@@ -70,7 +79,7 @@ class SampleBatch:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 2 or samples.shape[1] != 4:
             raise ValueError(f"samples must be N x 4, got shape {samples.shape}")
-        _check_batch(self.seed, samples.shape[0])
+        object.__setattr__(self, "seed", _check_batch(self.seed, samples.shape[0]))
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
         if samples.flags.writeable or not samples.flags.owndata:
@@ -82,9 +91,11 @@ class SampleBatch:
     def n(self) -> int:
         return self.samples.shape[0]
 
-    def blocks(self, n_blocks: int) -> list:
-        """The rows cut into n_blocks near-equal consecutive blocks."""
-        return np.array_split(self.samples, n_blocks)
+    def blocks(self, n_blocks: int):
+        """The rows cut into n_blocks near-equal consecutive blocks, each
+        a copy the caller may change."""
+        for part in np.array_split(self.samples, n_blocks):
+            yield part.copy()
 
 
 @dataclass(frozen=True)
@@ -105,7 +116,7 @@ class DrawnBatch:
         cov = self.state.cov
         if cov.ndim != 2:
             raise ValueError(f"draw_samples takes one state, got a stack of shape {cov.shape[:-2]}")
-        _check_batch(self.seed, self.n)
+        object.__setattr__(self, "seed", _check_batch(self.seed, self.n))
         try:
             object.__setattr__(self, "chol", np.linalg.cholesky(cov))
         except np.linalg.LinAlgError as exc:
@@ -114,10 +125,10 @@ class DrawnBatch:
 
     def blocks(self, n_blocks: int):
         """The rows, normals @ chol.T + mean, in the n_blocks consecutive
-        blocks of np.array_split's sizes."""
+        blocks of np.array_split's sizes, each a fresh array the caller
+        may change."""
         rng = np.random.Generator(np.random.PCG64(self.seed))
-        for part in np.array_split(np.empty((self.n, 0)), n_blocks):  # n x 0: no data
-            rows = len(part)
+        for rows in _block_sizes(self.n, n_blocks):
             try:
                 block = rng.standard_normal((rows, 4)) @ self.chol.T
             except MemoryError:
@@ -125,6 +136,7 @@ class DrawnBatch:
                                  f"{2 * rows * 4 * 8} bytes, more than can be allocated") from None
             block += self.state.mean  # the bits of `+ mean`, without a third rows x 4 array
             yield block
+            del block  # so the caller can free it before the next is drawn
 
 
 @dataclass(frozen=True)
@@ -148,10 +160,15 @@ class EstimatedCriteria:
 
 def draw_samples(state: GaussianTwoModeState, n: int, seed: int,
                  source_label: str = "") -> SampleBatch:
-    """Draw n i.i.d. quadrature samples from the state: the one block of
+    """Draw n i.i.d. quadrature samples from the state: the rows of
     DrawnBatch(state, n, seed), so identical (state, n, seed) reproduce
-    the batch bit for bit."""
-    samples, = DrawnBatch(state, n, seed).blocks(1)
+    the batch bit for bit.  They are drawn into the one array in the
+    blocks of at most WRITE_CHUNK rows that `write_batch` formats, so
+    drawing holds the batch and one block, not two batches."""
+    drawn = DrawnBatch(state, n, seed)
+    samples = np.empty((drawn.n, 4))
+    for start, block in _numbered(drawn.blocks(-(-drawn.n // WRITE_CHUNK))):
+        samples[start:start + len(block)] = block
     samples.setflags(write=False)
     return SampleBatch(samples=samples, seed=seed, source_label=source_label)
 
@@ -160,31 +177,103 @@ def draw_samples(state: GaussianTwoModeState, n: int, seed: int,
 # persistence
 
 
-def write_batch(batch: SampleBatch, path) -> None:
+def write_batch(batch: SampleBatch | DrawnBatch | FileBatch, path) -> None:
     """CSV with '#' metadata lines, a fixed header, and full-precision
-    decimal values (round-trippable IEEE doubles).  Rows are formatted
-    WRITE_CHUNK at a time, by one worker per CPU, and written in order."""
+    decimal values (round-trippable IEEE doubles).  Rows are formatted a
+    block of at most WRITE_CHUNK at a time as the batch yields it, by one
+    worker per CPU, and written in order, so no process holds the batch."""
+    _check_room(batch.n, path)
+    n_chunks = -(-batch.n // WRITE_CHUNK)
     header = f"# seed: {batch.seed}\n# source_label: {batch.source_label}\n{CSV_HEADER}\n"
-    with contextlib.closing(_ordered_map(_format_rows, batch.samples,
-                                         range(0, batch.n, WRITE_CHUNK))) as chunks, \
+    with contextlib.closing(batch.blocks(n_chunks)) as blocks, \
+            contextlib.closing(_ordered_map(_format_rows, _numbered(blocks), n_chunks)) as chunks, \
             open(path, "wb") as handle:
         handle.write(header.encode("utf-8"))
         handle.writelines(chunks)
 
 
-def _format_rows(samples: np.ndarray, start: int) -> bytes:
-    """CSV rows start .. start + WRITE_CHUNK - 1, sample index first."""
-    rows = samples[start:start + WRITE_CHUNK].tolist()
+def _check_room(n: int, path) -> None:
+    """Refuse a batch whose CSV cannot fit where it would be written: a
+    row takes at least MIN_ROW_BYTES (`0,0.0,0.0,0.0,0.0\n`)."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        return  # a device or a pipe
+    if MIN_ROW_BYTES * n > shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free:
+        raise ValueError(f"n = {n}: the CSV needs at least {MIN_ROW_BYTES * n} bytes "
+                         f"({MIN_ROW_BYTES} a row), more than the disk has free")
+
+
+def _numbered(blocks):
+    """(index of the first row, block) for each block."""
+    start = 0
+    for block in blocks:
+        yield start, block
+        start += len(block)
+
+
+def _format_rows(start: int, rows: np.ndarray) -> bytes:
+    """The CSV lines of a block of rows, sample index first, counted from `start`."""
     return "".join([f"{i},{a!r},{b!r},{c!r},{d!r}\n"
-                    for i, (a, b, c, d) in enumerate(rows, start)]).encode("utf-8")
+                    for i, (a, b, c, d) in enumerate(rows.tolist(), start)]).encode("utf-8")
 
 
-def read_batch(path) -> SampleBatch:
-    """Parse a sample CSV.  Blank and whitespace-only lines are skipped;
+class _Span(NamedTuple):
+    """A byte range of the data block: [start, end), the number of its
+    first line, and its data rows."""
+
+    start: int
+    end: int
+    lineno: int
+    rows: int
+
+
+@dataclass(frozen=True)
+class FileBatch:
+    """The rows of a sample CSV, parsed as `blocks` is iterated: read_batch
+    has checked the header and counted the rows, and each block is cut
+    from the data block's byte ranges, parsed in order by one worker per
+    CPU.  A data-line fault raises BatchFormatError when its rows are read."""
+
+    path: str
+    n: int
+    seed: int
+    source_label: str = ""
+    spans: tuple = field(default=(), repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", _check_batch(self.seed, self.n))
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The N x 4 array: the one block."""
+        samples, = self.blocks(1)
+        return samples
+
+    def blocks(self, n_blocks: int):
+        """The rows in the n_blocks consecutive blocks of np.array_split's
+        sizes, each a fresh array the caller may change."""
+        tasks = [(self.path, span) for span in self.spans]
+        with contextlib.closing(_ordered_map(_parse_range, tasks, len(tasks))) as parts:
+            rest = np.empty((0, 4))  # parsed rows not yet in a block
+            for size in _block_sizes(self.n, n_blocks):
+                block, filled = np.empty((size, 4)), 0
+                while filled < size:
+                    if not len(rest):
+                        rest = None  # drop the spent range before the next arrives
+                        rest = np.frombuffer(next(parts)).reshape(-1, 4)
+                    take = min(size - filled, len(rest))
+                    block[filled:filled + take] = rest[:take]
+                    rest = rest[take:]
+                    filled += take
+                yield block
+                del block  # so the caller can free it before the next is filled
+
+
+def read_batch(path) -> FileBatch:
+    """Open a sample CSV.  Blank and whitespace-only lines are skipped;
     '#' lines may come before the header only.  The lines up to the
-    header are read here; the data block is parsed in byte ranges, by
-    one worker per CPU.  When a range fails, a line-by-line scan names
-    the first bad line."""
+    header are read here, and the data rows counted in byte ranges by one
+    worker per CPU; the rows themselves are parsed when the batch's
+    blocks are read."""
     seed, source_label = 0, ""
     offset = 0  # bytes up to the end of the last line read
     # newline="" splits lines as text mode does but keeps their ends, so
@@ -211,23 +300,20 @@ def read_batch(path) -> SampleBatch:
     if line != CSV_HEADER:
         raise BatchFormatError(
             f"line {lineno}: expected header {CSV_HEADER!r}, got {line!r}")
-    samples = _parse_data(path, offset)
-    if samples is None or len(samples) < 2:
-        raise BatchFormatError(_first_fault(path, lineno))
-    samples.setflags(write=False)
-    return SampleBatch(samples=samples, seed=seed, source_label=source_label)
-
-
-def _parse_data(path, offset: int):
-    """Columns 1-4 of the data block that starts at byte `offset`, as a
-    fresh N x 4 array; None when a range does not parse or there is none."""
-    parts = []
-    with contextlib.closing(_ordered_map(_parse_range, path, _ranges(path, offset))) as results:
-        for part in results:
-            if part is None:
-                return None
-            parts.append(part)
-    return np.concatenate(parts) if parts else None
+    ranges = _ranges(path, offset)
+    spans, lineno = [], lineno + 1
+    with contextlib.closing(_ordered_map(_count_rows, [(path, *r) for r in ranges],
+                                         len(ranges))) as counts:
+        for (start, end), count in zip(ranges, counts):
+            rows, lines = np.frombuffer(count, dtype=np.int64).tolist()
+            spans.append(_Span(start, end, lineno, rows))
+            lineno += lines
+    n = sum(span.rows for span in spans)
+    if n < 2:
+        for span in spans:
+            _parse_range(path, span)  # a bad line outranks the row count
+        raise BatchFormatError("batch holds fewer than 2 samples")
+    return FileBatch(os.fspath(path), n, seed, source_label, tuple(spans))
 
 
 def _ranges(path, start: int) -> list:
@@ -245,23 +331,61 @@ def _ranges(path, start: int) -> list:
     return ranges
 
 
-def _parse_range(path, span: tuple):
-    """Columns 1-4 of the rows in one byte range, or None when a row
-    does not parse, has other than 5 cells or a non-finite one."""
-    start, end = span
+def _count_rows(path, start: int, end: int) -> bytes:
+    """The data rows (the lines that are not blank) and the line ends of
+    one byte range, as two int64s.  Only a line that is empty or begins
+    with a space or a control byte is stripped to tell."""
+    padded = bytearray(end - start + 2)  # each line between two line ends
+    padded[0] = padded[-1] = ord("\n")
     with open(path, "rb") as handle:
         handle.seek(start)
-        text = io.TextIOWrapper(io.BytesIO(handle.read(end - start)), encoding="utf-8")
+        handle.readinto(memoryview(padded)[1:-1])
+    codes = np.frombuffer(padded, dtype=np.uint8)
+    starts = codes[:-1] == ord("\n")  # a line begins after each
+    lines = int(np.count_nonzero(starts))
+    doubtful = np.flatnonzero(starts & (codes[1:] <= ord(" "))) + 1
+    blank = sum(1 for first in doubtful.tolist()
+                if not padded[first:padded.index(b"\n", first)].strip())
+    return np.array([lines - blank, lines - 1], dtype=np.int64).tobytes()
+
+
+def _parse_range(path, span: _Span) -> bytes:
+    """Columns 1-4 of the rows of one byte range, as raw float64 bytes.
+    Raises BatchFormatError naming the first bad line when a row does not
+    parse, has other than 5 cells or a non-finite one."""
+    if not span.rows:
+        return b""
+    with open(path, "rb") as handle:
+        handle.seek(span.start)
+        lines = handle.read(span.end - span.start).split(b"\n")
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a range of blank lines
-            data = np.loadtxt(filter(str.strip, text), delimiter=",",
-                              comments=None, ndmin=2)
+        data = np.loadtxt(filter(bytes.strip, lines), delimiter=",", comments=None, ndmin=2)
     except ValueError:
-        return None
-    if data.shape[1] != 5 or not np.isfinite(data).all():
-        return None if len(data) else np.empty((0, 4))
-    return data[:, 1:].copy()  # frees the index column
+        data = None
+    if data is None or data.shape != (span.rows, 5) or not np.isfinite(data).all():
+        raise BatchFormatError(_first_fault(lines, span.lineno))
+    return data[:, 1:].tobytes()
+
+
+def _first_fault(lines: list, lineno: int) -> str:
+    """Locate what the ranged parse rejected: the first of the lines,
+    numbered from `lineno`, that fails on its own (same parser)."""
+    for lineno, raw in enumerate(lines, start=lineno):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith(b"#"):
+            return f"line {lineno}: comment after header"
+        cells = line.split(b",")
+        if len(cells) != 5:
+            return f"line {lineno}: expected 5 columns, got {len(cells)}"
+        try:
+            row = np.loadtxt([line], delimiter=",", comments=None)
+        except ValueError:
+            return f"line {lineno}: non-numeric cell"
+        if not np.isfinite(row).all():
+            return f"line {lineno}: non-finite cell"
+    return "data block does not parse"
 
 
 def _cpu_count() -> int:
@@ -271,89 +395,114 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if can_fork else 1
 
 
-def _ordered_map(func, shared, tasks):
-    """Yield func(shared, task) for each task, in task order.
+def _ordered_map(func, tasks, count: int):
+    """Yield func(*task), a bytes-like object, for each of the `count`
+    tasks of the iterable, in task order.
 
-    With W = min(CPUs, len(tasks)) >= 2, W forked workers inherit
-    `shared`, which is never pickled.  Worker w runs tasks[w::W] and
-    sends each result down its own pipe; the parent takes them
-    round-robin.  A worker blocks until the parent has taken its last
-    result, so the parent and each worker hold one result at a time,
-    whatever the number of tasks (a pool's result queue would let
-    finished results pile up in the parent).  Every worker is killed and
-    joined when the generator ends, raises or is closed.  With W = 1,
-    func runs in this process.
+    With W = min(CPUs, count) >= 2, W forked workers each serve one
+    socket pair.  The parent sends a worker its next task only after
+    taking that worker's last result, so the worker is waiting for the
+    task when it arrives and neither side can block the other; each
+    holds one task and one result at a time, whatever the number of
+    tasks.  Tasks are pickled; a result crosses as raw bytes into one
+    buffer of its size.  Every worker is killed and joined when the
+    generator ends, raises or is closed.  With W = 1, func runs in this
+    process.
     """
-    workers = min(_cpu_count(), len(tasks))
+    workers = min(_cpu_count(), count)
     if workers > 1:
         import multiprocessing  # here: a top-level import slows `import twinbeams`
+        import socket
 
         if multiprocessing.current_process().daemon:  # it may not have children
             workers = 1
     if workers < 2:
         for task in tasks:
-            yield func(shared, task)
+            yield func(*task)
         return
-    # fork, not spawn: the workers inherit `shared` instead of a pickled copy
+    # fork: a worker starts at once and runs func as this process holds it
     context = multiprocessing.get_context("fork")
-    procs, pipes = [], []
+    procs, socks, busy = [], [], collections.deque()
     try:
-        for w in range(workers):
-            receiver, sender = context.Pipe(duplex=False)
-            pipes.append(receiver)
-            procs.append(context.Process(target=_serve, daemon=True,
-                                         args=(func, shared, tasks[w::workers], sender)))
-            procs[-1].start()
-            sender.close()
-        for k in range(len(tasks)):
-            try:
-                ok, result = pipes[k % workers].recv()
-            except EOFError:
-                raise RuntimeError(f"worker {k % workers} ended before sending its result") from None
-            if not ok:
-                raise result
-            yield result
+        for task in tasks:
+            if len(procs) < workers:
+                ours, theirs = socket.socketpair()
+                socks.append(ours)
+                with theirs:
+                    procs.append(context.Process(target=_serve, args=(func, theirs), daemon=True))
+                    procs[-1].start()
+                w = len(procs) - 1
+            else:
+                w = busy.popleft()
+                yield _take(socks[w], w)
+            _send(socks[w], pickle.dumps(task))
+            busy.append(w)
+        while busy:
+            w = busy.popleft()
+            yield _take(socks[w], w)
     finally:
         for proc in procs:
             proc.kill()
             proc.join()
-        for pipe in pipes:
-            pipe.close()
+        for sock in socks:
+            sock.close()
 
 
-def _serve(func, shared, tasks, pipe) -> None:
-    """Body of one worker: send (True, result) per task, or (False, the
-    exception) and stop."""
+_FRAME = struct.Struct("<q?")  # payload bytes, and whether it is a pickled exception
+
+
+def _send(sock, payload, failed: bool = False) -> None:
+    sock.sendall(_FRAME.pack(len(payload), failed))
+    sock.sendall(payload)
+
+
+def _receive(sock) -> tuple:
+    """(payload, failed) of the next frame; EOFError when the peer has
+    closed its end instead."""
+    size, failed = _FRAME.unpack(_receive_exactly(sock, _FRAME.size))
+    return _receive_exactly(sock, size), failed
+
+
+def _receive_exactly(sock, size: int) -> bytearray:
+    buffer = bytearray(size)
+    view, got = memoryview(buffer), 0
+    while got < size:
+        read = sock.recv_into(view[got:])
+        if not read:
+            raise EOFError
+        got += read
+    return buffer
+
+
+def _take(sock, w: int) -> bytearray:
+    """Worker w's next result; raises the exception it sent instead, or
+    RuntimeError when it ended without sending."""
     try:
-        for task in tasks:
-            pipe.send((True, func(shared, task)))
-    except Exception as exc:
-        pipe.send((False, exc))
+        result, failed = _receive(sock)
+    except EOFError:
+        raise RuntimeError(f"worker {w} ended before sending its result") from None
+    if failed:
+        raise pickle.loads(result)
+    return result
 
 
-def _first_fault(path, header_lineno: int) -> str:
-    """Locate what the ranged parse rejected: the first data line
-    that fails on its own (same parser), else a short block."""
-    rows = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = itertools.islice(handle, header_lineno, None)
-        for lineno, raw in enumerate(lines, start=header_lineno + 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                return f"line {lineno}: comment after header"
-            cells = line.split(",")
-            if len(cells) != 5:
-                return f"line {lineno}: expected 5 columns, got {len(cells)}"
-            try:
-                row = np.loadtxt([line], delimiter=",", comments=None)
-            except ValueError:
-                return f"line {lineno}: non-numeric cell"
-            if not np.isfinite(row).all():
-                return f"line {lineno}: non-finite cell"
-            rows += 1
-    return "batch holds fewer than 2 samples" if rows < 2 else "data block does not parse"
+def _serve(func, sock) -> None:
+    """Body of one worker: for each task received, send func(*task) back;
+    on an exception send it pickled and stop."""
+    import tracemalloc
+
+    tracemalloc.stop()  # a parent that traces its allocations has no use for ours
+    while True:
+        try:
+            task, _ = _receive(sock)
+        except EOFError:
+            return
+        try:
+            result = func(*pickle.loads(task))
+        except Exception as exc:
+            _send(sock, pickle.dumps(exc), failed=True)
+            return
+        _send(sock, result)
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +529,13 @@ def _jackknife(batch, theta_plus: float, theta_minus: float) -> dict:
     # matrix are taken, so the raw-moment form in _covariances does not
     # cancel on displaced beams.
     counts, sums, grams = np.empty(BLOCKS), np.empty((BLOCKS, 4)), np.empty((BLOCKS, 4, 4))
-    for k, block in enumerate(batch.blocks(BLOCKS)):
-        if k == 0:
-            centre = block.mean(axis=0)
-        centred = block - centre
-        counts[k], sums[k], grams[k] = len(block), centred.sum(axis=0), centred.T @ centred
+    with contextlib.closing(batch.blocks(BLOCKS)) as blocks:
+        for k, block in enumerate(blocks):
+            if k == 0:
+                centre = block.mean(axis=0)
+            block -= centre  # the block is ours: centred in place
+            counts[k], sums[k], grams[k] = len(block), block.sum(axis=0), block.T @ block
+            del block  # freed before the next block is made
 
     def with_total(part):
         """Entry 0 the full batch, entry k the batch without block k."""
@@ -409,16 +560,16 @@ def _jackknife(batch, theta_plus: float, theta_minus: float) -> dict:
     return estimates
 
 
-def estimate_criteria(batch: SampleBatch | DrawnBatch,
+def estimate_criteria(batch: SampleBatch | DrawnBatch | FileBatch,
                       theta_plus: float = criteria.THETA_PLUS,
                       theta_minus: float = criteria.THETA_MINUS) -> EstimatedCriteria:
     """Point estimates from the full batch at the measurement angles of
     `criteria.classify`; standard errors from a delete-one-block jackknife
     over BLOCKS near-equal blocks, all scored as one covariance stack.
 
-    `batch` is a SampleBatch or a DrawnBatch: only its n, seed,
-    source_label and blocks are read, and one block is scored at a time.
-    Moments that overflow double precision raise EstimationError."""
+    `batch` is a SampleBatch, a DrawnBatch or a FileBatch: only its n,
+    seed, source_label and blocks are read, and one block is scored at a
+    time.  Moments that overflow double precision raise EstimationError."""
     theta_plus, theta_minus = map(criteria.measurement_angle, (theta_plus, theta_minus))
     if batch.n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples for {BLOCKS} blocks")

@@ -1,3 +1,4 @@
+import json
 import math
 import multiprocessing
 import os
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinbeams import sampling, scenario
+from twinbeams.cli import main
 from twinbeams.criteria import report_scalars, state_moments
 from twinbeams.sampling import (
     CSV_HEADER,
@@ -109,8 +111,8 @@ class TestSampleBatch:
         monkeypatch.setattr(sampling, "SampleBatch", spy)
         drawn = draw_samples(make_vacuum(), 100, seed=1)
         write_batch(drawn, tmp_path / "batch.csv")
-        read = read_batch(tmp_path / "batch.csv")
-        assert drawn.samples is given[0] and read.samples is given[1]
+        read_batch(tmp_path / "batch.csv").samples  # a file batch builds no SampleBatch
+        assert len(given) == 1 and drawn.samples is given[0]
 
 
 class TestBatchRoundTrip:
@@ -139,7 +141,7 @@ class TestBatchRoundTrip:
             "sample_index,xplus_1,xminus_1,xplus_2,xminus_2\n"
             "0,1.0,abc,3.0,4.0\n0,1.0,1.0,3.0,4.0\n")
         with pytest.raises(BatchFormatError, match="line 2"):
-            read_batch(path)
+            read_batch(path).samples
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -204,7 +206,7 @@ class TestBatchGrammar:
     @pytest.mark.parametrize("text, error, message", REJECTED.values(), ids=REJECTED.keys())
     def test_rejected(self, tmp_path, text, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            read_batch(_write_text(tmp_path / "batch.csv", text))
+            read_batch(_write_text(tmp_path / "batch.csv", text)).samples
 
 
 class TestBatchBytes:
@@ -246,28 +248,36 @@ def _golden_batch():
     return draw_samples(make_two_mode_squeezed(0.3), 50, seed=9, source_label="tmsv(0.3)")
 
 
-def _fail_on(start):
-    """A row formatter that fails on the chunk beginning at `start`."""
+def _fail_on(row):
+    """A row formatter that fails on the chunk beginning at `row`."""
     format_rows = sampling._format_rows
 
-    def fail(samples, chunk):
-        if chunk == start:
-            raise ZeroDivisionError(f"chunk {chunk}")
-        return format_rows(samples, chunk)
+    def fail(start, rows):
+        if start == row:
+            raise ZeroDivisionError(f"chunk {start}")
+        return format_rows(start, rows)
 
     return fail
 
 
-def _exit_on(start):
-    """A row formatter whose worker dies on the chunk beginning at `start`."""
+def _exit_on(row):
+    """A row formatter whose worker dies on the chunk beginning at `row`."""
     format_rows = sampling._format_rows
 
-    def die(samples, chunk):
-        if chunk == start:
+    def die(start, rows):
+        if start == row:
             os._exit(7)
-        return format_rows(samples, chunk)
+        return format_rows(start, rows)
 
     return die
+
+
+def _small_batch():
+    return draw_samples(make_vacuum(), 12000, seed=2)
+
+
+def _long_drawn_batch():
+    return DrawnBatch(make_vacuum(), 80000, 2)  # 20 chunks of 4000 rows
 
 
 class TestWorkers:
@@ -305,7 +315,9 @@ class TestWorkers:
         ("47,1,2,nan,4", "line 51: non-finite cell"),
         ("# late", "line 51: comment after header"),
     ])
-    def test_bad_line_in_late_range(self, tmp_path, monkeypatch, workers, bad, message):
+    def test_bad_line_in_late_range(self, tmp_path, monkeypatch, capsys, workers, bad, message):
+        # 50 rows: `estimate` reads a file under the sample floor whole, so
+        # it names the bad line rather than the floor
         monkeypatch.setattr(sampling, "READ_RANGE", 64)
         lines = GOLDEN_BATCH.read_text().splitlines(keepends=True)
         lines[50] = bad + "\n"  # row 47 of 50
@@ -315,24 +327,30 @@ class TestWorkers:
         for count in (1, workers):
             _patch_workers(monkeypatch, count)
             with pytest.raises(BatchFormatError) as info:
-                read_batch(path)
+                read_batch(path).samples
             errors.append(str(info.value))
+            assert main(["estimate", "--batch", str(path)]) == 2
+            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert errors == [message, message]
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("formatter, error, match", [
-        (_fail_on(0), ZeroDivisionError, "^chunk 0$"),
-        (_exit_on(0), RuntimeError, "^worker 0 ended before sending its result$"),
-    ], ids=["raises", "dies"])
+    @pytest.mark.parametrize("formatter, make_batch, error, match", [
+        (_fail_on(0), _small_batch, ZeroDivisionError, "^chunk 0$"),
+        (_exit_on(0), _small_batch, RuntimeError, "^worker 0 ended before sending its result$"),
+        # chunk 7 of 20, on worker 1, while the parent is still drawing
+        (_fail_on(7 * 4000), _long_drawn_batch, ZeroDivisionError, "^chunk 28000$"),
+        (_exit_on(7 * 4000), _long_drawn_batch, RuntimeError,
+         "^worker 1 ended before sending its result$"),
+    ], ids=["raises", "dies", "raises-late", "dies-late"])
     def test_worker_failure_raises_and_leaves_no_child(self, tmp_path, monkeypatch,
-                                                       formatter, error, match):
-        # worker 1 is then blocked sending a chunk larger than a pipe buffer,
-        # so only killing it lets write_batch return; the alarm turns a hang
-        # into a failure
+                                                       formatter, make_batch, error, match):
+        # the other worker is then blocked sending a chunk larger than a
+        # socket buffer, so only killing it lets write_batch return; the
+        # alarm turns a hang into a failure
         _patch_workers(monkeypatch, 2)
-        monkeypatch.setattr(sampling, "WRITE_CHUNK", 2000)
+        monkeypatch.setattr(sampling, "WRITE_CHUNK", 4000)
         monkeypatch.setattr(sampling, "_format_rows", formatter)
-        batch = draw_samples(make_vacuum(), 6000, seed=2)
+        batch = make_batch()
 
         def hang(signum, frame):
             raise TimeoutError("write_batch did not return")
@@ -365,7 +383,7 @@ class TestBatchMemory:
         batch = draw_samples(make_vacuum(), 200_000, seed=37)
         path = tmp_path / "batch.csv"
         write_batch(batch, path)
-        assert _peak_bytes(read_batch, path) < 3 * batch.samples.nbytes
+        assert _peak_bytes(lambda p: read_batch(p).samples, path) < 3 * batch.samples.nbytes
 
     @pytest.mark.parametrize("workers", [None, 1], ids=["pool", "one-worker"])
     def test_write_peak_does_not_grow_with_n(self, tmp_path, monkeypatch, workers):
@@ -380,6 +398,118 @@ class TestBatchMemory:
                                     tmp_path / f"{n}.csv")
                         for n in (12 * 4096, 48 * 4096))
         assert large <= 1.1 * small
+
+    @pytest.mark.parametrize("workers", [None, 1], ids=["pool", "one-worker"])
+    def test_streamed_peaks_do_not_grow_with_n(self, tmp_path, monkeypatch, workers):
+        # `sample` writes a DrawnBatch and `estimate` reads the file range by
+        # range: neither holds the batch, so 48 chunks peak as 12 do.  Ranges
+        # of 90% of the smaller file: both files are parsed by the pool, in
+        # ranges of one size.
+        if workers is not None:
+            _patch_workers(monkeypatch, workers)
+        monkeypatch.setattr(sampling, "WRITE_CHUNK", 4096)
+        write_batch(DrawnBatch(make_vacuum(), 2 * 4096, 41), tmp_path / "warm.csv")
+        paths = [tmp_path / f"{chunks}.csv" for chunks in (12, 48)]
+        writes = [_peak_bytes(write_batch, DrawnBatch(make_vacuum(), chunks * 4096, 41), path)
+                  for chunks, path in zip((12, 48), paths)]
+        monkeypatch.setattr(sampling, "READ_RANGE", int(0.9 * paths[0].stat().st_size))
+        estimate_criteria(read_batch(paths[0]))
+        estimates = [_peak_bytes(lambda p: estimate_criteria(read_batch(p)), path)
+                     for path in paths]
+        assert writes[1] <= 1.1 * writes[0]
+        assert estimates[1] <= 1.1 * estimates[0]
+
+    def test_parent_write_peak_below_two_chunks(self, tmp_path, monkeypatch):
+        # the parent draws a block, sends it and takes each formatted chunk
+        # into one buffer of its size: never two chunks at once
+        _patch_workers(monkeypatch, 2)
+        monkeypatch.setattr(sampling, "WRITE_CHUNK", 4096)
+        batch = DrawnBatch(make_vacuum(), 12 * 4096, 41)
+        write_batch(batch, tmp_path / "warm.csv")
+        peak = _peak_bytes(write_batch, batch, tmp_path / "batch.csv")
+        chunk_bytes = min(len(sampling._format_rows(start, block))
+                          for start, block in sampling._numbered(batch.blocks(12)))
+        assert peak < 2 * chunk_bytes
+
+
+def _crlf_and_blank_lines(path):
+    """Rewrite a written batch with CRLF ends, padded cells and blank and
+    whitespace-only lines between the rows."""
+    head, data = path.read_text().split(CSV_HEADER + "\n")
+    data = "".join(f"{row}\r\n{' ' * (k % 3)}\t\r\n" if k % 2 else f" {row} \r\n"
+                   for k, row in enumerate(data.splitlines()))
+    path.write_bytes(f"{head}{CSV_HEADER}\r\n\r\n{data}  \n".encode())
+
+
+class TestStreamedCsv:
+    """`write_batch` of a DrawnBatch and the estimate of a file batch, with
+    the worker count, the chunk and the byte range patched.  Bit equality
+    rests on DrawnBatch rows not depending on the block count; CI runs
+    this class on one BLAS thread as well."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [7, 17, 25])  # 50 rows: 7 * 7 + 1, 3 * 17 - 1, 2 * 25
+    def test_drawn_batch_writes_the_golden_bytes(self, tmp_path, monkeypatch, workers, chunk):
+        _patch_workers(monkeypatch, workers)
+        monkeypatch.setattr(sampling, "WRITE_CHUNK", chunk)
+        state = make_two_mode_squeezed(0.3)
+        for batch in (DrawnBatch(state, 50, 9, "tmsv(0.3)"), _golden_batch()):
+            write_batch(batch, tmp_path / "batch.csv")
+            assert (tmp_path / "batch.csv").read_bytes() == GOLDEN_BATCH.read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [5 * 64 - 1, 5 * 64 + 1])
+    def test_drawn_batch_writes_the_bytes_of_its_array(self, tmp_path, monkeypatch, workers, n):
+        _patch_workers(monkeypatch, workers)
+        monkeypatch.setattr(sampling, "WRITE_CHUNK", 64)
+        state = apply_loss(make_two_mode_squeezed(1.1), 0.9, 0.8)
+        write_batch(DrawnBatch(state, n, 12, "lossy"), tmp_path / "drawn.csv")
+        write_batch(draw_samples(state, n, 12, "lossy"), tmp_path / "array.csv")
+        assert (tmp_path / "drawn.csv").read_bytes() == (tmp_path / "array.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_file_batch_writes_the_bytes_it_was_read_from(self, tmp_path, monkeypatch, workers):
+        # both maps at once: the writer's workers format what the reader's workers parse
+        _patch_workers(monkeypatch, workers)
+        monkeypatch.setattr(sampling, "WRITE_CHUNK", 7)
+        monkeypatch.setattr(sampling, "READ_RANGE", 333)
+        write_batch(read_batch(GOLDEN_BATCH), tmp_path / "batch.csv")
+        assert (tmp_path / "batch.csv").read_bytes() == GOLDEN_BATCH.read_bytes()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("range_bytes", [1, 64, 333])
+    def test_file_estimate_equals_estimate_of_drawn_batch(self, tmp_path, monkeypatch,
+                                                          workers, range_bytes):
+        # 1003 rows in jackknife blocks of 10 and 11: ranges of 333 bytes
+        # hold 1 to 3 rows, so most seams fall inside a block
+        _patch_workers(monkeypatch, workers)
+        monkeypatch.setattr(sampling, "READ_RANGE", range_bytes)
+        batch = draw_samples(apply_loss(make_two_mode_squeezed(1.1), 0.9, 0.8), 1003, 5, "lossy")
+        path = tmp_path / "batch.csv"
+        write_batch(batch, path)
+        _crlf_and_blank_lines(path)
+        read = read_batch(path)
+        assert (read.n, read.seed, read.source_label) == (1003, 5, "lossy")
+        assert (json.dumps(estimate_criteria(read).to_json())
+                == json.dumps(estimate_criteria(batch).to_json()))
+        assert multiprocessing.active_children() == []
+
+    def test_bad_line_met_by_the_jackknife(self, tmp_path, monkeypatch, capsys):
+        # a fault in a late range surfaces while the blocks are read, and
+        # the parse workers are gone once the error is raised
+        _patch_workers(monkeypatch, 2)
+        monkeypatch.setattr(sampling, "READ_RANGE", 4096)
+        path = tmp_path / "bad.csv"
+        write_batch(draw_samples(make_vacuum(), 1000, 3), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[903] = "900,1,2,x,4\n"
+        path.write_text("".join(lines))
+        with pytest.raises(BatchFormatError, match="^line 904: non-numeric cell$"):
+            estimate_criteria(read_batch(path))
+        assert multiprocessing.active_children() == []
+        assert main(["estimate", "--batch", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: line 904: non-numeric cell"]
 
 
 class TestEstimateCriteria:
@@ -517,6 +647,15 @@ class TestDrawnBatch:
                      lambda: draw_samples(make_vacuum(), 300, seed)):
             with pytest.raises(ValueError, match=message):
                 make()
+
+    def test_numpy_integer_seed_kept_as_int(self):
+        samples = np.ones((300, 4))
+        for batch in (SampleBatch(samples=samples, seed=np.int64(3)),
+                      DrawnBatch(make_vacuum(), 300, np.uint32(3)),
+                      draw_samples(make_vacuum(), 300, np.int64(3))):
+            assert type(batch.seed) is int and batch.seed == 3
+        est = estimate_criteria(draw_samples(make_vacuum(), 300, np.int64(3)))
+        assert json.loads(json.dumps(est.to_json()))["seed"] == 3
 
     def test_float_n_rejected(self):
         for make in (DrawnBatch, draw_samples):

@@ -292,8 +292,8 @@ class TestCli:
          "seed must be a non-negative integer, got -1", ["run"]),
         ("tmsv(0.5)", "seed must be a non-negative integer, got -1",
          ["sample", "--n", "300", "--seed", "-1", "--out", "{tmp}/batch.csv"]),
-        ("tmsv(0.5)", f"n = {10 ** 15}: drawing {10 ** 15} x 4 samples needs {64 * 10 ** 15} "
-         "bytes, more than can be allocated",
+        ("tmsv(0.5)", f"n = {10 ** 15}: the CSV needs at least {18 * 10 ** 15} bytes "
+         "(18 a row), more than the disk has free",
          ["sample", "--n", str(10 ** 15), "--seed", "1", "--out", "{tmp}/batch.csv"]),
         ("thermal(1e300, 1e300)", f"source thermal: {BOUND} 1e+300", ["run"]),
         ("thermal(1e300, 1e300)\nsampling_n = 1000\nsampling_seed = 1",
@@ -363,6 +363,15 @@ class TestCli:
                    *(v for est in payload["estimated"]["estimates"].values()
                      for v in est.values())]
         assert all(math.isfinite(v) for v in numbers if isinstance(v, float))
+
+    def test_oversized_sample_creates_no_file(self, tmp_path, capsys):
+        # refused before a row is drawn or the file is opened
+        scn = self._write(tmp_path, TMSV_SCENARIO)
+        out = tmp_path / "batch.csv"
+        assert main(["sample", "--scenario", str(scn), "--n", str(10 ** 15), "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("scale", [1e160, 1e40])
     def test_estimate_overflow_exit_2_one_line(self, tmp_path, scale):
