@@ -15,6 +15,7 @@ import math
 import os
 import pickle
 import shutil
+import stat
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -54,9 +55,12 @@ def _check_batch(seed, n=2) -> int:
     return int(seed)
 
 
-def _block_sizes(n: int, n_blocks: int) -> list:
-    """The row counts of np.array_split's n_blocks near-equal blocks of n rows."""
-    return [len(part) for part in np.array_split(np.empty((n, 0)), n_blocks)]  # n x 0: no data
+def _block_sizes(n: int, n_blocks: int):
+    """The row counts of np.array_split's n_blocks near-equal blocks of n
+    rows, one at a time: the first n % n_blocks blocks hold one row more."""
+    rows, longer = divmod(n, n_blocks)
+    for k in range(n_blocks):
+        yield rows + (k < longer)
 
 
 class Estimate(NamedTuple):
@@ -126,17 +130,42 @@ class DrawnBatch:
     def blocks(self, n_blocks: int):
         """The rows, normals @ chol.T + mean, in the n_blocks consecutive
         blocks of np.array_split's sizes, each a fresh array the caller
-        may change."""
+        may change.
+
+        One helper thread, started at the first block, owns the seeded
+        generator and draws the normals of block k + 1 while the caller
+        makes and uses block k.  It is asked for them only once block
+        k's normals are taken, so it is one block ahead, never two: the
+        blocks hold one normals block more than drawing in line would,
+        and the rows are those of one thread drawing in order.  The
+        product and `+ mean` run on the caller's thread, under its numpy
+        error state.  The helper is stopped and joined when the
+        generator ends, raises or is closed."""
+        # here: concurrent.futures imports logging, which slows `import twinbeams`
+        from concurrent.futures import ThreadPoolExecutor
+
         rng = np.random.Generator(np.random.PCG64(self.seed))
-        for rows in _block_sizes(self.n, n_blocks):
-            try:
-                block = rng.standard_normal((rows, 4)) @ self.chol.T
-            except MemoryError:
-                raise ValueError(f"n = {self.n}: drawing {rows} x 4 samples needs "
-                                 f"{2 * rows * 4 * 8} bytes, more than can be allocated") from None
-            block += self.state.mean  # the bits of `+ mean`, without a third rows x 4 array
-            yield block
-            del block  # so the caller can free it before the next is drawn
+        helper = ThreadPoolExecutor(max_workers=1)  # its thread starts at the first submit
+        try:
+            draws = ((rows, helper.submit(rng.standard_normal, (rows, 4)))
+                     for rows in _block_sizes(self.n, n_blocks))
+            ahead = next(draws, None)
+            while ahead is not None:
+                rows, drawing = ahead
+                try:
+                    normals = drawing.result()
+                    ahead = next(draws, None)  # asked for only now: one block ahead, never two
+                    block = normals @ self.chol.T
+                except MemoryError:
+                    raise ValueError(f"n = {self.n}: drawing {rows} x 4 samples needs "
+                                     f"{2 * rows * 4 * 8} bytes, more than can be "
+                                     "allocated") from None
+                del drawing, normals  # block k's normals
+                block += self.state.mean  # the bits of `+ mean`, without a third rows x 4 array
+                yield block
+                del block  # so the caller can free it before the next is made
+        finally:
+            helper.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -164,7 +193,8 @@ def draw_samples(state: GaussianTwoModeState, n: int, seed: int,
     DrawnBatch(state, n, seed), so identical (state, n, seed) reproduce
     the batch bit for bit.  They are drawn into the one array in the
     blocks of at most WRITE_CHUNK rows that `write_batch` formats, so
-    drawing holds the batch and one block, not two batches."""
+    drawing holds the batch and two blocks (the one being copied in and
+    the normals of the next), not two batches."""
     drawn = DrawnBatch(state, n, seed)
     samples = np.empty((drawn.n, 4))
     for start, block in _numbered(drawn.blocks(-(-drawn.n // WRITE_CHUNK))):
@@ -181,15 +211,23 @@ def write_batch(batch: SampleBatch | DrawnBatch | FileBatch, path) -> None:
     """CSV with '#' metadata lines, a fixed header, and full-precision
     decimal values (round-trippable IEEE doubles).  Rows are formatted a
     block of at most WRITE_CHUNK at a time as the batch yields it, by one
-    worker per CPU, and written in order, so no process holds the batch."""
+    worker per CPU, and written in order, so no process holds the batch.
+    A write that fails, or is interrupted, removes the file it began, so
+    no truncated batch is left to be read; a device or a pipe is kept."""
     _check_room(batch.n, path)
     n_chunks = -(-batch.n // WRITE_CHUNK)
     header = f"# seed: {batch.seed}\n# source_label: {batch.source_label}\n{CSV_HEADER}\n"
     with contextlib.closing(batch.blocks(n_chunks)) as blocks, \
             contextlib.closing(_ordered_map(_format_rows, _numbered(blocks), n_chunks)) as chunks, \
             open(path, "wb") as handle:
-        handle.write(header.encode("utf-8"))
-        handle.writelines(chunks)
+        try:
+            handle.write(header.encode("utf-8"))
+            handle.writelines(chunks)
+        except BaseException:
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                with contextlib.suppress(OSError):  # the first error is the one to report
+                    os.remove(path)
+            raise
 
 
 def _check_room(n: int, path) -> None:
@@ -400,14 +438,16 @@ def _ordered_map(func, tasks, count: int):
     tasks of the iterable, in task order.
 
     With W = min(CPUs, count) >= 2, W forked workers each serve one
-    socket pair.  The parent sends a worker its next task only after
-    taking that worker's last result, so the worker is waiting for the
-    task when it arrives and neither side can block the other; each
-    holds one task and one result at a time, whatever the number of
-    tasks.  Tasks are pickled; a result crosses as raw bytes into one
-    buffer of its size.  Every worker is killed and joined when the
-    generator ends, raises or is closed.  With W = 1, func runs in this
-    process.
+    socket pair.  All W are forked before the first task is taken from
+    the iterable, so no worker inherits a task or a thread that making
+    the tasks starts (such as DrawnBatch's drawing helper).  The parent
+    sends a worker its next task only after taking that worker's last
+    result, so the worker is waiting for the task when it arrives and
+    neither side can block the other; each holds one task and one result
+    at a time, whatever the number of tasks.  Tasks are pickled; a result
+    crosses as raw bytes into one buffer of its size.  Every worker is
+    killed and joined when the generator ends, raises or is closed.
+    With W = 1, func runs in this process.
     """
     workers = min(_cpu_count(), count)
     if workers > 1:
@@ -424,14 +464,15 @@ def _ordered_map(func, tasks, count: int):
     context = multiprocessing.get_context("fork")
     procs, socks, busy = [], [], collections.deque()
     try:
-        for task in tasks:
-            if len(procs) < workers:
-                ours, theirs = socket.socketpair()
-                socks.append(ours)
-                with theirs:
-                    procs.append(context.Process(target=_serve, args=(func, theirs), daemon=True))
-                    procs[-1].start()
-                w = len(procs) - 1
+        for _ in range(workers):
+            ours, theirs = socket.socketpair()
+            socks.append(ours)
+            with theirs:
+                procs.append(context.Process(target=_serve, args=(func, theirs), daemon=True))
+                procs[-1].start()
+        for k, task in enumerate(tasks):
+            if k < workers:
+                w = k
             else:
                 w = busy.popleft()
                 yield _take(socks[w], w)
@@ -530,7 +571,8 @@ def _jackknife(batch, theta_plus: float, theta_minus: float) -> dict:
     # cancel on displaced beams.
     counts, sums, grams = np.empty(BLOCKS), np.empty((BLOCKS, 4)), np.empty((BLOCKS, 4, 4))
     with contextlib.closing(batch.blocks(BLOCKS)) as blocks:
-        for k, block in enumerate(blocks):
+        for k in range(BLOCKS):
+            block = next(blocks)  # not enumerate(), whose reused pair keeps the last block
             if k == 0:
                 centre = block.mean(axis=0)
             block -= centre  # the block is ours: centred in place

@@ -1,9 +1,15 @@
+import contextlib
+import errno
+import itertools
 import json
 import math
 import multiprocessing
 import os
 import re
 import signal
+import stat
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +22,7 @@ from twinbeams import sampling, scenario
 from twinbeams.cli import main
 from twinbeams.criteria import report_scalars, state_moments
 from twinbeams.sampling import (
+    BLOCKS,
     CSV_HEADER,
     WRITE_CHUNK,
     BatchFormatError,
@@ -36,6 +43,15 @@ from twinbeams.states import (
 )
 
 GOLDEN_BATCH = Path(__file__).parent / "data" / "golden_batch.csv"
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Every test ends with the threads it began with: no drawing helper
+    outlives its blocks, however they end."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
 
 
 class TestDrawSamples:
@@ -248,13 +264,14 @@ def _golden_batch():
     return draw_samples(make_two_mode_squeezed(0.3), 50, seed=9, source_label="tmsv(0.3)")
 
 
-def _fail_on(row):
-    """A row formatter that fails on the chunk beginning at `row`."""
+def _fail_on(row, error=None):
+    """A row formatter that fails on the chunk beginning at `row`, with
+    `error` or a ZeroDivisionError naming the chunk."""
     format_rows = sampling._format_rows
 
     def fail(start, rows):
         if start == row:
-            raise ZeroDivisionError(f"chunk {start}")
+            raise error or ZeroDivisionError(f"chunk {start}")
         return format_rows(start, rows)
 
     return fail
@@ -270,6 +287,24 @@ def _exit_on(row):
         return format_rows(start, rows)
 
     return die
+
+
+def _patch_draws(monkeypatch, fail_on=None, delay=0.0):
+    """Make the sampler's generator record the thread of each draw (the
+    list returned), sleep `delay` s before it, and raise MemoryError on
+    draw number `fail_on`, counted from 0."""
+    threads = []
+
+    class Watched(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            threads.append(threading.current_thread())
+            if len(threads) - 1 == fail_on:
+                raise MemoryError
+            time.sleep(delay)
+            return super().standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Watched)
+    return threads
 
 
 def _small_batch():
@@ -364,6 +399,54 @@ class TestWorkers:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert multiprocessing.active_children() == []
+        assert list(tmp_path.iterdir()) == []  # no truncated batch to be read
+
+    @pytest.mark.parametrize("fault, message", [
+        ("worker", "[Errno 28] No space left on device"),
+        ("helper", "n = 80000: drawing 4000 x 4 samples needs 256000 bytes, "
+                   "more than can be allocated"),
+    ], ids=["worker", "helper"])
+    def test_failed_sample_leaves_no_file(self, tmp_path, monkeypatch, capsys, fault, message):
+        # chunk 7 of 20 fails after earlier chunks are written: `sample`
+        # exits 2 and leaves no batch that `estimate` would score
+        _patch_workers(monkeypatch, 2)
+        monkeypatch.setattr(sampling, "WRITE_CHUNK", 4000)
+        if fault == "worker":
+            full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            monkeypatch.setattr(sampling, "_format_rows", _fail_on(7 * 4000, full))
+        else:
+            _patch_draws(monkeypatch, fail_on=7)
+        scn = tmp_path / "scn.txt"
+        scn.write_text("schema = twinbeams-scenario-1\nsource = tmsv(0.5)\n")
+        out = tmp_path / "batch.csv"
+        assert main(["sample", "--scenario", str(scn), "--n", "80000", "--seed", "2",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch):
+        _patch_workers(monkeypatch, 1)
+        monkeypatch.setattr(sampling, "WRITE_CHUNK", 4000)
+        monkeypatch.setattr(sampling, "_format_rows", _fail_on(2 * 4000, KeyboardInterrupt()))
+        with pytest.raises(KeyboardInterrupt):
+            write_batch(_long_drawn_batch(), tmp_path / "batch.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_a_pipe(self, tmp_path, monkeypatch):
+        # only a regular file is removed; a pipe is written as _check_room lets it be
+        _patch_workers(monkeypatch, 1)
+        monkeypatch.setattr(sampling, "_format_rows", _fail_on(0))
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write does not block
+        try:
+            with pytest.raises(ZeroDivisionError, match="^chunk 0$"):
+                write_batch(_small_batch(), pipe)
+            assert os.read(reader, 1 << 16).startswith(b"# seed: 2\n")
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)
 
     def test_daemon_process_writes_in_process(self, tmp_path, monkeypatch):
         # a daemonic process may not start children, so it formats itself
@@ -663,10 +746,23 @@ class TestDrawnBatch:
                 make(make_vacuum(), 300.0, 1)
 
     @pytest.mark.parametrize("n, n_blocks", [(2, 1), (3, 5), (200, 100), (1001, 7),
-                                             (12345, 100)])
+                                             (12345, 100), (5003, 610)])
     def test_block_sizes_are_those_of_array_split(self, n, n_blocks):
         sizes = [len(block) for block in DrawnBatch(make_vacuum(), n, 1).blocks(n_blocks)]
         assert sizes == [len(part) for part in np.array_split(np.empty(n), n_blocks)]
+
+    def test_block_sizes_cost_no_memory(self):
+        # `write_batch` of 1e10 rows: 610352 chunks, each size made as it is
+        # asked for (the first n % 610352 one row longer), none held
+        tracemalloc.start()
+        try:
+            runs = [(size, sum(1 for _ in run))
+                    for size, run in itertools.groupby(sampling._block_sizes(10 ** 10, 610352))]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert runs == [(16384, 10 ** 10 % 610352), (16383, 610352 - 10 ** 10 % 610352)]
+        assert peak < 10_000
 
     @pytest.mark.parametrize("angles", [(math.nan, 0.0), (0.0, math.inf), (1e308, 0.0)])
     def test_bad_angle_rejected_before_any_block(self, monkeypatch, angles):
@@ -689,3 +785,86 @@ class TestDrawnBatch:
         peak(1000)  # outside the measurement: first-call allocations
         for n in (200_000, 800_000):
             assert peak(n) < 6 * (n // 100) * 4 * 8, n
+
+
+class TestDrawingHelper:
+    """DrawnBatch's helper thread draws the next block's normals while the
+    caller uses the current one.  The autouse fixture checks after every
+    test that no thread is left."""
+
+    def test_full_jackknife_draws_on_one_helper_and_joins_it(self, monkeypatch):
+        threads = _patch_draws(monkeypatch)
+        estimate_criteria(DrawnBatch(make_vacuum(), 20_000, 1))
+        assert len(threads) == BLOCKS and len(set(threads)) == 1
+        assert threads[0] is not threading.main_thread() and not threads[0].is_alive()
+
+    def test_unread_blocks_start_no_thread(self):
+        before = threading.active_count()
+        blocks = DrawnBatch(make_vacuum(), 1000, 1).blocks(10)
+        assert threading.active_count() == before
+        blocks.close()
+
+    def test_close_after_three_blocks_joins_the_helper(self, monkeypatch):
+        threads = _patch_draws(monkeypatch)
+        before = threading.active_count()
+        blocks = DrawnBatch(make_vacuum(), 1000, 1).blocks(10)
+        for _ in range(3):
+            next(blocks)
+        assert threading.active_count() == before + 1
+        time.sleep(0.2)  # time for the helper to draw all it was asked for
+        assert len(threads) == 4  # block 3's normals, and not block 4's: one block ahead
+        blocks.close()
+        assert threading.active_count() == before and not threads[0].is_alive()
+
+    def test_consumer_error_joins_the_helper(self, monkeypatch):
+        threads = _patch_draws(monkeypatch)
+        with pytest.raises(ZeroDivisionError):
+            with contextlib.closing(DrawnBatch(make_vacuum(), 1000, 1).blocks(10)) as blocks:
+                for k, _ in enumerate(blocks):
+                    if k == 4:
+                        raise ZeroDivisionError
+        assert not threads[0].is_alive()
+
+    def test_helper_memory_error_keeps_its_message(self, monkeypatch):
+        threads = _patch_draws(monkeypatch, fail_on=3)
+        message = ("n = 20000: drawing 200 x 4 samples needs 12800 bytes, "
+                   "more than can be allocated")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate_criteria(DrawnBatch(make_vacuum(), 20_000, 1))
+        assert len(threads) == 4 and not threads[0].is_alive()
+
+    def test_no_thread_but_the_main_one_at_any_fork(self, tmp_path, monkeypatch):
+        # the write's workers are forked before the first block is drawn
+        _patch_workers(monkeypatch, 2)
+        monkeypatch.setattr(sampling, "WRITE_CHUNK", 4000)
+        threads = _patch_draws(monkeypatch)
+        fork, alive = os.fork, []
+
+        def watched_fork():
+            alive.append(threading.enumerate())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", watched_fork)
+        write_batch(_long_drawn_batch(), tmp_path / "batch.csv")
+        assert alive == [[threading.main_thread()]] * 2
+        assert len(threads) == 20 and threading.main_thread() not in threads
+
+    @pytest.mark.parametrize("n_blocks", [1, 7, 100, 610])
+    @pytest.mark.parametrize("timing", ["slow-consumer", "slow-helper", "blocks-kept"])
+    def test_rows_do_not_depend_on_timing(self, monkeypatch, timing, n_blocks):
+        state = GaussianTwoModeState(mean=[1e5, -3.0, 0.25, 7.0],
+                                     cov=make_two_mode_squeezed(0.8).cov)
+        expected = draw_samples(state, 5003, 43).samples.tobytes()
+        if timing == "slow-helper":
+            _patch_draws(monkeypatch, delay=0.001)
+        blocks = DrawnBatch(state, 5003, 43).blocks(n_blocks)
+        if timing == "blocks-kept":  # each block its own array, not a reused buffer
+            got = b"".join(block.tobytes() for block in list(blocks))
+        else:
+            parts = []
+            for block in blocks:
+                parts.append(block.tobytes())
+                if timing == "slow-consumer":
+                    time.sleep(0.001)
+            got = b"".join(parts)
+        assert got == expected
