@@ -7,8 +7,6 @@ from .criteria import (
     CriteriaReport,
     DuanEprMoments,
     MomentPair,
-    classical_split_correlation,
-    classical_unbalanced_correlation,
     classify,
     conditional_variance,
     duan_separability,
@@ -18,7 +16,6 @@ from .criteria import (
     report_from_moments,
     state_moments,
 )
-from .fock import FockMixture, photon_statistics
 from .sampling import (
     DrawnBatch,
     EstimatedCriteria,
@@ -47,7 +44,6 @@ __all__ = [
     "DuanEprMoments",
     "EstimatedCriteria",
     "FileBatch",
-    "FockMixture",
     "GaussianTwoModeState",
     "MomentPair",
     "PhysicalityError",
@@ -55,8 +51,6 @@ __all__ = [
     "apply_beamsplitter",
     "apply_loss",
     "apply_phase",
-    "classical_split_correlation",
-    "classical_unbalanced_correlation",
     "classify",
     "conditional_variance",
     "draw_samples",
@@ -68,7 +62,6 @@ __all__ = [
     "make_thermal",
     "make_two_mode_squeezed",
     "make_vacuum",
-    "photon_statistics",
     "quadrature_moments",
     "read_batch",
     "report_from_moments",

@@ -111,7 +111,10 @@ def _cmd_estimate(args) -> int:
     batch = sampling.read_batch(args.batch)
     if batch.n < sampling.MIN_SAMPLES:
         batch.samples  # a small file's bad line outranks the sample floor
-    estimated = sampling.estimate_criteria(batch)
+    try:
+        estimated = sampling.estimate_criteria(batch)
+    except sampling.EstimationError as exc:
+        raise sampling.EstimationError(f"{args.batch}: {exc}") from None
     _write_json(estimated.to_json(), args.out)
     return EXIT_OK
 

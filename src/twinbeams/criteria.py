@@ -58,26 +58,6 @@ class ConditionalVarianceResult(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# classical reference correlations
-
-
-def classical_split_correlation(f_in: float) -> float:
-    """Correlation of the two outputs of a 50/50 split of a classical
-    beam with Fano factor f_in: (f_in - 1) / (f_in + 1)."""
-    if f_in < 1.0:
-        raise ValueError(f"input Fano factor must be >= 1, got {f_in}")
-    return (f_in - 1.0) / (f_in + 1.0)
-
-
-def classical_unbalanced_correlation(f1: float, f2: float) -> float:
-    """Largest correlation reachable classically between beams of Fano
-    factors f1, f2: sqrt((1 - 1/f1)(1 - 1/f2))."""
-    if f1 < 1.0 or f2 < 1.0:
-        raise ValueError(f"Fano factors must be >= 1, got ({f1}, {f2})")
-    return math.sqrt((1.0 - 1.0 / f1) * (1.0 - 1.0 / f2))
-
-
-# ---------------------------------------------------------------------------
 # measured moments: the input of every criterion
 
 

@@ -132,12 +132,17 @@ def _check(ok, message: str, *values) -> None:
 
 def _squeezing(fn, x, name: str) -> np.ndarray:
     """fn of each entry of the squeezing parameter x (name in errors); fn
-    calls math's cosh, sinh or exp, since numpy's differ in the last bit."""
+    calls math's cosh, sinh or exp, since numpy's differ in the last bit,
+    on a Python float, whose `2.0 * v` overflows to inf without a warning."""
     def entry(v):
+        v = float(v)
         try:
-            return fn(v)
+            value = fn(v)
         except OverflowError:
-            raise ValueError(f"squeezing parameter {name} = {v} overflows the covariance") from None
+            value = math.inf
+        if math.isinf(value):  # inf from inf; a nan parameter fails the state's check
+            raise ValueError(f"squeezing parameter {name} = {v} overflows the covariance")
+        return value
     return np.vectorize(entry, otypes=[float])(x)
 
 

@@ -1,5 +1,6 @@
 """Independent oracles for the closed forms in twinbeams.criteria and
-the jackknife in twinbeams.sampling.
+the jackknife in twinbeams.sampling, and the paper's classical bounds
+and Fock-pair counterexample.
 
 Each one reaches the same number by a different route (an angular scan
 or a gain scan refined by bounded minimization, the correlation form of
@@ -11,11 +12,13 @@ scipy is a test dependency, not a runtime one.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from twinbeams.criteria import DuanEprMoments, MomentPair, report_scalars, state_moments
+from twinbeams.criteria import (DuanEprMoments, MomentPair, conditional_variance, gemellity,
+                                report_scalars, state_moments)
 
 ORACLE_XTOL = 1e-11
 
@@ -101,3 +104,37 @@ def jackknife_reference(samples: np.ndarray, n_blocks: int, theta_plus: float = 
         mean = sum(column) / n_blocks
         out[key] = (float(value), math.sqrt(factor * sum((x - mean) ** 2 for x in column)))
     return out
+
+
+def classical_split_correlation(f_in: float) -> float:
+    """Correlation of the two outputs of a 50/50 split of a classical
+    beam with Fano factor f_in >= 1: (f_in - 1) / (f_in + 1)."""
+    if f_in < 1.0:
+        raise ValueError(f"input Fano factor must be >= 1, got {f_in}")
+    return (f_in - 1.0) / (f_in + 1.0)
+
+
+def classical_unbalanced_correlation(f1: float, f2: float) -> float:
+    """Largest correlation reachable classically between beams of Fano
+    factors f1, f2 >= 1: sqrt((1 - 1/f1)(1 - 1/f2))."""
+    return math.sqrt((1.0 - 1.0 / f1) * (1.0 - 1.0 / f2))
+
+
+def photon_statistics(weights) -> SimpleNamespace:
+    """Photon-number statistics of the separable mixture sum_n p_n |n,n><n,n|
+    (p_n = weights[n]), the paper's counterexample of perfect intensity
+    correlation without entanglement.  Both beams carry the same n: C12 = 1
+    when Var(n) > 0 (None when it is 0), and the intensity gemellity and
+    conditional variances are the package's closed forms at C12 = 1 and
+    F1 = F2 = Var(n) / <n> (0 when Var(n) = 0, as n1 - n2 vanishes)."""
+    mean_n = sum(n * p for n, p in enumerate(weights))
+    if mean_n == 0.0:
+        raise ValueError("all weight on n = 0: intensity statistics undefined")
+    var_n = sum(n * n * p for n, p in enumerate(weights)) - mean_n * mean_n
+    stats = SimpleNamespace(mean_n=mean_n, var_n=var_n, fano=var_n / mean_n, c12=None,
+                            intensity_gemellity=0.0, v12=0.0, v21=0.0)
+    if var_n > 0.0:
+        stats.c12 = 1.0
+        stats.intensity_gemellity = gemellity(MomentPair(stats.fano, stats.fano, 1.0)).value
+        stats.v12 = stats.v21 = conditional_variance(stats.fano, stats.fano, 1.0).value
+    return stats

@@ -7,8 +7,6 @@ from twinbeams.criteria import (
     LEVEL5_NOTE,
     DuanEprMoments,
     MomentPair,
-    classical_split_correlation,
-    classical_unbalanced_correlation,
     classify,
     conditional_variance,
     duan_separability,
@@ -29,6 +27,8 @@ from twinbeams.states import (
 )
 
 from oracles import (
+    classical_split_correlation,
+    classical_unbalanced_correlation,
     conditional_variance_operational,
     epr_correlation_diagnostic,
     gemellity_operational,

@@ -5,9 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
-
-import pytest
 
 import twinbeams
 
@@ -34,7 +33,6 @@ def test_cli_import_leaves_multiprocessing_out():
 
 
 def test_declared_dependencies_are_numpy_only():
-    tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]]
     assert names == ["numpy"]

@@ -647,6 +647,12 @@ class TestEstimateCriteria:
         with pytest.raises(EstimationError):
             estimate_criteria(batch)
 
+    def test_overflowing_moments_rejected(self):
+        # finite rows whose squared jackknife deviations overflow
+        samples = 1e40 * np.random.default_rng(0).standard_normal((1000, 4))
+        with pytest.raises(EstimationError, match="^batch moments overflow double precision"):
+            estimate_criteria(SampleBatch(samples=samples, seed=0))
+
     def test_stderrs_nonnegative(self):
         batch = draw_samples(make_two_mode_squeezed(0.2), 5000, seed=29)
         est = estimate_criteria(batch)

@@ -254,6 +254,15 @@ class TestCli:
         assert lines[0].startswith("source.r,gemellity,")
         assert len(lines) == 12
 
+    def test_negative_grid_after_equals_sign(self, tmp_path):
+        # `--grid -1,2` would be read as an option; `--grid=-1,2` is not
+        scn = self._write(tmp_path, TILTED_THERMAL_SCENARIO)
+        out = tmp_path / "sweep.csv"
+        for grid, first in (("-1,2", "-1.0,"), ("-3.14:3.14:5", "-3.14,")):
+            assert main(["sweep", "--scenario", str(scn), "--param", "step2.phi1",
+                         f"--grid={grid}", "--out", str(out)]) == 0
+            assert out.read_text().splitlines()[1].startswith(first)
+
     def test_sample_then_estimate(self, tmp_path):
         scn = self._write(tmp_path, TMSV_SCENARIO)
         batch_path = tmp_path / "batch.csv"
@@ -283,6 +292,11 @@ class TestCli:
          ["run"]),
         ("sms(1, 400, 0)",
          "source sms: squeezing parameter s = 400.0 overflows the covariance", ["run"]),
+        # 2 * r overflows to inf, and cosh(inf) is inf, not an OverflowError
+        ("tmsv(1e308)", "source tmsv: squeezing parameter r = 1e+308 overflows the covariance",
+         ["run"]),
+        ("sms(2, -1e308, 0)",
+         "source sms: squeezing parameter s = -1e+308 overflows the covariance", ["run"]),
         ("tmsv(0.5)\ntheta_plus = nan", "theta_plus: bad value 'nan'", ["run"]),
         ("tmsv(0.5)\ntheta_minus = inf", "theta_minus: bad value 'inf'", ["run"]),
         ("tmsv(nan)", "source: parameter r of tmsv: bad value 'nan'", ["run"]),
@@ -306,8 +320,9 @@ class TestCli:
         # Cholesky factor fails in rounding, which is no physicality error
         ("tmsv(10)\nsampling_n = 1000\nsampling_seed = 1", CHOLESKY, ["run"]),
         ("tmsv(12)\nsampling_n = 1000\nsampling_seed = 1", CHOLESKY, ["run"]),
-    ], ids=["unknown-op", "tmsv-overflow", "sms-overflow", "nan-theta-plus", "inf-theta-minus",
-            "nan-op-argument", "inf-op-argument", "negative-sampling-seed", "negative-sample-seed",
+    ], ids=["unknown-op", "tmsv-overflow", "sms-overflow", "tmsv-inf-double", "sms-inf-double",
+            "nan-theta-plus", "inf-theta-minus", "nan-op-argument", "inf-op-argument",
+            "negative-sampling-seed", "negative-sample-seed",
             "oversized-sample", "huge-thermal", "huge-thermal-sampled", "huge-thermal-sample",
             "huge-tmsv", "overflowing-theta-plus", "sampled-tmsv-10", "sampled-tmsv-12"])
     def test_validation_error_printed_once(self, tmp_path, source, message, command):
@@ -383,8 +398,24 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [
-            "error: batch moments overflow double precision; "
+            f"error: {batch}: batch moments overflow double precision; "
             "a state's moments are at most 1e+75 in magnitude"]
+
+    def test_sample_then_estimate_at_moment_bound(self, tmp_path):
+        # the sample covariance exceeds 1e75 by sampling noise; the file is scored
+        scn = self._write(tmp_path, "schema = twinbeams-scenario-1\n"
+                          "source = thermal(1e75, 1e75)\n")
+        batch = tmp_path / "batch.csv"
+        out = tmp_path / "estimates.json"
+        assert self._run_fresh(["sample", "--scenario", str(scn), "--n", "1000", "--seed", "1",
+                                "--out", str(batch)]).returncode == 0
+        proc = self._run_fresh(["estimate", "--batch", str(batch), "--out", str(out)])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        estimates = json.loads(out.read_text())["estimates"]
+        assert max(estimates[key]["value"]
+                   for key in ("fplus_1", "fminus_1", "fplus_2", "fminus_2")) > 1e75
+        assert all(math.isfinite(v) for est in estimates.values() for v in est.values()
+                   if isinstance(v, float))
 
     def test_estimate_nonpositive_measured_variance_exit_2_one_line(self, tmp_path):
         # X+_1 at 1e10 and X-_1 at 1e-5: the variance measured at pi/2 cancels
