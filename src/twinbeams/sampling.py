@@ -42,9 +42,11 @@ class EstimationError(ValueError):
     overflow double precision)."""
 
 
-def _check_batch(seed, n=2) -> int:
+def _check_batch(seed, n=2, source_label="") -> int:
     """The rule of every batch type: n an integer >= 2, seed a non-negative
-    integer; returns the seed as a Python int, the value each batch keeps."""
+    integer, and a source_label that a batch file reads back unchanged (a
+    str with no line feed and no ASCII whitespace at either end); returns
+    the seed as a Python int, the value each batch keeps."""
     whole = [isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (n, seed)]
     if not whole[0]:
         raise ValueError(f"n must be an integer, got {n}")
@@ -52,6 +54,10 @@ def _check_batch(seed, n=2) -> int:
         raise ValueError("need at least 2 samples")
     if not (whole[1] and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if not (isinstance(source_label, str) and "\n" not in source_label
+            and source_label == source_label.strip(" \t\n\r\v\f")):
+        raise ValueError("source_label must be a str of one line with no whitespace at "
+                         f"either end, got {source_label!r}")
     return int(seed)
 
 
@@ -83,7 +89,8 @@ class SampleBatch:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 2 or samples.shape[1] != 4:
             raise ValueError(f"samples must be N x 4, got shape {samples.shape}")
-        object.__setattr__(self, "seed", _check_batch(self.seed, samples.shape[0]))
+        object.__setattr__(self, "seed", _check_batch(self.seed, samples.shape[0],
+                                                         self.source_label))
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
         if samples.flags.writeable or not samples.flags.owndata:
@@ -120,7 +127,7 @@ class DrawnBatch:
         cov = self.state.cov
         if cov.ndim != 2:
             raise ValueError(f"draw_samples takes one state, got a stack of shape {cov.shape[:-2]}")
-        object.__setattr__(self, "seed", _check_batch(self.seed, self.n))
+        object.__setattr__(self, "seed", _check_batch(self.seed, self.n, self.source_label))
         try:
             object.__setattr__(self, "chol", np.linalg.cholesky(cov))
         except np.linalg.LinAlgError as exc:
@@ -195,7 +202,7 @@ def draw_samples(state: GaussianTwoModeState, n: int, seed: int,
     blocks of at most WRITE_CHUNK rows that `write_batch` formats, so
     drawing holds the batch and two blocks (the one being copied in and
     the normals of the next), not two batches."""
-    drawn = DrawnBatch(state, n, seed)
+    drawn = DrawnBatch(state, n, seed, source_label)
     samples = np.empty((drawn.n, 4))
     for start, block in _numbered(drawn.blocks(-(-drawn.n // WRITE_CHUNK))):
         samples[start:start + len(block)] = block
@@ -269,7 +276,8 @@ class FileBatch:
     """The rows of a sample CSV, parsed as `blocks` is iterated: read_batch
     has checked the header and counted the rows, and each block is cut
     from the data block's byte ranges, parsed in order by one worker per
-    CPU.  A data-line fault raises BatchFormatError when its rows are read."""
+    CPU.  A data-line fault raises BatchFormatError when its rows are read,
+    or in read_batch when the file holds fewer than MIN_SAMPLES rows."""
 
     path: str
     n: int
@@ -278,7 +286,7 @@ class FileBatch:
     spans: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _check_batch(self.seed, self.n))
+        object.__setattr__(self, "seed", _check_batch(self.seed, self.n, self.source_label))
 
     @property
     def samples(self) -> np.ndarray:
@@ -307,38 +315,35 @@ class FileBatch:
 
 
 def read_batch(path) -> FileBatch:
-    """Open a sample CSV.  Blank and whitespace-only lines are skipped;
-    '#' lines may come before the header only.  The lines up to the
-    header are read here, and the data rows counted in byte ranges by one
-    worker per CPU; the rows themselves are parsed when the batch's
-    blocks are read."""
+    """Open a sample CSV.  A line ends at LF and is blank when bytes.strip
+    empties it; '#' lines may come before the header only, and of them
+    only the bodies of `# seed:` and `# source_label:` are decoded.  The
+    lines up to the header are read here, and the data rows counted in
+    byte ranges by one worker per CPU; the rows themselves are parsed
+    when the batch's blocks are read, or here when they are fewer than
+    MIN_SAMPLES, so that a bad line outranks both row floors."""
     seed, source_label = 0, ""
-    offset = 0  # bytes up to the end of the last line read
-    # newline="" splits lines as text mode does but keeps their ends, so
-    # the byte offset of the data block can be counted
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            offset += len(raw.encode("utf-8"))
             line = raw.strip()
             if not line:
                 continue
-            if not line.startswith("#"):
+            if not line.startswith(b"#"):
                 break
-            body = line[1:].strip()
-            if body.startswith("seed:"):
-                try:
-                    seed = int(body.split(":", 1)[1].strip())
-                    _check_batch(seed)
-                except ValueError as exc:
-                    raise BatchFormatError(f"line {lineno}: bad seed value") from exc
-            elif body.startswith("source_label:"):
-                source_label = body.split(":", 1)[1].strip()
+            key, _, value = line[1:].strip().partition(b":")
+            try:
+                if key == b"seed":
+                    seed = _check_batch(int(value))
+                elif key == b"source_label":
+                    source_label = value.strip().decode("utf-8")
+            except ValueError as exc:
+                raise BatchFormatError(f"line {lineno}: bad {key.decode()} value") from exc
         else:
             raise BatchFormatError("missing header row")
-    if line != CSV_HEADER:
-        raise BatchFormatError(
-            f"line {lineno}: expected header {CSV_HEADER!r}, got {line!r}")
-    ranges = _ranges(path, offset)
+        if line != CSV_HEADER.encode():
+            raise BatchFormatError(f"line {lineno}: expected header {CSV_HEADER!r}, "
+                                   f"got {line.decode('utf-8', 'replace')!r}")
+        ranges = _ranges(handle, handle.tell())
     spans, lineno = [], lineno + 1
     with contextlib.closing(_ordered_map(_count_rows, [(path, *r) for r in ranges],
                                          len(ranges))) as counts:
@@ -347,25 +352,25 @@ def read_batch(path) -> FileBatch:
             spans.append(_Span(start, end, lineno, rows))
             lineno += lines
     n = sum(span.rows for span in spans)
-    if n < 2:
+    if n < MIN_SAMPLES:
         for span in spans:
-            _parse_range(path, span)  # a bad line outranks the row count
+            _parse_range(path, span)  # a bad line outranks both row floors
+    if n < 2:
         raise BatchFormatError("batch holds fewer than 2 samples")
     return FileBatch(os.fspath(path), n, seed, source_label, tuple(spans))
 
 
-def _ranges(path, start: int) -> list:
-    """Byte ranges (start, end) that cover the file from `start`, each
+def _ranges(handle, start: int) -> list:
+    """Byte ranges (start, end) that cover the open file from `start`, each
     about READ_RANGE long and cut just after a newline, so no line is split."""
     ranges = []
-    with open(path, "rb") as handle:
-        size = handle.seek(0, os.SEEK_END)
-        while start < size:
-            handle.seek(start + READ_RANGE)
-            handle.readline()
-            end = min(handle.tell(), size)
-            ranges.append((start, end))
-            start = end
+    size = handle.seek(0, os.SEEK_END)
+    while start < size:
+        handle.seek(start + READ_RANGE)
+        handle.readline()
+        end = min(handle.tell(), size)
+        ranges.append((start, end))
+        start = end
     return ranges
 
 

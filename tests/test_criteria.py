@@ -12,6 +12,7 @@ from twinbeams.criteria import (
     duan_separability,
     epr_product,
     gemellity,
+    quadrature_moments,
     report_from_moments,
     state_moments,
 )
@@ -361,3 +362,8 @@ class TestClassify:
         # a stack names its first bad entry, not the whole array
         with pytest.raises(ValueError, match=r"^correlation must lie in \[-1, 1\], got -1.5$"):
             MomentPair(np.ones(5), np.ones(5), np.array([0.1, 0.2, -1.5, 0.3, 2.0]))
+        # a raw covariance whose cross term exceeds sqrt(F1 F2) by more than rounding
+        cov = np.eye(4)
+        cov[0, 2] = cov[2, 0] = 1.000001
+        with pytest.raises(ValueError, match=r"^correlation overshoot beyond rounding: 1\.000001$"):
+            quadrature_moments(cov, 0.0, 0.0)

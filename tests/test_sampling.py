@@ -8,6 +8,7 @@ import os
 import re
 import signal
 import stat
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -28,6 +29,7 @@ from twinbeams.sampling import (
     BatchFormatError,
     DrawnBatch,
     EstimationError,
+    FileBatch,
     SampleBatch,
     draw_samples,
     estimate_criteria,
@@ -113,9 +115,14 @@ class TestSampleBatch:
         samples.setflags(write=False)
         assert SampleBatch(samples=samples, seed=0).samples is samples
 
-    def test_negative_seed_rejected_as_by_draw_samples(self):
-        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -3$"):
-            SampleBatch(samples=np.ones((300, 4)), seed=-3)
+    @pytest.mark.parametrize("samples, seed, message", [
+        (np.ones((300, 4)), -3, "seed must be a non-negative integer, got -3"),
+        (np.ones((10, 3)), 0, "samples must be N x 4, got shape (10, 3)"),
+        (np.full((10, 4), np.nan), 0, "samples must be finite"),
+    ], ids=["negative-seed", "three-columns", "nan"])
+    def test_bad_batch_rejected(self, samples, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SampleBatch(samples=samples, seed=seed)
 
     def test_fresh_batches_are_not_copied(self, tmp_path, monkeypatch):
         given = []
@@ -142,6 +149,25 @@ class TestBatchRoundTrip:
         assert back.seed == 9
         assert back.source_label == "tmsv(0.3)"
 
+    @settings(max_examples=100)
+    @given(label=st.text())
+    @example(label="\xa0x\x1c")  # ends that str.strip removes and bytes.strip keeps
+    @example(label="a\rb\x85c\u2028d")  # line ends of text mode, not of the file
+    @example(label="a\nb")
+    def test_every_label_written_reads_back(self, label):
+        # the batch rule refuses a label that the file could not carry
+        samples = np.array(GRAMMAR_ROWS)
+        try:
+            batch = SampleBatch(samples=samples, seed=5, source_label=label)
+        except ValueError as exc:
+            assert str(exc).startswith("source_label must be ")
+            return
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "batch.csv"
+            write_batch(batch, path)
+            back = read_batch(path)
+            assert (back.source_label, back.samples.tolist()) == (label, GRAMMAR_ROWS)
+
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -166,8 +192,9 @@ class TestBatchRoundTrip:
             read_batch(path)
 
 
-# The reader's grammar, each case written with `{h}` for the header.
-# Accepted files hold seed 5, label "x" and the two rows of GRAMMAR_ROWS.
+# The reader's grammar, each case written with `{h}` for the header and
+# `\udcff` for the byte 0xff.  Accepted files hold seed 5, label "x" and
+# the two rows of GRAMMAR_ROWS.
 GRAMMAR_ROWS = [[1.5, 2.5, 3.5, 4.5], [-1.0, 0.25, 1e-3, 7.0]]
 ACCEPTED = {
     "empty-lines": "# seed: 5\n# source_label: x\n\n{h}\n\n0,1.5,2.5,3.5,4.5\n\n\n"
@@ -180,6 +207,8 @@ ACCEPTED = {
                               "# units: shot noise\n{h}\n0,1.5,2.5,3.5,4.5\n1,-1.0,0.25,1e-3,7\n",
     "whitespace-only-lines": " \n# seed: 5\n\t\n# source_label: x\n{h}\n   \n0,1.5,2.5,3.5,4.5\n"
                              " \t \n1,-1.0,0.25,1e-3,7\n  ",
+    "comment-not-utf-8": "# seed: 5\n# source_label: x\n# \udcff\n{h}\n0,1.5,2.5,3.5,4.5\n"
+                         "1,-1.0,0.25,1e-3,7\n",
 }
 # rejected files: (text, error, the whole message)
 REJECTED = {
@@ -204,11 +233,25 @@ REJECTED = {
     "no-rows": ("# seed: 5\n{h}\n", BatchFormatError, "batch holds fewer than 2 samples"),
     "negative-seed": ("# source_label: x\n# seed: -5\n{h}\n0,1,2,3,4\n1,1,2,3,4\n",
                       BatchFormatError, "line 2: bad seed value"),
+    "label-not-utf-8": ("# seed: 5\n# source_label: \udcff\n{h}\n0,1,2,3,4\n1,1,2,3,4\n",
+                        BatchFormatError, "line 2: bad source_label value"),
+    "comments-only": ("# seed: 5\n# source_label: x\n\n", BatchFormatError, "missing header row"),
+    # a line is blank only when bytes.strip empties it, before the header as after
+    "no-break-space-line": ("# seed: 5\n\u00a0\n{h}\n0,1,2,3,4\n1,1,2,3,4\n", BatchFormatError,
+                            f"line 2: expected header {CSV_HEADER!r}, got '\\xa0'"),
+    "file-separator-line": ("# seed: 5\n\x1c\n{h}\n0,1,2,3,4\n1,1,2,3,4\n", BatchFormatError,
+                            f"line 2: expected header {CSV_HEADER!r}, got '\\x1c'"),
+    # a line ends at LF alone, before the header as after
+    "lone-cr-header": ("# seed: 5\n{h}\r0,1,2,3,4\n1,1,2,3,4\n", BatchFormatError,
+                       f"line 2: expected header {CSV_HEADER!r}, got "
+                       + repr(CSV_HEADER + "\r0,1,2,3,4")),
+    "lone-cr-comments": ("# seed: 5\r# source_label: x\r{h}\n0,1,2,3,4\n1,1,2,3,4\n",
+                         BatchFormatError, "line 1: bad seed value"),
 }
 
 
 def _write_text(path, text):
-    path.write_bytes(text.format(h=CSV_HEADER).encode("utf-8"))
+    path.write_bytes(text.format(h=CSV_HEADER).encode("utf-8", "surrogateescape"))
     return path
 
 
@@ -351,8 +394,8 @@ class TestWorkers:
         ("# late", "line 51: comment after header"),
     ])
     def test_bad_line_in_late_range(self, tmp_path, monkeypatch, capsys, workers, bad, message):
-        # 50 rows: `estimate` reads a file under the sample floor whole, so
-        # it names the bad line rather than the floor
+        # 50 rows: read_batch parses a file under the sample floor whole,
+        # so it names the bad line rather than the floor
         monkeypatch.setattr(sampling, "READ_RANGE", 64)
         lines = GOLDEN_BATCH.read_text().splitlines(keepends=True)
         lines[50] = bad + "\n"  # row 47 of 50
@@ -362,10 +405,10 @@ class TestWorkers:
         for count in (1, workers):
             _patch_workers(monkeypatch, count)
             with pytest.raises(BatchFormatError) as info:
-                read_batch(path).samples
+                estimate_criteria(read_batch(path))
             errors.append(str(info.value))
             assert main(["estimate", "--batch", str(path)]) == 2
-            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+            assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
         assert errors == [message, message]
         assert multiprocessing.active_children() == []
 
@@ -592,7 +635,8 @@ class TestStreamedCsv:
             estimate_criteria(read_batch(path))
         assert multiprocessing.active_children() == []
         assert main(["estimate", "--batch", str(path)]) == 2
-        assert capsys.readouterr().err.splitlines() == ["error: line 904: non-numeric cell"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: line 904: non-numeric cell"]
 
 
 class TestEstimateCriteria:
@@ -686,7 +730,7 @@ class TestDrawnBatch:
     # Bit equality rests on BLAS rounding a row the same whatever the row
     # count of the product; CI runs this class on one BLAS thread as well.
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(n=st.integers(200, 5000), seed=st.integers(0, 2 ** 32 - 1),
            r=st.floats(0.0, 2.0), eta=st.floats(0.05, 1.0), angles=ANGLES)
     @example(n=200, seed=0, r=0.6, eta=0.8, angles=(0.0, math.pi / 2))
@@ -701,7 +745,7 @@ class TestDrawnBatch:
                                      theta_minus=angles[1]).to_json()
         assert scenario.run_scenario(scn)["estimated"] == expected
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(n=st.integers(200, 5000), seed=st.integers(0, 2 ** 32 - 1),
            offset=st.sampled_from([0.0, -7.5, 1e5]), angles=ANGLES)
     @example(n=200, seed=3, offset=1e5, angles=(0.3, 1.9))
@@ -728,13 +772,19 @@ class TestDrawnBatch:
             with pytest.raises(ValueError, match=re.escape(message)):
                 make(state, 1000, seed)
 
-    @pytest.mark.parametrize("seed", [2.5, 3.0, True])
-    def test_seed_rule_shared_by_both_batch_types(self, seed):
-        message = f"^seed must be a non-negative integer, got {re.escape(str(seed))}$"
-        for make in (lambda: SampleBatch(samples=np.ones((300, 4)), seed=seed),
-                     lambda: DrawnBatch(make_vacuum(), 300, seed),
-                     lambda: draw_samples(make_vacuum(), 300, seed)):
-            with pytest.raises(ValueError, match=message):
+    @pytest.mark.parametrize("seed, label, message", [
+        *((seed, "", f"seed must be a non-negative integer, got {seed}")
+          for seed in (2.5, 3.0, True)),
+        *((1, label, "source_label must be a str of one line with no whitespace at either end, "
+                     f"got {label!r}") for label in ("a\nb", "  x ", "x\r", b"x", None)),
+    ], ids=["2.5", "3.0", "True", "line-feed", "padded", "carriage-return", "bytes", "none"])
+    def test_batch_rule_shared_by_every_batch_type(self, seed, label, message):
+        # a FileBatch is refused before its file is opened: this one has none
+        for make in (lambda: SampleBatch(samples=np.ones((300, 4)), seed=seed, source_label=label),
+                     lambda: DrawnBatch(make_vacuum(), 300, seed, label),
+                     lambda: draw_samples(make_vacuum(), 300, seed, label),
+                     lambda: FileBatch("no-such-file.csv", 300, seed, label)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 make()
 
     def test_numpy_integer_seed_kept_as_int(self):

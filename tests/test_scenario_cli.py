@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -78,13 +79,19 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="unknown operation"):
             parse_scenario("schema = twinbeams-scenario-1\nsource = squeezy(1)\n")
 
-    @pytest.mark.parametrize("line, op", [
-        ("source = tmsv(1, 2)", "tmsv"),
-        ("source = tmsv(0.5,)", "tmsv"),
-        ("source = vacuum\nstep = loss(0.9,,0.8)", "loss"),
-    ], ids=["too-many", "trailing-comma", "empty-middle"])
-    def test_wrong_arity_rejected(self, line, op):
-        with pytest.raises(ScenarioError, match=f"{op} takes .* parameters"):
+    @pytest.mark.parametrize("line, message", [
+        ("source = tmsv(1, 2)", "source: tmsv takes 1 parameters ('r',), got 2"),
+        ("source = tmsv(0.5,)", "source: tmsv takes 1 parameters ('r',), got 2"),
+        ("source = vacuum\nstep = loss(0.9,,0.8)",
+         "line 3 step: loss takes 2 parameters ('eta1', 'eta2'), got 3"),
+        ("source = tmsv(1", "source: cannot parse 'tmsv(1'"),
+        ("tmsv(0.5)", "line 2: expected 'key = value'"),
+        ("source = vacuum\nsource = tmsv(0.5)", "line 3: duplicate key 'source'"),
+        ("theta_plus = 0.1", "source: missing"),
+    ], ids=["too-many", "trailing-comma", "empty-middle", "unclosed-call", "no-equals-sign",
+            "duplicate-key", "no-source"])
+    def test_malformed_scenario_rejected(self, line, message):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             parse_scenario(f"schema = twinbeams-scenario-1\n{line}\n")
 
     def test_missing_schema_rejected(self):
@@ -320,11 +327,13 @@ class TestCli:
         # Cholesky factor fails in rounding, which is no physicality error
         ("tmsv(10)\nsampling_n = 1000\nsampling_seed = 1", CHOLESKY, ["run"]),
         ("tmsv(12)\nsampling_n = 1000\nsampling_seed = 1", CHOLESKY, ["run"]),
+        ("sms(3, 0.5, 0)", "source sms: mode must be 1 or 2, got 3", ["run"]),
     ], ids=["unknown-op", "tmsv-overflow", "sms-overflow", "tmsv-inf-double", "sms-inf-double",
             "nan-theta-plus", "inf-theta-minus", "nan-op-argument", "inf-op-argument",
             "negative-sampling-seed", "negative-sample-seed",
             "oversized-sample", "huge-thermal", "huge-thermal-sampled", "huge-thermal-sample",
-            "huge-tmsv", "overflowing-theta-plus", "sampled-tmsv-10", "sampled-tmsv-12"])
+            "huge-tmsv", "overflowing-theta-plus", "sampled-tmsv-10", "sampled-tmsv-12",
+            "sms-mode-3"])
     def test_validation_error_printed_once(self, tmp_path, source, message, command):
         scn = self._write(tmp_path, f"schema = twinbeams-scenario-1\nsource = {source}\n")
         argv = [arg.format(tmp=tmp_path) for arg in command]
@@ -429,7 +438,7 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stdout == ""
         [line] = proc.stderr.splitlines()
-        assert line.startswith("error: variances must be positive, got F1=-")
+        assert line.startswith(f"error: {batch}: variances must be positive, got F1=-")
 
     def test_json_to_stdout_equals_json_to_file(self, tmp_path, capsys):
         scn = self._write(tmp_path, TMSV_SCENARIO)

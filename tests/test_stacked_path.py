@@ -57,7 +57,7 @@ def _bits(value) -> str:
     return repr(np.asarray(value).item())
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(physical_states(), min_size=1, max_size=8), ANGLE, ANGLE)
 def test_stack_rows_equal_classify_bit_for_bit(states, theta_plus, theta_minus):
     covs = np.array([state.cov for state in states])
@@ -169,7 +169,7 @@ def swept_scenarios(draw):
     return Scenario(source=ops[0], pipeline=tuple(ops[1:])), parameter, grid
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(swept_scenarios())
 def test_stacked_build_equals_per_point_build_bit_for_bit(case):
     scn, parameter, grid = case
@@ -207,7 +207,11 @@ def test_sweep_builds_its_grid_once(monkeypatch):
      r"source tmsv: squeezing parameter r = 400\.0 overflows the covariance$"),
     ("sms(1, 0.5, 0.2)", "phase(0.1, 0.2)", "s", [1.0, -400.0, 500.0],
      r"source sms: squeezing parameter s = -400\.0 overflows the covariance$"),
-], ids=["loss-eta", "tmsv-r", "thermal-f2", "tmsv-overflow", "sms-overflow"])
+    ("tmsv(1.0)", "loss(0.5, 0.5)", "step9.eta", [0.5],
+     r"^sweep parameter: no such step 'step9'$"),
+    ("tmsv(1.0)", "loss(0.5, 0.5)", "foo.r", [0.5], r"^sweep parameter: bad location 'foo'$"),
+], ids=["loss-eta", "tmsv-r", "thermal-f2", "tmsv-overflow", "sms-overflow", "no-such-step",
+        "bad-location"])
 def test_grid_with_invalid_point_names_first_bad_value(source, step, parameter, grid, message):
     scn = scenario.parse_scenario(
         f"schema = twinbeams-scenario-1\nsource = {source}\nstep = {step}\n")
