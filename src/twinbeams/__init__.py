@@ -16,16 +16,6 @@ from .criteria import (
     report_from_moments,
     state_moments,
 )
-from .sampling import (
-    DrawnBatch,
-    EstimatedCriteria,
-    FileBatch,
-    SampleBatch,
-    draw_samples,
-    estimate_criteria,
-    read_batch,
-    write_batch,
-)
 from .states import (
     GaussianTwoModeState,
     PhysicalityError,
@@ -68,3 +58,17 @@ __all__ = [
     "state_moments",
     "write_batch",
 ]
+
+# sampling (and numpy.random with it) loads on the first use of one of
+# its names, so an analytic start never compiles it.  The name is looked
+# up on each use, never cached here, so a rebinding in sampling shows.
+_SAMPLING_NAMES = frozenset({"DrawnBatch", "EstimatedCriteria", "FileBatch", "SampleBatch",
+                             "draw_samples", "estimate_criteria", "read_batch", "write_batch"})
+
+
+def __getattr__(name):
+    if name in _SAMPLING_NAMES:
+        from . import sampling
+
+        return getattr(sampling, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

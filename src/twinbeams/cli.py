@@ -17,7 +17,7 @@ import json
 import math
 import sys
 
-from . import sampling, scenario
+from . import scenario
 from .states import PhysicalityError
 
 EXIT_OK = 0
@@ -41,10 +41,17 @@ def _parse_grid(text: str) -> list:
         if num < 2:
             raise ValueError("--grid: range needs num >= 2")
         step = (stop - start) / (num - 1)
-        grid = [start + i * step for i in range(num)]
+        try:
+            grid = [start + i * step for i in range(num)]
+        except MemoryError:
+            raise _grid_too_large(num) from None
     if not all(map(math.isfinite, grid)):
         raise ValueError(f"--grid: values must be finite, got {text!r}")
     return grid
+
+
+def _grid_too_large(points: int) -> ValueError:
+    return ValueError(f"--grid: {points} points are more than memory holds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,12 +101,17 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     scn = scenario.load_scenario(args.scenario)
     grid = _parse_grid(args.grid)
-    rows = scenario.sweep(scn, args.param, grid)
-    scenario.write_sweep_csv(rows, args.param, args.out)
+    try:
+        rows = scenario.sweep(scn, args.param, grid)
+        scenario.write_sweep_csv(rows, args.param, args.out)
+    except MemoryError:  # numpy's allocation failures included; no file is opened
+        raise _grid_too_large(len(grid)) from None
     return EXIT_OK
 
 
 def _cmd_sample(args) -> int:
+    from . import sampling  # here: an analytic command never loads it
+
     scn = scenario.load_scenario(args.scenario)
     state = scenario.build_state(scn)
     batch = sampling.DrawnBatch(state, args.n, args.seed, source_label=scn.source.format())
@@ -108,6 +120,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    from . import sampling
+
     try:
         estimated = sampling.estimate_criteria(sampling.read_batch(args.batch))
     except ValueError as exc:

@@ -45,8 +45,9 @@ class EstimationError(ValueError):
 def _check_batch(seed, n=2, source_label="") -> int:
     """The rule of every batch type: n an integer >= 2, seed a non-negative
     integer, and a source_label that a batch file reads back unchanged (a
-    str with no line feed and no ASCII whitespace at either end); returns
-    the seed as a Python int, the value each batch keeps."""
+    str that UTF-8 encodes, with no line feed and no ASCII whitespace at
+    either end); returns the seed as a Python int, the value each batch
+    keeps."""
     whole = [isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (n, seed)]
     if not whole[0]:
         raise ValueError(f"n must be an integer, got {n}")
@@ -58,6 +59,10 @@ def _check_batch(seed, n=2, source_label="") -> int:
             and source_label == source_label.strip(" \t\n\r\v\f")):
         raise ValueError("source_label must be a str of one line with no whitespace at "
                          f"either end, got {source_label!r}")
+    try:
+        source_label.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        raise ValueError(f"source_label must be UTF-8 text, got {source_label!r}") from None
     return int(seed)
 
 

@@ -21,14 +21,16 @@ Unknown keys, operations, parameters and nan/inf are errors, never warnings.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from . import criteria, sampling, states
+from . import criteria, states
 
 SCHEMA = "twinbeams-scenario-1"
 REPORT_SCHEMA = "twinbeams-report-1"
@@ -154,8 +156,11 @@ def parse_scenario(text: str) -> Scenario:
                                  for key in ("sampling_n", "sampling_seed"))
     if (sampling_n is None) != (sampling_seed is None):
         raise ScenarioError("sampling_n and sampling_seed must be given together")
-    if sampling_n is not None and sampling_n < sampling.MIN_SAMPLES:
-        raise ScenarioError(f"sampling_n: must be >= {sampling.MIN_SAMPLES}")
+    if sampling_n is not None:
+        from .sampling import MIN_SAMPLES  # here: an analytic scenario never loads sampling
+
+        if sampling_n < MIN_SAMPLES:
+            raise ScenarioError(f"sampling_n: must be >= {MIN_SAMPLES}")
     # an angle not given keeps the Scenario default
     angles = {key: _number(fields[key], key, criteria.measurement_angle)
               for key in ("theta_plus", "theta_minus") if key in fields}
@@ -164,8 +169,16 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # numbered as parse_scenario numbers its lines; "?" stands for the bad byte
+        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise ScenarioError(f"{path}: line {line}: byte {data[exc.start]:#04x} "
+                            "is not UTF-8") from None
+    return parse_scenario(text)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +209,8 @@ def run_scenario(scenario: Scenario) -> dict:
     report = criteria.classify(state, scenario.theta_plus, scenario.theta_minus)
     estimated = None
     if scenario.sampling_n is not None:
+        from . import sampling
+
         # drawn block by block inside the jackknife, never held whole
         batch = sampling.DrawnBatch(
             state, scenario.sampling_n, scenario.sampling_seed,
@@ -268,6 +283,9 @@ def set_parameter(scenario: Scenario, name: str, value) -> Scenario:
 
 # the criterion values and level 1-4 verdicts: the first ten report fields
 SWEEP_COLUMNS = tuple(field.name for field in fields(criteria.CriteriaReport))[:10]
+# one CSV row: the repr of the parameter and of each float, 0 or 1 for a verdict
+_SWEEP_ROW = ",".join(["%r"] + ["%d" if col.startswith("level") else "%r"
+                                for col in SWEEP_COLUMNS]) + "\n"
 
 
 def sweep(scenario: Scenario, parameter: str, grid) -> list:
@@ -284,9 +302,9 @@ def sweep(scenario: Scenario, parameter: str, grid) -> list:
 
 
 def write_sweep_csv(rows: list, parameter: str, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join((parameter,) + SWEEP_COLUMNS) + "\n")
-        for row in rows:
-            values = (row[col] for col in (parameter,) + SWEEP_COLUMNS)
-            handle.write(",".join(str(int(v)) if isinstance(v, bool) else repr(v)
-                                  for v in values) + "\n")
+    """The rows as CSV, formatted in one pass before the file is opened."""
+    columns = (parameter,) + SWEEP_COLUMNS
+    cells = tuple(itertools.chain.from_iterable(map(operator.itemgetter(*columns), rows)))
+    data = (",".join(columns) + "\n" + _SWEEP_ROW * len(rows) % cells).encode("utf-8")
+    with open(path, "wb") as handle:
+        handle.write(data)

@@ -1,6 +1,6 @@
-"""Independent oracles for the closed forms in twinbeams.criteria and
-the jackknife in twinbeams.sampling, and the paper's classical bounds
-and Fock-pair counterexample.
+"""Independent oracles for the closed forms in twinbeams.criteria, the
+jackknife in twinbeams.sampling and the sweep CSV writer, and the
+paper's classical bounds and Fock-pair counterexample.
 
 Each one reaches the same number by a different route (an angular scan
 or a gain scan refined by bounded minimization, the correlation form of
@@ -19,6 +19,7 @@ from scipy.optimize import minimize_scalar
 
 from twinbeams.criteria import (DuanEprMoments, MomentPair, conditional_variance, gemellity,
                                 report_scalars, state_moments)
+from twinbeams.scenario import SWEEP_COLUMNS
 
 ORACLE_XTOL = 1e-11
 
@@ -104,6 +105,17 @@ def jackknife_reference(samples: np.ndarray, n_blocks: int, theta_plus: float = 
         mean = sum(column) / n_blocks
         out[key] = (float(value), math.sqrt(factor * sum((x - mean) ** 2 for x in column)))
     return out
+
+
+def write_sweep_csv_per_row(rows: list, parameter: str, path) -> None:
+    """The sweep CSV one cell at a time: 0 or 1 for a bool, the repr of
+    anything else."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(",".join((parameter,) + SWEEP_COLUMNS) + "\n")
+        for row in rows:
+            values = (row[col] for col in (parameter,) + SWEEP_COLUMNS)
+            handle.write(",".join(str(int(v)) if isinstance(v, bool) else repr(v)
+                                  for v in values) + "\n")
 
 
 def classical_split_correlation(f_in: float) -> float:

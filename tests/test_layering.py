@@ -1,15 +1,17 @@
 """The module layering: states.py holds the states and the linear-optical
 maps and imports nothing from the package; criteria.py owns the measured
-moments that every criterion reads."""
+moments that every criterion reads; the package exports each name of its
+modules as the object that module holds."""
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 import twinbeams
-from twinbeams import criteria, states
+from twinbeams import criteria, sampling, states
 
 
 def test_states_imports_nothing_from_the_package():
@@ -30,3 +32,24 @@ def test_measured_moments_defined_in_criteria(name):
     assert obj is vars(criteria)[name]
     assert obj.__module__ == "twinbeams.criteria"
     assert not hasattr(states, name)
+
+
+def test_star_import_binds_every_name_to_its_defining_module():
+    namespace = {}
+    exec("from twinbeams import *", namespace)
+    exported = {name: obj for name, obj in namespace.items() if name != "__builtins__"}
+    assert sorted(exported) == sorted(twinbeams.__all__) and len(exported) == 28
+    for name, obj in exported.items():
+        assert vars(sys.modules[obj.__module__])[name] is obj
+
+
+def test_sampling_names_follow_a_rebinding(monkeypatch):
+    # looked up in sampling on each use, never cached in the package
+    monkeypatch.setattr(sampling, "draw_samples", lambda *args: "rebound")
+    assert twinbeams.draw_samples() == "rebound"
+    assert "draw_samples" not in vars(twinbeams)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="^module 'twinbeams' has no attribute 'nope'$"):
+        getattr(twinbeams, "nope")

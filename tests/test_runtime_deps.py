@@ -1,5 +1,6 @@
 """The runtime needs numpy only; scipy is a test dependency (oracles).
-Importing the CLI loads neither scipy nor multiprocessing."""
+Importing the CLI loads neither scipy nor multiprocessing, and only a
+command that draws or reads a batch loads the sampling stack."""
 
 import os
 import re
@@ -8,28 +9,51 @@ import sys
 import tomllib
 from pathlib import Path
 
+import pytest
+
 import twinbeams
 
 ROOT = Path(__file__).resolve().parents[1]
 
+SAMPLING_STACK = ("twinbeams.sampling", "numpy.random", "concurrent.futures")
 
-def _cli_import_loads(package):
-    """Modules of `package` that a fresh `import twinbeams.cli` loads."""
+
+def _loaded_after(code, packages):
+    """The modules of `packages` (each a package or module name) that a
+    fresh interpreter holds after running `code`, as a printed list."""
     env = {**os.environ, "PYTHONPATH": str(Path(twinbeams.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, twinbeams.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
+    report = ("print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') "
+              f"for p in {packages!r})))")
+    proc = subprocess.run([sys.executable, "-c", f"import sys\n{code}\n{report}"],
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
     return proc.stdout.strip()
 
 
 def test_cli_import_leaves_scipy_out():
-    assert _cli_import_loads("scipy") == "[]"
+    assert _loaded_after("import twinbeams.cli", ("scipy",)) == "[]"
 
 
 def test_cli_import_leaves_multiprocessing_out():
     # the CSV workers import it when they start; at import it would cost ~15 ms
-    assert _cli_import_loads("multiprocessing") == "[]"
+    assert _loaded_after("import twinbeams.cli", ("multiprocessing",)) == "[]"
+
+
+def test_cli_import_leaves_sampling_out():
+    assert _loaded_after("import twinbeams.cli", SAMPLING_STACK) == "[]"
+
+
+@pytest.mark.parametrize("sampled, argv, loaded", [
+    ("", ["run", "--out", "report.json"], []),
+    ("", ["sweep", "--param", "source.r", "--grid", "0:1:11", "--out", "sweep.csv"], []),
+    ("sampling_n = 200\nsampling_seed = 1\n", ["run", "--out", "report.json"],
+     ["twinbeams.sampling"]),
+], ids=["run", "sweep", "sampled-run"])
+def test_only_a_sampled_command_loads_sampling(tmp_path, sampled, argv, loaded):
+    scn = tmp_path / "scn.txt"
+    scn.write_text(f"schema = twinbeams-scenario-1\nsource = tmsv(0.5)\n{sampled}")
+    argv = [*argv[:-1], str(tmp_path / argv[-1]), "--scenario", str(scn)]
+    code = f"from twinbeams.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded_after(code, ("twinbeams.sampling",)) == str(loaded)
 
 
 def test_declared_dependencies_are_numpy_only():

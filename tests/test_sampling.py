@@ -154,6 +154,7 @@ class TestBatchRoundTrip:
     @example(label="\xa0x\x1c")  # ends that str.strip removes and bytes.strip keeps
     @example(label="a\rb\x85c\u2028d")  # line ends of text mode, not of the file
     @example(label="a\nb")
+    @example(label="\ud800")  # a lone surrogate, which UTF-8 cannot encode
     def test_every_label_written_reads_back(self, label):
         # the batch rule refuses a label that the file could not carry
         samples = np.array(GRAMMAR_ROWS)
@@ -777,7 +778,9 @@ class TestDrawnBatch:
           for seed in (2.5, 3.0, True)),
         *((1, label, "source_label must be a str of one line with no whitespace at either end, "
                      f"got {label!r}") for label in ("a\nb", "  x ", "x\r", b"x", None)),
-    ], ids=["2.5", "3.0", "True", "line-feed", "padded", "carriage-return", "bytes", "none"])
+        (1, "x\udcff", "source_label must be UTF-8 text, got 'x\\udcff'"),
+    ], ids=["2.5", "3.0", "True", "line-feed", "padded", "carriage-return", "bytes", "none",
+            "surrogate"])
     def test_batch_rule_shared_by_every_batch_type(self, seed, label, message):
         # a FileBatch is refused before its file is opened: this one has none
         for make in (lambda: SampleBatch(samples=np.ones((300, 4)), seed=seed, source_label=label),

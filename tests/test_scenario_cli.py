@@ -4,13 +4,18 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import write_sweep_csv_per_row
 
 import twinbeams
-from twinbeams import criteria
+from twinbeams import cli, criteria, scenario
 from twinbeams.cli import main
 from twinbeams.sampling import SampleBatch, write_batch
 from twinbeams.scenario import (
@@ -23,6 +28,7 @@ from twinbeams.scenario import (
     run_scenario,
     set_parameter,
     sweep,
+    write_sweep_csv,
 )
 
 BOUND = "state moments must be finite and at most 1e+75 in magnitude, got"
@@ -105,6 +111,20 @@ class TestParsing:
     def test_sampling_n_below_the_floor_rejected(self):
         with pytest.raises(ScenarioError, match=r"^sampling_n: must be >= 200$"):
             parse_scenario(TMSV_SCENARIO + "sampling_n = 199\nsampling_seed = 1\n")
+
+    @pytest.mark.parametrize("head, line", [
+        (b"schema = twinbeams-scenario-1\n", 2),
+        (b"schema = twinbeams-scenario-1\r\n\r\n", 3),
+        (b"", 1),
+    ], ids=["lf", "crlf", "first-line"])
+    def test_scenario_not_utf8_names_file_and_line(self, tmp_path, capsys, head, line):
+        path = tmp_path / "scn.txt"
+        path.write_bytes(head + b"# caf\xe9 au lait\nsource = tmsv(1.0)\n")
+        message = f"{path}: line {line}: byte 0xe9 is not UTF-8"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            load_scenario(path)
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     def test_out_of_range_parameter_rejected(self):
         scn = parse_scenario(
@@ -358,6 +378,27 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: --grid: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("module, name, stand_in", [
+        (cli, "range", None),  # building the grid: the module's name comes before the builtin
+        (scenario, "np", "array"),  # numpy's allocation of the grid's state stack
+        (criteria, "report_scalars", None),  # scoring the stack
+        (scenario, "operator", "itemgetter"),  # formatting the CSV
+    ], ids=["grid", "state-stack", "scores", "csv-text"])
+    def test_sweep_out_of_memory_exit_2_no_file(self, tmp_path, capsys, monkeypatch,
+                                                module, name, stand_in):
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        stand_in = SimpleNamespace(**{stand_in: fail}) if stand_in else fail
+        monkeypatch.setattr(module, name, stand_in, raising=False)
+        scn = self._write(tmp_path, TMSV_SCENARIO)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--scenario", str(scn), "--param", "source.r",
+                     "--grid", "0:2:41", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --grid: 41 points are more than memory holds"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("param", ["source.mode", "mode"])
     def test_mode_sweep_rejected(self, tmp_path, capsys, param):
         scn = self._write(tmp_path, "schema = twinbeams-scenario-1\nsource = sms(1, 0.5, 0.2)\n")
@@ -491,3 +532,24 @@ def _approx_equal(a, b, tol=1e-12):
     if isinstance(a, float) and isinstance(b, float):
         return a == pytest.approx(b, abs=tol)
     return a == b
+
+
+SWEEP_FLOATS = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 1e-05, 1e16])
+SWEEP_ROWS = st.lists(st.fixed_dictionaries(
+    {col: st.booleans() if col.startswith("level") else SWEEP_FLOATS
+     for col in ("step1.eta",) + SWEEP_COLUMNS}), max_size=20)
+
+
+@settings(max_examples=100)
+@given(rows=SWEEP_ROWS)
+@example(rows=[])  # the header only
+@example(rows=[{"step1.eta": -0.0, **dict.fromkeys(SWEEP_COLUMNS[:6], 1e-05),
+                **dict.fromkeys(SWEEP_COLUMNS[6:], True)},
+               {"step1.eta": 1e16, **dict.fromkeys(SWEEP_COLUMNS[:6], -0.0),
+                **dict.fromkeys(SWEEP_COLUMNS[6:], False)}])
+def test_sweep_csv_equals_the_per_row_writer(rows):
+    with tempfile.TemporaryDirectory() as scratch:
+        got, want = Path(scratch) / "got.csv", Path(scratch) / "want.csv"
+        write_sweep_csv(rows, "step1.eta", got)
+        write_sweep_csv_per_row(rows, "step1.eta", want)
+        assert got.read_bytes() == want.read_bytes()
