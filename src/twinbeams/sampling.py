@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import io
 import math
 import os
 import pickle
@@ -220,10 +221,11 @@ def draw_samples(state: GaussianTwoModeState, n: int, seed: int,
 
 
 def write_batch(batch: SampleBatch | DrawnBatch | FileBatch, path) -> None:
-    """CSV with '#' metadata lines, a fixed header, and full-precision
-    decimal values (round-trippable IEEE doubles).  Rows are formatted a
-    block of at most WRITE_CHUNK at a time as the batch yields it, by one
-    worker per CPU, and written in order, so no process holds the batch.
+    """CSV with '#' metadata lines, a fixed header, and each value as repr
+    writes it: the shortest decimal that reads back to the same double.
+    Rows are formatted a block of at most WRITE_CHUNK at a time as the
+    batch yields it, by one worker per CPU, and written in order, so no
+    process holds the batch.
     A write that fails, or is interrupted, removes the file it began, so
     no truncated batch is left to be read; a device or a pipe is kept."""
     _check_room(batch.n, path)
@@ -261,19 +263,22 @@ def _numbered(blocks):
 
 
 def _format_rows(start: int, rows: np.ndarray) -> bytes:
-    """The CSV lines of a block of rows, sample index first, counted from `start`."""
-    return "".join([f"{i},{a!r},{b!r},{c!r},{d!r}\n"
-                    for i, (a, b, c, d) in enumerate(rows.tolist(), start)]).encode("utf-8")
+    """The CSV lines of a block of rows, sample index first, counted from
+    `start`, each value as repr writes it."""
+    from . import _shortest  # here: a command that writes no batch never loads it
+
+    return _shortest.format_rows(start, rows)
 
 
 class _Span(NamedTuple):
     """A byte range of the data block: [start, end), the number of its
-    first line, and its data rows."""
+    first line, its data rows and its line ends."""
 
     start: int
     end: int
     lineno: int
     rows: int
+    lines: int
 
 
 @dataclass(frozen=True)
@@ -354,7 +359,7 @@ def read_batch(path) -> FileBatch:
                                          len(ranges))) as counts:
         for (start, end), count in zip(ranges, counts):
             rows, lines = np.frombuffer(count, dtype=np.int64).tolist()
-            spans.append(_Span(start, end, lineno, rows))
+            spans.append(_Span(start, end, lineno, rows, lines))
             lineno += lines
     n = sum(span.rows for span in spans)
     if n < MIN_SAMPLES:
@@ -398,20 +403,26 @@ def _count_rows(path, start: int, end: int) -> bytes:
 
 
 def _parse_range(path, span: _Span) -> bytes:
-    """Columns 1-4 of the rows of one byte range, as raw float64 bytes.
+    """Columns 1-4 of the rows of one byte range, as raw float64 bytes:
+    parsed as one buffer when every line of the range is a row ended by
+    a line feed, else line by line with the blank lines left out.
     Raises BatchFormatError naming the first bad line when a row does not
     parse, has other than 5 cells or a non-finite one."""
     if not span.rows:
         return b""
     with open(path, "rb") as handle:
         handle.seek(span.start)
-        lines = handle.read(span.end - span.start).split(b"\n")
+        text = handle.read(span.end - span.start)
+    if span.rows == span.lines and text.endswith(b"\n"):
+        source = io.BytesIO(text)
+    else:
+        source = filter(bytes.strip, text.split(b"\n"))
     try:
-        data = np.loadtxt(filter(bytes.strip, lines), delimiter=",", comments=None, ndmin=2)
+        data = np.loadtxt(source, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         data = None
     if data is None or data.shape != (span.rows, 5) or not np.isfinite(data).all():
-        raise BatchFormatError(_first_fault(lines, span.lineno))
+        raise BatchFormatError(_first_fault(text.split(b"\n"), span.lineno))
     return data[:, 1:].tobytes()
 
 

@@ -169,6 +169,7 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
+    """The scenario of a UTF-8 file; every error names the file first."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
@@ -178,7 +179,10 @@ def load_scenario(path) -> Scenario:
         line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
         raise ScenarioError(f"{path}: line {line}: byte {data[exc.start]:#04x} "
                             "is not UTF-8") from None
-    return parse_scenario(text)
+    try:
+        return parse_scenario(text)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

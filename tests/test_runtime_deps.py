@@ -1,6 +1,7 @@
 """The runtime needs numpy only; scipy is a test dependency (oracles).
-Importing the CLI loads neither scipy nor multiprocessing, and only a
-command that draws or reads a batch loads the sampling stack."""
+Importing the CLI loads neither scipy nor multiprocessing, only a
+command that draws or reads a batch loads the sampling stack, and only
+`sample` loads the CSV writer's kernel."""
 
 import os
 import re
@@ -15,7 +16,9 @@ import twinbeams
 
 ROOT = Path(__file__).resolve().parents[1]
 
-SAMPLING_STACK = ("twinbeams.sampling", "numpy.random", "concurrent.futures")
+SAMPLING_STACK = ("twinbeams.sampling", "twinbeams._shortest", "numpy.random",
+                  "concurrent.futures")
+SAMPLING_MODULES = ("twinbeams.sampling", "twinbeams._shortest")
 
 
 def _loaded_after(code, packages):
@@ -53,7 +56,27 @@ def test_only_a_sampled_command_loads_sampling(tmp_path, sampled, argv, loaded):
     scn.write_text(f"schema = twinbeams-scenario-1\nsource = tmsv(0.5)\n{sampled}")
     argv = [*argv[:-1], str(tmp_path / argv[-1]), "--scenario", str(scn)]
     code = f"from twinbeams.cli import main\nassert main({argv!r}) == 0"
-    assert _loaded_after(code, ("twinbeams.sampling",)) == str(loaded)
+    assert _loaded_after(code, SAMPLING_MODULES) == str(loaded)
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("sample", ["twinbeams._shortest", "twinbeams.sampling"]),
+    ("estimate", ["twinbeams.sampling"]),
+])
+def test_only_sample_loads_the_csv_kernel(tmp_path, command, loaded):
+    from twinbeams.sampling import draw_samples, write_batch
+    from twinbeams.states import make_vacuum
+
+    scn, written = tmp_path / "scn.txt", tmp_path / "written.csv"
+    scn.write_text("schema = twinbeams-scenario-1\nsource = tmsv(0.5)\n")
+    write_batch(draw_samples(make_vacuum(), 300, 1), written)
+    argv = {  # 300 rows are one chunk, formatted in this process, not in a worker
+        "sample": ["sample", "--scenario", str(scn), "--n", "300", "--seed", "1",
+                   "--out", str(tmp_path / "batch.csv")],
+        "estimate": ["estimate", "--batch", str(written), "--out", str(tmp_path / "out.json")],
+    }[command]
+    code = f"from twinbeams.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded_after(code, SAMPLING_MODULES) == str(loaded)
 
 
 def test_declared_dependencies_are_numpy_only():

@@ -314,7 +314,7 @@ class TestCli:
                               capture_output=True, text=True, timeout=60)
 
     @pytest.mark.parametrize("source, message, command", [
-        ("nope()", "source: unknown operation 'nope'", ["run"]),
+        ("nope()", "{scn}: source: unknown operation 'nope'", ["run"]),
         ("tmsv(400)", "source tmsv: squeezing parameter r = 400.0 overflows the covariance",
          ["run"]),
         ("sms(1, 400, 0)",
@@ -324,10 +324,11 @@ class TestCli:
          ["run"]),
         ("sms(2, -1e308, 0)",
          "source sms: squeezing parameter s = -1e+308 overflows the covariance", ["run"]),
-        ("tmsv(0.5)\ntheta_plus = nan", "theta_plus: bad value 'nan'", ["run"]),
-        ("tmsv(0.5)\ntheta_minus = inf", "theta_minus: bad value 'inf'", ["run"]),
-        ("tmsv(nan)", "source: parameter r of tmsv: bad value 'nan'", ["run"]),
-        ("tmsv(0.5)\nstep = phase(inf, 0)", "line 3 step: parameter phi1 of phase: bad value 'inf'",
+        ("tmsv(0.5)\ntheta_plus = nan", "{scn}: theta_plus: bad value 'nan'", ["run"]),
+        ("tmsv(0.5)\ntheta_minus = inf", "{scn}: theta_minus: bad value 'inf'", ["run"]),
+        ("tmsv(nan)", "{scn}: source: parameter r of tmsv: bad value 'nan'", ["run"]),
+        ("tmsv(0.5)\nstep = phase(inf, 0)",
+         "{scn}: line 3 step: parameter phi1 of phase: bad value 'inf'",
          ["run"]),
         ("tmsv(0.5)\nsampling_n = 300\nsampling_seed = -1",
          "seed must be a non-negative integer, got -1", ["run"]),
@@ -342,7 +343,7 @@ class TestCli:
         ("thermal(1e300, 1e300)", f"source thermal: {BOUND} 1e+300",
          ["sample", "--n", "300", "--seed", "1", "--out", "{tmp}/batch.csv"]),
         ("tmsv(200)", f"source tmsv: {BOUND} {math.cosh(400.0)!r}", ["run"]),
-        ("tmsv(0.5)\ntheta_plus = 1e308", "theta_plus: bad value '1e308'", ["run"]),
+        ("tmsv(0.5)\ntheta_plus = 1e308", "{scn}: theta_plus: bad value '1e308'", ["run"]),
         # these states pass their own uncertainty check; only the sampler's
         # Cholesky factor fails in rounding, which is no physicality error
         ("tmsv(10)\nsampling_n = 1000\nsampling_seed = 1", CHOLESKY, ["run"]),
@@ -359,7 +360,19 @@ class TestCli:
         argv = [arg.format(tmp=tmp_path) for arg in command]
         proc = self._run_fresh([*argv, "--scenario", str(scn)])
         assert proc.returncode == 2
-        assert proc.stderr.splitlines() == [f"error: {message}"]
+        assert proc.stderr.splitlines() == [f"error: {message.format(scn=scn)}"]
+
+    @pytest.mark.parametrize("command", [
+        ["run"],
+        ["sweep", "--param", "source.r", "--grid", "0,1", "--out", "{tmp}/sweep.csv"],
+    ], ids=["run", "sweep"])
+    def test_scenario_error_names_file(self, tmp_path, capsys, command):
+        scn = self._write(tmp_path, "schema = twinbeams-scenario-1\nsource = tmsv(0.5)\nfoo = 1\n")
+        argv = [arg.format(tmp=tmp_path) for arg in command]
+        assert main([*argv, "--scenario", str(scn)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {scn}: line 3: unknown key 'foo'"]
+        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("grid", [",", "", "0.1,,0.2", "0.1, ,0.2", "0:1:1e9",
                                       "0:1:nan", "0:1:2.5", "0:1", "0:1:2:3", "0:x:3",
