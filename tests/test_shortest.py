@@ -57,7 +57,10 @@ def test_every_finite_double_is_its_repr(patterns):
     [float(f"{d}e{e}") for d in range(1, 10) for e in range(-20, 24)],
     [np.nextafter(float(f"1e{e}"), to) for e in range(-322, 309) for to in (0.0, math.inf)],
     [2.0 ** 53 - d for d in range(40)] + [2.0 ** 53 + 2 * d for d in range(40)],
-], ids=["edges", "powers-of-2", "powers-of-10", "one-digit", "decade-neighbours", "near-2**53"])
+    [1e20, -3e-7] * 4,  # a block with no digit after any point
+    [-0.0] * 8,
+], ids=["edges", "powers-of-2", "powers-of-10", "one-digit", "decade-neighbours", "near-2**53",
+        "no-fraction-digits", "negative-zeros"])
 def test_edge_classes_are_their_repr(values):
     _assert_reprs(values)
 
