@@ -21,7 +21,10 @@ import functools
 import numpy as np
 
 K_MIN, K_MAX = -324, 292  # the decimal scales 10**k of all finite doubles
-SUB_ROWS = 1024  # rows laid out at a time: their temporaries stay in cache
+# rows laid out at a time: their temporaries stay in cache, and freeing them
+# leaves less than glibc's heap-trim threshold (at 2048 rows, a chunk's
+# sub-batches paid thousands of page faults to get their memory back)
+SUB_ROWS = 1024
 _M32 = np.uint64(0xFFFFFFFF)
 _P10 = np.array([10 ** j for j in range(20)], dtype=np.uint64)
 _FIRST = np.tri(21, 20, -1, dtype=bool)  # row c keeps the first c of 20 slots

@@ -96,10 +96,6 @@ def test_rows_equal_the_oracle_across_seams(start):
     assert _format_rows(start, rows) == format_rows_repr(start, rows)
 
 
-def test_an_empty_block_is_no_text():
-    assert _format_rows(5, np.empty((0, 4))) == b""
-
-
 def test_powers_of_ten_table_is_exact():
     # row k - K_MIN: 2**r <= 10**-k < 2**(r + 1) and g = floor(10**-k * 2**(127 - r)) + 1
     limbs, exps = _shortest._powers()
