@@ -200,9 +200,9 @@ def _layout(start: int, rows: np.ndarray, width: int) -> bytes:
     template[:, width] = ord(",")
     keep[:, width] = True
 
-    shape = (m, 4, field)
-    fields = np.reshape(template[:, width + 1:], shape, copy=False)
-    kept = np.reshape(keep[:, width + 1:], shape, copy=False)
+    shape, strides = (m, 4, field), (template.shape[1], field, 1)  # views of the value slots
+    fields = np.ndarray(shape, np.uint8, template, width + 1, strides)
+    kept = np.ndarray(shape, bool, keep, width + 1, strides)
     flat = (m, 4)  # one entry a value
     if signed:
         fields[..., 0] = ord("-")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import io
 import math
 import os
 import pickle
@@ -272,13 +271,12 @@ def _format_rows(start: int, rows: np.ndarray) -> bytes:
 
 class _Span(NamedTuple):
     """A byte range of the data block: [start, end), the number of its
-    first line, its data rows and its line ends."""
+    first line, and its data rows."""
 
     start: int
     end: int
     lineno: int
     rows: int
-    lines: int
 
 
 @dataclass(frozen=True)
@@ -359,7 +357,7 @@ def read_batch(path) -> FileBatch:
                                          len(ranges))) as counts:
         for (start, end), count in zip(ranges, counts):
             rows, lines = np.frombuffer(count, dtype=np.int64).tolist()
-            spans.append(_Span(start, end, lineno, rows, lines))
+            spans.append(_Span(start, end, lineno, rows))
             lineno += lines
     n = sum(span.rows for span in spans)
     if n < MIN_SAMPLES:
@@ -403,26 +401,20 @@ def _count_rows(path, start: int, end: int) -> bytes:
 
 
 def _parse_range(path, span: _Span) -> bytes:
-    """Columns 1-4 of the rows of one byte range, as raw float64 bytes:
-    parsed as one buffer when every line of the range is a row ended by
-    a line feed, else line by line with the blank lines left out.
+    """Columns 1-4 of the rows of one byte range, as raw float64 bytes.
     Raises BatchFormatError naming the first bad line when a row does not
     parse, has other than 5 cells or a non-finite one."""
     if not span.rows:
         return b""
     with open(path, "rb") as handle:
         handle.seek(span.start)
-        text = handle.read(span.end - span.start)
-    if span.rows == span.lines and text.endswith(b"\n"):
-        source = io.BytesIO(text)
-    else:
-        source = filter(bytes.strip, text.split(b"\n"))
+        lines = handle.read(span.end - span.start).split(b"\n")
     try:
-        data = np.loadtxt(source, delimiter=",", comments=None, ndmin=2)
+        data = np.loadtxt(filter(bytes.strip, lines), delimiter=",", comments=None, ndmin=2)
     except ValueError:
         data = None
     if data is None or data.shape != (span.rows, 5) or not np.isfinite(data).all():
-        raise BatchFormatError(_first_fault(text.split(b"\n"), span.lineno))
+        raise BatchFormatError(_first_fault(lines, span.lineno))
     return data[:, 1:].tobytes()
 
 

@@ -1,7 +1,6 @@
 """Independent oracles for the closed forms in twinbeams.criteria, the
-jackknife in twinbeams.sampling, the sweep and sample CSV writers and
-the batch range parser, and the paper's classical bounds and Fock-pair
-counterexample.
+jackknife in twinbeams.sampling, the sweep and sample CSV writers, and
+the paper's classical bounds and Fock-pair counterexample.
 
 Each one reaches the same number by a different route (an angular scan
 or a gain scan refined by bounded minimization, the correlation form of
@@ -20,7 +19,6 @@ from scipy.optimize import minimize_scalar
 
 from twinbeams.criteria import (DuanEprMoments, MomentPair, conditional_variance, gemellity,
                                 report_scalars, state_moments)
-from twinbeams.sampling import BatchFormatError, _first_fault
 from twinbeams.scenario import SWEEP_COLUMNS
 
 ORACLE_XTOL = 1e-11
@@ -125,24 +123,6 @@ def format_rows_repr(start: int, rows: np.ndarray) -> bytes:
     index counted from `start`, then the repr of each value."""
     return "".join([f"{i},{a!r},{b!r},{c!r},{d!r}\n"
                     for i, (a, b, c, d) in enumerate(rows.tolist(), start)]).encode("utf-8")
-
-
-def parse_range_lines(path, span) -> bytes:
-    """`sampling._parse_range` line by line: the range split at line
-    feeds, the blank lines left out, and the rest handed to np.loadtxt
-    as a list of lines."""
-    if not span.rows:
-        return b""
-    with open(path, "rb") as handle:
-        handle.seek(span.start)
-        lines = handle.read(span.end - span.start).split(b"\n")
-    try:
-        data = np.loadtxt(filter(bytes.strip, lines), delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        data = None
-    if data is None or data.shape != (span.rows, 5) or not np.isfinite(data).all():
-        raise BatchFormatError(_first_fault(lines, span.lineno))
-    return data[:, 1:].tobytes()
 
 
 def classical_split_correlation(f_in: float) -> float:

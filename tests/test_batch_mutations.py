@@ -3,10 +3,7 @@
 Each mutant of the golden batch (50 rows, under the sample floor) or of a
 300-row file written by `write_batch` either exits 0, printing nothing on
 stderr and writing a JSON of finite numbers, or exits 2, printing one
-stderr line that names the batch and writing no output file.  And the
-byte-range parser, which parses a range whose every line is a row as
-one buffer, accepts, rejects and reads each mutated range as the line
-by line parser does."""
+stderr line that names the batch and writing no output file."""
 
 import contextlib
 import io
@@ -18,14 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unittest import mock
-
-import numpy as np
-
-from oracles import parse_range_lines
-from twinbeams import sampling
 from twinbeams.cli import main
-from twinbeams.sampling import CSV_HEADER, BatchFormatError, draw_samples, write_batch
+from twinbeams.sampling import CSV_HEADER, draw_samples, write_batch
 from twinbeams.states import make_two_mode_squeezed
 
 GOLDEN_BATCH = Path(__file__).parent / "data" / "golden_batch.csv"
@@ -101,34 +92,3 @@ def test_estimate_of_a_mutant_exits_0_or_2_with_one_line(batches, source, mutati
         [line] = stderr.getvalue().splitlines()
         assert line.startswith(f"error: {path}: ")
         assert not out.exists()
-
-
-def _outcome(parse, path, span):
-    try:
-        return "read", parse(path, span)
-    except BatchFormatError as exc:
-        return "refused", str(exc)
-
-
-@settings(max_examples=150)
-@given(mutations=st.lists(MUTATIONS, min_size=1, max_size=4),
-       range_bytes=st.sampled_from([700, 3000, 1 << 22]))
-# a blank line, a lone CR, an unterminated last line: the line-by-line path
-@example(mutations=[("insert", 2000, b"\n")], range_bytes=3000)
-@example(mutations=[("replace", 2000, b"\r")], range_bytes=1 << 22)
-@example(mutations=[("truncate", 10 ** 6 - 1, b"x")], range_bytes=700)
-def test_range_parser_equals_the_line_parser(batches, mutations, range_bytes):
-    workdir, sources = batches
-    head, data = sources["written"][:len(WRITTEN_HEAD)], sources["written"][len(WRITTEN_HEAD):]
-    for mutation in mutations:
-        data = _mutate(data, *mutation)
-    path = workdir / "ranges.csv"
-    path.write_bytes(head + data)
-    with mock.patch.object(sampling, "READ_RANGE", range_bytes), open(path, "rb") as handle:
-        ranges = sampling._ranges(handle, len(head))
-    lineno = WRITTEN_HEAD.count("\n") + 1
-    for start, end in ranges:
-        rows, lines = np.frombuffer(sampling._count_rows(path, start, end), np.int64).tolist()
-        span = sampling._Span(start, end, lineno, rows, lines)
-        assert _outcome(sampling._parse_range, path, span) == _outcome(parse_range_lines, path, span)
-        lineno += lines
