@@ -403,10 +403,18 @@ def _count_rows(path, start: int, end: int) -> bytes:
 def _parse_range(path, span: _Span) -> bytes:
     """Columns 1-4 of the rows of one byte range, as raw float64 bytes.
     Raises BatchFormatError naming the first bad line when a row does not
-    parse, has other than 5 cells or a non-finite one."""
+    parse, has other than 5 cells or a non-finite one.  A range of lines
+    as `write_batch` writes them is read by the `_nearest` kernel; one it
+    declines is parsed here line by line, with the same bits."""
     if not span.rows:
         return b""
+    from . import _nearest  # here: a command that reads no batch never loads it
+
     with open(path, "rb") as handle:
+        handle.seek(span.start)
+        rows = _nearest.read_rows(handle, span.end - span.start, span.rows)
+        if rows is not None:
+            return rows.tobytes()
         handle.seek(span.start)
         lines = handle.read(span.end - span.start).split(b"\n")
     try:

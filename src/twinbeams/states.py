@@ -133,7 +133,10 @@ def _check(ok, message: str, *values) -> None:
 def _squeezing(fn, x, name: str) -> np.ndarray:
     """fn of each entry of the squeezing parameter x (name in errors); fn
     calls math's cosh, sinh or exp, since numpy's differ in the last bit,
-    on a Python float, whose `2.0 * v` overflows to inf without a warning."""
+    on a Python float, whose `2.0 * v` overflows to inf without raising.
+    The overflow still sets the CPU's flag, which np.vectorize would
+    report as a RuntimeWarning (`sms(1, 1e308, 0)`: exp(-inf) is 0 and
+    exp(inf) raises below), so that warning is off here."""
     def entry(v):
         v = float(v)
         try:
@@ -143,7 +146,8 @@ def _squeezing(fn, x, name: str) -> np.ndarray:
         if math.isinf(value):  # inf from inf; a nan parameter fails the state's check
             raise ValueError(f"squeezing parameter {name} = {v} overflows the covariance")
         return value
-    return np.vectorize(entry, otypes=[float])(x)
+    with np.errstate(over="ignore"):
+        return np.vectorize(entry, otypes=[float])(x)
 
 
 def _matrix(rows) -> np.ndarray:

@@ -1,7 +1,7 @@
 """The runtime needs numpy only; scipy is a test dependency (oracles).
 Importing the CLI loads neither scipy nor multiprocessing, only a
-command that draws or reads a batch loads the sampling stack, and only
-`sample` loads the CSV writer's kernel."""
+command that draws or reads a batch loads the sampling stack, only
+`sample` loads the CSV writer's kernel, and only `estimate` the reader's."""
 
 import os
 import re
@@ -16,9 +16,9 @@ import twinbeams
 
 ROOT = Path(__file__).resolve().parents[1]
 
-SAMPLING_STACK = ("twinbeams.sampling", "twinbeams._shortest", "numpy.random",
-                  "concurrent.futures")
-SAMPLING_MODULES = ("twinbeams.sampling", "twinbeams._shortest")
+SAMPLING_STACK = ("twinbeams.sampling", "twinbeams._shortest", "twinbeams._nearest",
+                  "numpy.random", "concurrent.futures")
+SAMPLING_MODULES = ("twinbeams.sampling", "twinbeams._shortest", "twinbeams._nearest")
 
 
 def _loaded_after(code, packages):
@@ -61,7 +61,7 @@ def test_only_a_sampled_command_loads_sampling(tmp_path, sampled, argv, loaded):
 
 @pytest.mark.parametrize("command, loaded", [
     ("sample", ["twinbeams._shortest", "twinbeams.sampling"]),
-    ("estimate", ["twinbeams.sampling"]),
+    ("estimate", ["twinbeams._nearest", "twinbeams.sampling"]),
 ])
 def test_only_sample_loads_the_csv_kernel(tmp_path, command, loaded):
     from twinbeams.sampling import draw_samples, write_batch
@@ -70,7 +70,7 @@ def test_only_sample_loads_the_csv_kernel(tmp_path, command, loaded):
     scn, written = tmp_path / "scn.txt", tmp_path / "written.csv"
     scn.write_text("schema = twinbeams-scenario-1\nsource = tmsv(0.5)\n")
     write_batch(draw_samples(make_vacuum(), 300, 1), written)
-    argv = {  # 300 rows are one chunk, formatted in this process, not in a worker
+    argv = {  # 300 rows are one chunk or range, handled in this process, not in a worker
         "sample": ["sample", "--scenario", str(scn), "--n", "300", "--seed", "1",
                    "--out", str(tmp_path / "batch.csv")],
         "estimate": ["estimate", "--batch", str(written), "--out", str(tmp_path / "out.json")],

@@ -12,6 +12,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,13 @@ class TestBatchRoundTrip:
 # `\udcff` for the byte 0xff.  Accepted files hold seed 5, label "x" and
 # the two rows of GRAMMAR_ROWS.
 GRAMMAR_ROWS = [[1.5, 2.5, 3.5, 4.5], [-1.0, 0.25, 1e-3, 7.0]]
+FIRST_ROW = "0,1.5,2.5,3.5,4.5"
+
+
+def _grammar_file(*rows):
+    return "# seed: 5\n# source_label: x\n{h}\n" + "".join(row + "\n" for row in rows)
+
+
 ACCEPTED = {
     "empty-lines": "# seed: 5\n# source_label: x\n\n{h}\n\n0,1.5,2.5,3.5,4.5\n\n\n"
                    "1,-1.0,0.25,1e-3,7\n\n",
@@ -210,6 +218,16 @@ ACCEPTED = {
                              " \t \n1,-1.0,0.25,1e-3,7\n  ",
     "comment-not-utf-8": "# seed: 5\n# source_label: x\n# \udcff\n{h}\n0,1.5,2.5,3.5,4.5\n"
                          "1,-1.0,0.25,1e-3,7\n",
+    # numbers the writer never spells
+    "25-digit-mantissas": _grammar_file(*(
+        f"{i}," + ",".join(f"{Decimal(repr(v)):.24f}" for v in row)
+        for i, row in enumerate(GRAMMAR_ROWS))),
+    "point-without-fraction": _grammar_file(FIRST_ROW, "1,-1.0,0.25,1e-3,7."),
+    "plus-sign": _grammar_file("0,+1.5,2.5,3.5,4.5", "1,-1.0,0.25,1e-3,+7"),
+    "fraction-without-integer": _grammar_file(FIRST_ROW, "1,-1.0,.25,1e-3,7"),
+    "capital-exponent": _grammar_file(FIRST_ROW, "1,-1.0,0.25,1E-3,7"),
+    "two-digit-exponent": _grammar_file(FIRST_ROW, "1,-1.0,0.25,1e-03,7"),
+    "exponent-of-whole-number": _grammar_file(FIRST_ROW, "1,-1.0,0.25,1e-3,70e-1"),
 }
 # rejected files: (text, error, the whole message)
 REJECTED = {
@@ -230,6 +248,10 @@ REJECTED = {
     "nan": ("{h}\n0,1,2,3,4\n1,1,nan,3,4\n", BatchFormatError, "line 3: non-finite cell"),
     "overflowing-cell": ("{h}\n0,1,2,3,4\n\n1,1,2,1e400,4\n", BatchFormatError,
                          "line 4: non-finite cell"),
+    "overflowing-repr-cell": ("{h}\n0,1,2,3,4\n1,1,2,1e+400,4\n", BatchFormatError,
+                              "line 3: non-finite cell"),
+    "overflowing-index": ("{h}\n0,1,2,3,4\n" + "9" * 400 + ",1,2,3,4\n", BatchFormatError,
+                          "line 3: non-finite cell"),
     "one-row": ("{h}\n0,1,2,3,4\n\n", BatchFormatError, "batch holds fewer than 2 samples"),
     "no-rows": ("# seed: 5\n{h}\n", BatchFormatError, "batch holds fewer than 2 samples"),
     "negative-seed": ("# source_label: x\n# seed: -5\n{h}\n0,1,2,3,4\n1,1,2,3,4\n",
