@@ -29,9 +29,11 @@ import numpy as np
 # bytes converted at a time: a piece's temporaries stay in cache, and its
 # ~100 array operations outweigh their own cost (a 4 MB range of a written
 # batch took 45 ms in 256 KB pieces, 69 ms in 64 KB pieces and 79 ms in one
-# piece, medians of 15); a line of the grammar is far shorter, so a piece
-# without a line feed declines
-PIECE = 1 << 18
+# piece, medians of 15).  In a CSV worker, which keeps the heap it frees,
+# CLI `estimate` of 1e6 rows took 0.894 s at 512 KB, 0.936 s at 256 KB and
+# 0.924 s at 1 MB, where its peak RSS grew by 9 MB (medians of 10).  A line
+# of the grammar is far shorter, so a piece without a line feed declines
+PIECE = 1 << 19
 Q_MIN, Q_MAX = -342, 308  # the powers of ten 10**q of the table
 # bytes kept before a piece, so the 8 bytes that end at any cell can be read
 _PAD = 8

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import ctypes
 import math
 import os
 import pickle
@@ -245,10 +246,16 @@ def write_batch(batch: SampleBatch | DrawnBatch | FileBatch, path) -> None:
 
 def _check_room(n: int, path) -> None:
     """Refuse a batch whose CSV cannot fit where it would be written: a
-    row takes at least MIN_ROW_BYTES (`0,0.0,0.0,0.0,0.0\n`)."""
+    row takes at least MIN_ROW_BYTES (`0,0.0,0.0,0.0,0.0\n`).  A path
+    whose directory cannot be asked is left for `open` to report, by the
+    whole path."""
     if os.path.exists(path) and not os.path.isfile(path):
         return  # a device or a pipe
-    if MIN_ROW_BYTES * n > shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free:
+    try:
+        free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
+    except OSError:
+        return
+    if MIN_ROW_BYTES * n > free:
         raise ValueError(f"n = {n}: the CSV needs at least {MIN_ROW_BYTES * n} bytes "
                          f"({MIN_ROW_BYTES} a row), more than the disk has free")
 
@@ -548,12 +555,35 @@ def _take(sock, w: int) -> bytearray:
     return result
 
 
+# glibc's mallopt parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# the largest mmap threshold glibc takes (its DEFAULT_MMAP_THRESHOLD_MAX):
+# 32 MB on 64-bit
+_MMAP_THRESHOLD_MAX = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
+
+
+def _keep_freed_heap() -> bool:
+    """Have glibc keep the memory this process frees, for its next
+    allocations: no block under _MMAP_THRESHOLD_MAX is mapped on its own,
+    and the heap is trimmed only above that much free at its top.  A
+    worker's kernel temporaries then reuse the same pages task after task
+    instead of faulting fresh ones in.  True when both thresholds are set;
+    False where the C library has no mallopt or refuses a threshold."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all([mallopt(_M_TRIM_THRESHOLD, _MMAP_THRESHOLD_MAX) == 1,
+                mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX) == 1])
+
+
 def _serve(func, sock) -> None:
     """Body of one worker: for each task received, send func(*task) back;
     on an exception send it pickled and stop."""
     import tracemalloc
 
     tracemalloc.stop()  # a parent that traces its allocations has no use for ours
+    _keep_freed_heap()  # where it cannot, the worker runs as it would without
     while True:
         try:
             task, _ = _receive(sock)

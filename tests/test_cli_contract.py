@@ -1,29 +1,34 @@
 """The CLI keeps its contract on generated scenario files and sweeps.
 
-Each `run` or `sweep` of a scenario written from the file grammar, with
-numbers from a pool of boundary doubles, exits 0, 2 or 3 with no
-exception escaping.  An error prints exactly one stderr line and leaves
-no output file; a success prints nothing on stderr and writes only
-finite numbers.  Warnings are errors throughout.  A grid is passed as
-`--grid=<value>`, the form the README gives for one that begins with a
-minus sign (argparse reads `--grid -1,2` as an option and prints its
-usage)."""
+Each `run`, `sweep` or `sample` of a scenario written from the file
+grammar, with numbers from a pool of boundary doubles, exits 0, 2 or 3
+with no exception escaping.  An error prints exactly one stderr line and
+leaves no output file; a success prints nothing on stderr and writes only
+finite numbers, and a sample batch reads back through `estimate` to the
+estimates of the same batch drawn in memory.  Warnings are errors
+throughout.  A grid is passed as `--grid=<value>`, the form the README
+gives for one that begins with a minus sign (argparse reads `--grid -1,2`
+as an option and prints its usage)."""
 
 import contextlib
 import io
 import json
 import math
+import os
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twinbeams import sampling
 from twinbeams.cli import main
-from twinbeams.scenario import SCHEMA, SOURCES, STEPS
+from twinbeams.scenario import SCHEMA, SOURCES, STEPS, build_state, load_scenario
 
 # numbers of the domain, weighted eight to one against those at or past its edges
-NUMBERS = ["0", "1", "0.5", "0.3", "0.9", "1.1", "2", "3.14159", "-0.0", "1e-300", "5e-324"] * 8 + [
+DOMAIN = ["0", "1", "0.5", "0.3", "0.9", "1.1", "2", "3.14159", "-0.0", "1e-300", "5e-324"]
+NUMBERS = DOMAIN * 8 + [
     "-1", "400", "1e75", "9.999999999999999e74", "1.0000000000000002e75", "1e308", "-1e308",
     "nan", "inf", "-inf", "1_0", "0x10", "1e", ""]
 MODES = ["1", "2"] * 4 + ["0", "3", "1.5"]
@@ -77,6 +82,24 @@ def _refuse(constant):
     raise ValueError(f"{constant} in the report")
 
 
+def _main(argv) -> tuple:
+    """The exit code of the CLI on argv, run in this process with warnings
+    as errors, and what it printed on stderr."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, stderr.getvalue()
+
+
+def _error_line(code: int, stderr: str) -> str:
+    """The one stderr line of a failed command, checked against its exit code."""
+    assert code in (2, 3)
+    [line] = stderr.splitlines()
+    assert line.startswith("physicality error: " if code == 3 else "error: ")
+    return line
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("contract")
@@ -102,12 +125,9 @@ def test_run_and_sweep_keep_the_contract(workdir, scenario, sweep, grid):
     out.unlink(missing_ok=True)
     argv = (["sweep", "--scenario", str(scn), "--param", param, f"--grid={grid}"] if sweep
             else ["run", "--scenario", str(scn)]) + ["--out", str(out)]
-    stderr = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
-        warnings.simplefilter("error")
-        code = main(argv)
+    code, stderr = _main(argv)
     if code == 0:
-        assert stderr.getvalue() == ""
+        assert stderr == ""
         if sweep:
             header, *rows = out.read_text().splitlines()
             assert rows and all(math.isfinite(float(cell)) for row in rows
@@ -115,7 +135,90 @@ def test_run_and_sweep_keep_the_contract(workdir, scenario, sweep, grid):
         else:
             json.loads(out.read_text(), parse_constant=_refuse)
     else:
-        assert code in (2, 3)
-        [line] = stderr.getvalue().splitlines()
-        assert line.startswith("physicality error: " if code == 3 else "error: ")
+        _error_line(code, stderr)
         assert not out.exists()
+
+
+@st.composite
+def domain_scenarios(draw):
+    """The bytes of a scenario file of known operations with the right
+    number of arguments, each of them drawn from the domain's numbers."""
+    def call(table):
+        name = draw(st.sampled_from(sorted(table)))
+        args = [draw(st.sampled_from(["1", "2"] if (name, k) == ("sms", 0) else DOMAIN))
+                for k in range(len(table[name][0]))]
+        return f"{name}({', '.join(args)})"
+
+    return _scenario(f"source = {call(SOURCES)}",
+                     *(f"step = {call(STEPS)}" for _ in range(draw(st.integers(0, 3)))))
+
+
+# `sample` at small n, mostly of states in the domain; now and then of a file
+# it refuses, or to a directory that does not exist
+SAMPLE_SCENARIOS = st.one_of(domain_scenarios(), scenarios().map(lambda drawn: drawn[0]))
+SAMPLE_OUTS = st.sampled_from(["batch.csv"] * 9 + ["missing/batch.csv"])
+
+
+@settings(max_examples=150)
+@given(scenario=SAMPLE_SCENARIOS, n=st.integers(200, 3000), seed=st.integers(0, 2 ** 32),
+       out=SAMPLE_OUTS, pool=st.booleans())
+# an n or a seed it refuses
+@example(scenario=_scenario("source = tmsv(0.5)"), n=1, seed=1, out="batch.csv", pool=True)
+@example(scenario=_scenario("source = tmsv(0.5)"), n=1000, seed=-1, out="batch.csv", pool=True)
+# the file named whole, not its missing directory; no worker is forked
+@example(scenario=_scenario("source = tmsv(0.5)"), n=1000, seed=1, out="missing/batch.csv",
+         pool=True)
+@example(scenario=_scenario("source = tmsv(0.5)"), n=3000, seed=7, out="batch.csv", pool=True)
+def test_sample_keeps_the_contract(workdir, scenario, n, seed, out, pool):
+    # pool: chunks of 256 rows, so that a batch of more than one runs on a
+    # worker per CPU (on one CPU, in this process)
+    scn, out = workdir / "scn.txt", workdir / out
+    scn.write_bytes(scenario)
+    out.unlink(missing_ok=True)
+    argv = ["sample", "--scenario", str(scn), "--n", str(n), "--seed", str(seed),
+            "--out", str(out)]
+    missing = not out.parent.exists()
+    with pytest.MonkeyPatch.context() as patch:
+        if pool:
+            patch.setattr(sampling, "WRITE_CHUNK", 256)
+        with mock.patch.object(os, "fork", side_effect=AssertionError("forked")) if missing \
+                else contextlib.nullcontext():
+            code, stderr = _main(argv)
+        if code:
+            line = _error_line(code, stderr)
+            assert not out.exists()
+            assert repr(str(out.parent)) not in line  # a missing directory is named by the file
+            return
+        assert stderr == ""
+        scn = load_scenario(scn)
+        try:
+            expected = sampling.estimate_criteria(sampling.draw_samples(
+                build_state(scn), n, seed, scn.source.format()))
+        except ValueError as exc:  # a degenerate batch: `estimate` names the file
+            expected = exc
+    report = workdir / "estimate.json"
+    report.unlink(missing_ok=True)
+    code, stderr = _main(["estimate", "--batch", str(out), "--out", str(report)])
+    if isinstance(expected, ValueError):
+        assert _error_line(code, stderr) == f"error: {out}: {expected}"
+        assert not report.exists()
+    else:
+        assert (code, stderr) == (0, "")
+        assert report.read_text() == json.dumps(expected.to_json(), indent=2,
+                                                sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "{scn}"],
+    ["sweep", "--scenario", "{scn}", "--param", "source.r", "--grid", "0,1"],
+    ["sample", "--scenario", "{scn}", "--n", "1000", "--seed", "1"],
+    ["estimate", "--batch", "{batch}"],
+], ids=["run", "sweep", "sample", "estimate"])
+def test_out_in_a_missing_directory_is_named_whole(tmp_path, argv):
+    scn, batch = tmp_path / "scn.txt", tmp_path / "batch.csv"
+    scn.write_bytes(_scenario("source = tmsv(0.5)"))
+    sampling.write_batch(sampling.draw_samples(build_state(load_scenario(scn)), 1000, 1), batch)
+    out = tmp_path / "missing" / "out"
+    code, stderr = _main([arg.format(scn=scn, batch=batch) for arg in argv] + ["--out", str(out)])
+    assert (code, stderr) == (2, f"error: [Errno 2] No such file or directory: {str(out)!r}\n")
+    assert not out.parent.exists()
