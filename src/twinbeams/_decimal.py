@@ -1,0 +1,490 @@
+"""The sample CSV's rows as text: each double written as Python's repr
+writes it, and read back as numpy's text parser reads it.
+
+`sampling._format_rows` is the one writer and `sampling._parse_range`
+the one reader.  Both directions scale by one table of 128-bit powers of
+ten and multiply by it with one 64 x 64 -> 128-bit product, on whole
+uint64 arrays.
+
+Writing.  repr gives the shortest decimal that reads back to the same
+double and, of those, the one closest to it.  Here that decimal is found
+for a whole array at once by Schubfach (R. Giulietti, "The Schubfach way
+to render doubles", 2020), and laid out as CPython lays it out: exponent
+form when the decimal point would sit more than 16 digits right or more
+than 3 zeros left of the first digit (`1e+16`, `1e-05`), two exponent
+digits at least, and `.0` after a whole number.
+
+Rows are laid out SUB_ROWS at a time, each as a uint8 template with
+a slot for every byte a value of the sub-batch may need and a mask of
+the slots kept; one np.compress turns the sub-batch into text.  A
+sub-batch of SUB_ROWS rows holds up to about 8.5 MB of temporaries at
+once, most of them larger than glibc's default 128 KB mmap threshold; a
+CSV worker reuses their memory from one sub-batch to the next because it
+keeps the heap it frees (`sampling._keep_freed_heap`).
+
+Reading.  A byte range of whole lines is read PIECE bytes at a time,
+each piece cut after its last line feed, and each piece is checked and
+converted as whole arrays.  A line is taken when it is an index cell
+`D{1,19}` and four value cells `-?D+(\\.D+)?(e[+-]D{1,3})?` (D a decimal
+digit), all comma-separated and ending at LF, each value with at most 19
+significant digits and at most 24 digits before its exponent.  Any other
+line, a blank one included, makes the whole range decline (None): the
+caller then parses it line by line, which is the one source of every
+message and of the grammar.
+
+Each value is rounded to the nearest double, ties to even, by
+Eisel-Lemire (D. Lemire, "Number parsing at a gigabyte per second",
+Software: Practice and Experience 51(8), 2021).  For a decimal
+significand below 10**19 its 128-bit product always decides the result
+(N. Mushtak and D. Lemire, "Fast number parsing without fallback", SPE
+53(7), 2023).  A result that is subnormal or overflows is left to
+float(), which reads as numpy's parser does; an infinite one declines.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+Q_MIN, Q_MAX = -342, 324  # the powers of ten 10**q of the table
+# rows laid out at a time: enough that each array operation of a sub-batch
+# outweighs its own call cost, few enough that its temporaries stay in
+# cache.  CLI `sample` of 1e6 rows on 2 workers, medians of 8: 1.51 s at
+# 1024 rows, 1.28 s at 2048, 1.32 s at 4096, 1.40 s at 8192 (and 1.25 s at
+# 4096 against 1.30 s at 2048 over 12 more).  It pays only where freed
+# temporaries are reused: at 4096 rows with glibc's default thresholds,
+# which give the memory back to the system and fault it in again on every
+# sub-batch, it took 1.49 s
+SUB_ROWS = 4096
+# bytes converted at a time: a piece's temporaries stay in cache, and its
+# ~100 array operations outweigh their own cost (a 4 MB range of a written
+# batch took 45 ms in 256 KB pieces, 69 ms in 64 KB pieces and 79 ms in one
+# piece, medians of 15).  In a CSV worker, which keeps the heap it frees,
+# CLI `estimate` of 1e6 rows took 0.894 s at 512 KB, 0.936 s at 256 KB and
+# 0.924 s at 1 MB, where its peak RSS grew by 9 MB (medians of 10).  A line
+# of the grammar is far shorter, so a piece without a line feed declines
+PIECE = 1 << 19
+# bytes kept before a piece, so the 8 bytes that end at any cell can be read
+_PAD = 8
+_M32 = np.uint64(0xFFFFFFFF)
+_P10 = np.array([10 ** j for j in range(20)], dtype=np.uint64)
+_FIRST = np.tri(21, 20, -1, dtype=bool)  # row c keeps the first c of 20 slots
+# an index keeps slot j of its `width` when it is at least the j-th of the
+# last `width` floors: its units always
+_INDEX_FLOORS = np.array([10 ** j for j in range(19, 0, -1)] + [0], dtype=np.uint64)
+# (width, base, mask) of the steps that join pairs of digit lanes: eight
+# 8-bit lanes of one digit into four 16-bit lanes of two, into two 32-bit
+# lanes of four, into one of eight
+_LANES = [(np.uint64(8), np.uint64(10), np.uint64(0x00FF00FF00FF00FF)),
+          (np.uint64(16), np.uint64(100), np.uint64(0x0000FFFF0000FFFF)),
+          (np.uint64(32), np.uint64(10000), np.uint64(0x00000000FFFFFFFF))]
+_ALL = (1 << 64) - 1
+# _TOP[c]: the last c bytes of a word (the c bytes just before its end)
+_TOP = np.array([0] + [_ALL << 8 * (8 - c) & _ALL for c in range(1, 9)], dtype=np.uint64)
+_ZEROS_TOP = _TOP & np.uint64(0x3030303030303030)  # an ASCII '0' in each of those bytes
+# _ABOVE[j]: the bytes of a word above its byte j
+_ABOVE = np.array([_ALL << 8 * (j + 1) & _ALL for j in range(8)], dtype=np.uint64)
+
+
+@functools.cache
+def _powers() -> tuple:
+    """10**q for q = Q_MIN..Q_MAX, scaled by a power of two into
+    [2**127, 2**128), as its high and low uint64 words: truncated, but
+    rounded up for -27 <= q < 0.  This is the table of fast_float, for
+    which the Mushtak-Lemire bound holds.  Schubfach's g is the scaled
+    power truncated plus one: the entry, plus one in the low word where
+    it is truncated (no low word is all ones, so nothing carries)."""
+    high, low = [], []
+    for q in range(Q_MIN, Q_MAX + 1):
+        p = 5 ** abs(q)  # 10**q = 5**q * 2**q scales as 5**q does
+        if q >= 0:
+            c = (p << 128) >> p.bit_length()
+        else:
+            c = (1 << 127 + p.bit_length()) // p + (q >= -27)
+        high.append(c >> 64)
+        low.append(c & _ALL)
+    return np.array(high, dtype=np.uint64), np.array(low, dtype=np.uint64)
+
+
+def _product(a, b) -> tuple:
+    """The high and low 64 bits of each a * b, from 32-bit limbs."""
+    a0, a1, b0, b1 = a & _M32, a >> np.uint64(32), b & _M32, b >> np.uint64(32)
+    low = a0 * b0
+    cross = a0 * b1
+    mid = low >> np.uint64(32)
+    mid += cross & _M32
+    high = cross >> np.uint64(32)
+    cross = a1 * b0
+    mid += cross & _M32
+    high += cross >> np.uint64(32)
+    high += a1 * b1
+    high += mid >> np.uint64(32)
+    low &= _M32
+    low |= mid << np.uint64(32)
+    return high, low
+
+
+def _schubfach(x: np.ndarray) -> tuple:
+    """(digits, count, point): the decimal that repr gives each finite
+    double of x is 0.d1d2...dn * 10**point, with d1d2...dn the `count`
+    digits of `digits`, free of trailing zeros; 0, 1 and 1 for a zero."""
+    high_t, low_t = _powers()
+    bits = x.view(np.uint64)
+    frac = bits & np.uint64((1 << 52) - 1)
+    biased = ((bits >> 52) & 0x7FF).astype(np.int64)
+    c = np.where(biased == 0, frac, frac | (1 << 52))  # x = c * 2**e
+    e = np.maximum(biased, 1) - 1075
+    # a power of 2 above the subnormals has a closer lower neighbour
+    closer_below = (frac == 0) & (biased > 1)
+    # k = floor(log10(2**e)), or floor(log10(3/4 * 2**e)) for those
+    k = (e * 661971961083 - np.where(closer_below, 274743187321, 0)) >> 41
+    # g = floor(10**-k * 2**(127 - r)) + 1 in words g1, g0, with
+    # r = floor(log2(10**-k))
+    row = -k - Q_MIN
+    g1, g0 = high_t[row], low_t[row] + ((k > 27) | (k < 1))
+    h = (e + ((217706 * -k) >> 16) + 1).astype(np.uint64)  # 1 <= h <= 4
+
+    # vb = 4x / 10**k, rounded to odd: P = g * (4c << h) over 2**128, with P
+    # in three words w2, w1, w0; rounded to odd, floor(P / 2**128) gets its
+    # lowest bit set when the fraction is at least 2**-63 (so an odd result
+    # stands for a value that is not a whole number)
+    cp = (c << 2) << h  # below 2**59
+    w1, w0 = _product(g0, cp)
+    w2, cross = _product(g1, cp)
+    w1 += cross
+    w2 += w1 < cross
+    vb = w2 | (w1 > 1)
+
+    # the ends of the interval that reads back to x, the same way: P + g * 2**(h+1)
+    # and P - g * 2**(h+1), or P - g * 2**h for a power of 2, each g * 2**s
+    # in three words
+    one = np.uint64(1)
+    (u2, u1, u0), (l2, l1, l0) = ((g1 >> (64 - s), (g1 << s) | (g0 >> (64 - s)), g0 << s)
+                                  for s in (h + one, h + one - closer_below))
+    carry = (w0 + u0) < u0
+    above = w1 + u1 + carry
+    vbr = (w2 + u2 + ((above < u1) | ((above == u1) & carry))) | (above > 1)
+    borrow = w0 < l0
+    below = w1 - l1 - borrow
+    vbl = (w2 - l2 - ((w1 < l1) | ((w1 == l1) & borrow))) | (below > 1)
+
+    # bounds of the interval count when c is even (reading rounds half to even)
+    odd = c & one
+    vbl += odd
+    vbr -= odd
+    s = vb >> 2  # floor(x / 10**k)
+    # at most one multiple of 10**(k+1) lies in the interval: that one, if it does
+    s10 = (s // 10) * 10
+    u10_in, w10_in = vbl <= s10 << 2, (s10 + 10) << 2 <= vbr
+    # else s or s + 1, whichever lies in it; if both, the nearer, the even one on a tie
+    u_in, w_in = vbl <= s << 2, (s + 1) << 2 <= vbr
+    mid = (s << 2) + 2
+    up = np.where(u_in == w_in, (vb > mid) | ((vb == mid) & ((s & one) == one)), w_in)
+    digits = np.where(u10_in != w10_in, s10 + w10_in * np.uint64(10), s + up)
+    zero = (bits << 1) == 0
+    digits[zero] = 0
+
+    # the count of digits: 16 or 17 for a normal double, fewer for a subnormal
+    count = 16 + (digits >= _P10[16])
+    tiny = np.flatnonzero(biased == 0)
+    count[tiny] = np.maximum(np.searchsorted(_P10, digits[tiny], side="right"), 1)
+    point = k + count
+    point[zero] = 1
+    # strip trailing zeros, where there are any
+    todo = np.flatnonzero((digits == (digits // 10) * 10) & ~zero)
+    while todo.size:
+        digits[todo] //= 10
+        count[todo] -= 1
+        todo = todo[digits[todo] % 10 == 0]
+    return digits, count, point
+
+
+def format_rows(start: int, rows: np.ndarray) -> bytes:
+    """The CSV lines of an N x 4 block of finite doubles, each line the
+    sample index, counted from `start`, then the row's four values."""
+    width = len(str(start + len(rows) - 1))  # of the widest index
+    return b"".join([_layout(start + first, rows[first:first + SUB_ROWS], width)
+                     for first in range(0, len(rows), SUB_ROWS)])
+
+
+def _layout(start: int, rows: np.ndarray, width: int) -> bytes:
+    """The CSV lines of a sub-batch of rows, the index right-aligned in
+    `width` slots before its masked leading zeros are dropped.
+
+    Each value's slots are, in order: '-'; the digits before the point;
+    '.'; the zeros after the point before the first digit (`0.001`);
+    the digits after them; 'e', the exponent's sign and its digits; then
+    ',' or '\n'.  Each of these regions is as wide as the widest value
+    of the sub-batch needs, and the slots a value does not use are
+    masked out."""
+    m = len(rows)
+    x = np.ascontiguousarray(rows, dtype=np.float64).reshape(-1)
+    digits, n, point = _schubfach(x)
+    sci = (point <= -4) | (point > 16)
+    before = np.where(sci, 1, np.clip(point, 0, n))  # of the n digits
+    after = n - before
+    scale = _P10[after]
+    whole = digits // scale
+    frac = (digits - whole * scale) * _P10[17 - after]  # left-aligned in 17 digits
+    whole *= _P10[np.where(sci, 0, np.maximum(point - n, 0))]
+    int_digits = np.where(sci, 1, np.maximum(point, 1)).astype(np.int8)
+    zeros = np.where(sci, 0, np.maximum(-point, 0)).astype(np.int8)
+    frac_digits = np.where(sci, after, np.maximum(after, 1)).astype(np.int8)
+    power = point - 1
+    exp_digits = np.where(sci, 2 + (np.abs(power) >= 100), 0).astype(np.int8)
+
+    # region widths and offsets of one value's slots
+    signed, ints = int(x.view(np.int64).min() < 0), int(int_digits.max())
+    nzeros, nfrac, nexp = int(zeros.max()), int(frac_digits.max()), int(exp_digits.max())
+    dot = signed + ints
+    first = dot + 1 + nzeros  # of the digits after the point
+    e = first + nfrac
+    field = e + (2 + nexp if nexp else 0) + 1
+
+    template = np.empty((m, width + 1 + 4 * field), dtype=np.uint8)
+    keep = np.empty(template.shape, dtype=bool)
+    index = np.arange(start, start + m, dtype=np.uint64)
+    _digits_into(template, index, width, width)
+    keep[:, :width] = index[:, None] >= _INDEX_FLOORS[-width:]
+    template[:, width] = ord(",")
+    keep[:, width] = True
+
+    shape, strides = (m, 4, field), (template.shape[1], field, 1)  # views of the value slots
+    fields = np.ndarray(shape, np.uint8, template, width + 1, strides)
+    kept = np.ndarray(shape, bool, keep, width + 1, strides)
+    flat = (m, 4)  # one entry a value
+    if signed:
+        fields[..., 0] = ord("-")
+        kept[..., 0] = (x.view(np.int64) < 0).reshape(flat)
+    _digits_into(fields, whole.reshape(flat), ints, dot)
+    kept[..., signed:dot] = _last(int_digits.reshape(flat), ints)
+    fields[..., dot] = ord(".")
+    kept[..., dot] = (frac_digits > 0).reshape(flat)
+    fields[..., dot + 1:first] = ord("0")
+    kept[..., dot + 1:first] = _first(zeros.reshape(flat), nzeros)
+    frac //= _P10[17 - nfrac]  # its nfrac digits, 8 at a time from the right
+    for end in range(first + nfrac, first + 7, -8):
+        group = frac - (frac // _P10[8]) * _P10[8]
+        frac //= _P10[8]
+        np.ndarray(flat, "<u8", template, width + 1 + end - 8,
+                   (template.shape[1], field))[...] = _ascii8(group).reshape(flat)
+    _digits_into(fields, frac.reshape(flat), nfrac % 8, first + nfrac % 8)
+    kept[..., first:e] = _first(frac_digits.reshape(flat), nfrac)
+    if nexp:
+        fields[..., e] = ord("e")
+        fields[..., e + 1] = np.where(power < 0, ord("-"), ord("+")).reshape(flat)
+        kept[..., e] = kept[..., e + 1] = sci.reshape(flat)
+        _digits_into(fields, np.abs(power).astype(np.uint64).reshape(flat), nexp, e + 2 + nexp)
+        kept[..., e + 2:e + 2 + nexp] = _last(exp_digits.reshape(flat), nexp)
+    fields[..., -1] = ord(",")
+    fields[:, -1, -1] = ord("\n")
+    kept[..., -1] = True
+    return np.compress(keep.reshape(-1), template.reshape(-1)).tobytes()
+
+
+def _first(count: np.ndarray, width: int) -> np.ndarray:
+    """Masks of `width` slots keeping the first `count` of each."""
+    return np.take(_FIRST[:, :width], count, axis=0)
+
+
+def _last(count: np.ndarray, width: int) -> np.ndarray:
+    """Masks of `width` slots keeping the last `count` of each."""
+    return np.take(_FIRST[:, :width], width - count, axis=0) ^ True
+
+
+def _ascii8(x: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each x < 10**8 as ASCII, packed in a uint64
+    whose lowest byte holds the first digit: split into 4-digit, then
+    2-digit, then 1-digit lanes by multiply-and-shift division."""
+    high = x // 10000
+    lanes = high | ((x - high * 10000) << 32)
+    high = ((lanes * 10486) >> 20) & 0x0000007F0000007F  # / 100 in each 32-bit lane
+    lanes = high | ((lanes - high * 100) << 16)
+    high = ((lanes * 103) >> 10) & 0x000F000F000F000F  # / 10 in each 16-bit lane
+    return (high | ((lanes - high * 10) << 8)) + 0x3030303030303030
+
+
+def _digits_into(slots: np.ndarray, values: np.ndarray, count: int, end: int) -> None:
+    """Write the `count` lowest decimal digits of values, as ASCII, into
+    slots[..., end - count:end]."""
+    for j in range(1, count + 1):
+        shorter = values // 10
+        np.subtract(values + ord("0"), shorter * 10, out=slots[..., end - j], casting="unsafe")
+        values = shorter
+
+
+def read_rows(handle, size: int, rows: int):
+    """The `rows` data rows of the next `size` bytes of the binary file
+    handle, columns 1-4 as an N x 4 float64 array; None when a line is
+    not of the grammar or a value is not finite."""
+    out = np.empty((rows, 4))
+    buffer = bytearray(_PAD + PIECE)
+    view = memoryview(buffer)
+    done = carried = 0  # rows converted; bytes of a line begun in the last piece
+    while size:
+        got = handle.readinto(view[_PAD + carried:_PAD + min(PIECE, carried + size)])
+        if not got:
+            return None
+        size -= got
+        filled = _PAD + carried + got
+        cut = buffer.rfind(b"\n", _PAD, filled) + 1
+        if not cut:
+            return None
+        block = _piece(buffer, cut - _PAD)
+        if block is None or done + len(block) > rows:
+            return None
+        out[done:done + len(block)] = block
+        done += len(block)
+        carried = filled - cut
+        buffer[_PAD:_PAD + carried] = buffer[cut:filled]
+    return out if done == rows and not carried else None
+
+
+def _piece(buffer, size: int):
+    """The rows of the whole lines buffer[_PAD:_PAD + size], as above."""
+    codes = np.frombuffer(buffer, np.uint8, size, _PAD)
+    # words[p]: the 8 bytes of the piece before its byte p, as a uint64 whose
+    # lowest byte comes first
+    words = np.ndarray((size + 1,), "<u8", buffer, 0, (1,))
+    others = np.flatnonzero(codes - np.uint8(ord("0")) > np.uint8(9))  # every byte not a digit
+    marks = codes[others]
+    is_end = (marks == ord(",")) | (marks == ord("\n"))
+    ends = np.compress(is_end, others)  # a mask index is slower on so irregular a mask
+    rows = len(ends) // 5
+    if (len(ends) != 5 * rows or np.count_nonzero(marks == ord("\n")) != rows
+            or not (codes[ends[4::5]] == ord("\n")).all()):
+        return None
+    index_width = ends[::5] - np.concatenate(([0], ends[4:-1:5] + 1))
+    if not ((index_width >= 1) & (index_width <= 19)).all():
+        return None
+    grid = ends.reshape(rows, 5)
+    start, end = (grid[:, :4] + 1).reshape(-1), grid[:, 1:].reshape(-1)  # of each value
+
+    # the '.' and the 'e' of each value, -1 where it has none
+    cell = np.cumsum(is_end, dtype=np.int32)  # of each byte that is neither a digit nor an end
+    found = []
+    for mark in b".e":
+        chosen = marks == mark
+        at = np.full((rows, 5), -1)
+        at.reshape(-1)[np.compress(chosen, cell)] = np.compress(chosen, others)
+        if np.count_nonzero(at[:, 1:] >= 0) != np.count_nonzero(chosen):  # two in a cell
+            return None
+        found.append(at[:, 1:].reshape(-1))
+    dot, exp = found
+    has_dot, with_exp = dot >= 0, np.flatnonzero(exp >= 0)
+    neg = codes[start] == ord("-")
+    exps = exp[with_exp]
+    signs = codes[exps + 1]
+    exp_neg = signs == ord("-")
+    # every byte that is not a digit is one placed: a separator, a leading
+    # '-', a '.', an 'e' and the sign after it
+    placed = len(ends) + np.count_nonzero(neg) + np.count_nonzero(has_dot) + 2 * len(exps)
+    if len(others) != placed or not (exp_neg | (signs == ord("+"))).all():
+        return None
+
+    first = start + neg  # of the significand
+    stop = end.copy()  # of the significand
+    stop[with_exp] = exps
+    dot = np.where(has_dot, dot, stop)
+    whole = dot - first  # digits before the point
+    digits = stop - first - has_dot
+    after = digits - whole  # digits after the point
+    exp_digits = end[with_exp] - exps - 2
+    if not (((whole >= 1) & (after >= has_dot) & (digits <= 24)).all()
+            and ((exp_digits >= 1) & (exp_digits <= 3)).all()):
+        return None
+
+    # the significand, 8 digits at a time from its end
+    groups = []
+    for k in range(3):
+        last = digits - 8 * k  # digits up to the group's end
+        group_end = np.maximum(first + last + (last > whole), 1)
+        groups.append(_group(words, group_end, np.minimum(np.maximum(last, 0), 8), dot))
+    if (groups[2] >= np.uint64(1000)).any():  # 10**19 or more
+        return None
+    w = groups[0]
+    w += groups[1] * np.uint64(10 ** 8)
+    w += groups[2] * np.uint64(10 ** 16)
+    q = -after
+    if len(exps):
+        value = _group(words, end[with_exp], exp_digits).astype(np.int64)
+        q[with_exp] += np.where(exp_neg, -value, value)
+
+    bits, near = _eisel_lemire(w, q)
+    bits |= neg.astype(np.uint64) << np.uint64(63)
+    values = bits.view(np.float64)
+    for k in np.flatnonzero(~near).tolist():  # subnormal or overflowing
+        values[k] = float(buffer[_PAD + start[k]:_PAD + end[k]])
+    if not np.isfinite(values).all():
+        return None
+    return values.reshape(rows, 4)
+
+
+def _group(words, end, count, dot=None):
+    """The value of the `count` (at most 8) digits that end before byte
+    `end` of the piece, skipping the '.' at byte `dot` if it is among
+    them."""
+    word = words[end]
+    if dot is not None:
+        split = np.flatnonzero((dot >= end - 8) & (dot < end))
+        if len(split):
+            above = _ABOVE[dot[split] - end[split] + 8]  # the bytes after the dot
+            word[split] = (word[split] & above) | (words[end[split] - 1] & ~above)
+    word &= _TOP[count]
+    word -= _ZEROS_TOP[count]  # one digit a byte, the bytes before the group zero
+    for width, base, mask in _LANES:
+        later = word >> width
+        word *= base
+        word += later
+        word &= mask
+    return word
+
+
+def _eisel_lemire(w, q) -> tuple:
+    """(bits, near): the double nearest w * 10**q, ties to even, for each
+    w < 10**19; where `near` is False (a subnormal or infinite result)
+    the bits are to be found another way."""
+    high_t, low_t = _powers()
+    row = np.minimum(np.maximum(q, Q_MIN), Q_MAX) - Q_MIN
+    zero = w == 0
+    # shift w to a top bit of 1, by the exponent of the double nearest it,
+    # which may be rounded up to the next power of two
+    lz = np.uint64(1023 + 63) - (np.maximum(w, np.uint64(1)).astype(np.float64)
+                                 .view(np.uint64) >> np.uint64(52))
+    w = w << lz
+    short = (w >> np.uint64(63)) ^ np.uint64(1)
+    w <<= short
+    lz += short
+    high, low = _product(w, high_t[row])
+    # the second word counts only when the first leaves the bits below
+    # the mantissa and its rounding bit all ones
+    fix = np.flatnonzero((high & np.uint64(0x1FF)) == np.uint64(0x1FF))
+    if len(fix):
+        second = _product(w[fix], low_t[row[fix]])[0]
+        summed = low[fix] + second
+        high[fix] += (summed < second).astype(np.uint64)
+        low[fix] = summed
+    upper = high >> np.uint64(63)
+    shift = upper + np.uint64(9)
+    mantissa = high >> shift
+    # a q outside the table (clipped in `row`) gives a power2 outside
+    # 1..2046 all the same: w * 10**q is below 2**-1074 or above 2**1024
+    power2 = ((217706 * q) >> 16) + (63 + 1023)
+    power2 += upper.astype(np.int64)
+    power2 -= lz.astype(np.int64)
+    # exactly halfway between two doubles: round down to the even one
+    tie = np.flatnonzero(low <= np.uint64(1))
+    tie = tie[(q[tie] >= -4) & (q[tie] <= 23) & ((mantissa[tie] & np.uint64(3)) == np.uint64(1))
+              & ((mantissa[tie] << shift[tie]) == high[tie])]
+    mantissa[tie] -= np.uint64(1)
+    mantissa += mantissa & np.uint64(1)
+    mantissa >>= np.uint64(1)
+    carry = mantissa >> np.uint64(53)  # rounded up to 2**53
+    power2 += carry.astype(np.int64)
+    mantissa &= np.uint64((1 << 52) - 1)
+    near = (power2 > 0) & (power2 < 2047)
+    near |= zero
+    mantissa |= power2.astype(np.uint64) << np.uint64(52)
+    mantissa[zero] = 0
+    return mantissa, near

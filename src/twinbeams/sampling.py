@@ -271,9 +271,9 @@ def _numbered(blocks):
 def _format_rows(start: int, rows: np.ndarray) -> bytes:
     """The CSV lines of a block of rows, sample index first, counted from
     `start`, each value as repr writes it."""
-    from . import _shortest  # here: a command that writes no batch never loads it
+    from . import _decimal  # here: a command that writes or reads no batch never loads it
 
-    return _shortest.format_rows(start, rows)
+    return _decimal.format_rows(start, rows)
 
 
 class _Span(NamedTuple):
@@ -411,15 +411,15 @@ def _parse_range(path, span: _Span) -> bytes:
     """Columns 1-4 of the rows of one byte range, as raw float64 bytes.
     Raises BatchFormatError naming the first bad line when a row does not
     parse, has other than 5 cells or a non-finite one.  A range of lines
-    as `write_batch` writes them is read by the `_nearest` kernel; one it
+    as `write_batch` writes them is read by the `_decimal` kernel; one it
     declines is parsed here line by line, with the same bits."""
     if not span.rows:
         return b""
-    from . import _nearest  # here: a command that reads no batch never loads it
+    from . import _decimal  # here: a command that reads or writes no batch never loads it
 
     with open(path, "rb") as handle:
         handle.seek(span.start)
-        rows = _nearest.read_rows(handle, span.end - span.start, span.rows)
+        rows = _decimal.read_rows(handle, span.end - span.start, span.rows)
         if rows is not None:
             return rows.tobytes()
         handle.seek(span.start)

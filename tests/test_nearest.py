@@ -5,19 +5,18 @@ every range outside its grammar is declined, to be parsed line by line."""
 import io
 import math
 import struct
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinbeams import _nearest, _shortest
+from twinbeams import _decimal
 
 
 def _read(data: bytes):
     """read_rows over the whole of `data`, one row a line feed."""
-    return _nearest.read_rows(io.BytesIO(data), len(data), data.count(b"\n"))
+    return _decimal.read_rows(io.BytesIO(data), len(data), data.count(b"\n"))
 
 
 def _loadtxt(data: bytes):
@@ -59,7 +58,7 @@ def _bits(x: float) -> int:
 def test_every_written_double_reads_back(patterns):
     values = np.array([x for x in map(_double, patterns) if math.isfinite(x)] or [0.0])
     rows = np.concatenate([values, np.zeros(-len(values) % 4)]).reshape(-1, 4)
-    got = _read(_shortest.format_rows(0, rows))
+    got = _read(_decimal.format_rows(0, rows))
     assert got is not None
     assert got.tobytes() == rows.tobytes()
 
@@ -97,7 +96,7 @@ def test_decimals_read_as_float_reads_them(cells):
         assert got.tobytes() == want.tobytes()
 
 
-WRITTEN = _shortest.format_rows(0, np.array([[1.5, -0.25, 3e-7, 1e+16],
+WRITTEN = _decimal.format_rows(0, np.array([[1.5, -0.25, 3e-7, 1e+16],
                                              [-7.0, 0.001, 2.5, -8e300]]))
 ALPHABET = [b"0", b"9", b".", b"-", b"+", b"e", b"E", b",", b"\n", b"\r", b" ", b"\t", b"_",
             b"x", b"n", b"9" * 30, b"\xff"]
@@ -162,31 +161,18 @@ def test_range_without_final_line_feed_declined():
 def test_lines_across_pieces(monkeypatch, piece):
     rng = np.random.default_rng(piece)
     rows = rng.standard_normal((500, 4)) * np.exp(rng.uniform(-60, 60, (500, 1)))
-    monkeypatch.setattr(_nearest, "PIECE", piece)
-    got = _read(_shortest.format_rows(10 ** 6, rows))
+    monkeypatch.setattr(_decimal, "PIECE", piece)
+    got = _read(_decimal.format_rows(10 ** 6, rows))
     assert got is not None
     assert got.tobytes() == rows.tobytes()
 
 
 def test_line_longer_than_a_piece_declined(monkeypatch):
-    monkeypatch.setattr(_nearest, "PIECE", 16)
+    monkeypatch.setattr(_decimal, "PIECE", 16)
     assert _read(b"0,1.5,2.5,3.5,4.5\n") is None
 
 
 def test_row_count_must_match():
     data = b"0,1,2,3,4\n1,1,2,3,4\n"
-    assert _nearest.read_rows(io.BytesIO(data), len(data), 1) is None
-    assert _nearest.read_rows(io.BytesIO(data), len(data), 3) is None
-
-
-def test_power_table_is_fast_floats():
-    # 5**q scaled into [2**127, 2**128): truncated, rounded up for -27 <= q < 0
-    high, low = _nearest._powers()
-    for k, q in enumerate(range(_nearest.Q_MIN, _nearest.Q_MAX + 1)):
-        scaled = Fraction(5) ** q
-        scaled *= Fraction(2) ** (127 - math.floor(math.log2(scaled)))
-        while scaled >= 2 ** 128:
-            scaled /= 2
-        while scaled < 2 ** 127:
-            scaled *= 2
-        assert int(high[k]) << 64 | int(low[k]) == math.floor(scaled) + (-27 <= q < 0)
+    assert _decimal.read_rows(io.BytesIO(data), len(data), 1) is None
+    assert _decimal.read_rows(io.BytesIO(data), len(data), 3) is None

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import format_rows_repr
-from twinbeams import _shortest
+from twinbeams import _decimal
 from twinbeams.sampling import _format_rows
 
 
@@ -90,19 +90,24 @@ def test_bulk_doubles_are_their_repr(kind):
 def test_rows_equal_the_oracle_across_seams(start):
     # sub-batches of SUB_ROWS rows, the last one short, indices that may
     # gain a digit inside the block; a row of -0.0 among them
-    rows = np.random.default_rng(start).standard_normal((2 * _shortest.SUB_ROWS + 37, 4))
-    rows[_shortest.SUB_ROWS] = -0.0
+    rows = np.random.default_rng(start).standard_normal((2 * _decimal.SUB_ROWS + 37, 4))
+    rows[_decimal.SUB_ROWS] = -0.0
     rows[7, 2] = 1e-5
     assert _format_rows(start, rows) == format_rows_repr(start, rows)
 
 
 def test_powers_of_ten_table_is_exact():
-    # row k - K_MIN: 2**r <= 10**-k < 2**(r + 1) and g = floor(10**-k * 2**(127 - r)) + 1
-    limbs, exps = _shortest._powers()
-    for row, k in enumerate(range(_shortest.K_MIN, _shortest.K_MAX + 1)):
-        g = sum(int(limbs[i, row]) << 32 * i for i in range(4))
-        r = int(exps[row])
-        power = Fraction(10) ** -k
+    # the one table of both kernels, row q - Q_MIN, with 2**r <= 10**q < 2**(r + 1):
+    # fast_float's c is 10**q * 2**(127 - r) truncated, but rounded up for
+    # -27 <= q < 0; Schubfach's g, that truncated plus one, is c with one
+    # added to its low word where c is truncated, as the writer adds it
+    high, low = _decimal._powers()
+    for row, q in enumerate(range(_decimal.Q_MIN, _decimal.Q_MAX + 1)):
+        power = Fraction(10) ** q
+        r = (217706 * q) >> 16
         assert Fraction(2) ** r <= power < Fraction(2) ** (r + 1)
-        assert g == math.floor(power * Fraction(2) ** (127 - r)) + 1
+        truncated = math.floor(power * Fraction(2) ** (127 - r))
+        assert int(high[row]) << 64 | int(low[row]) == truncated + (-27 <= q < 0)
+        g = int(high[row]) << 64 | (int(low[row]) + (q < -27 or q > -1)) % 2 ** 64
+        assert g == truncated + 1
         assert 1 << 127 < g < 1 << 128
