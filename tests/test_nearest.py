@@ -5,6 +5,7 @@ every range outside its grammar is declined, to be parsed line by line."""
 import io
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -176,3 +177,16 @@ def test_row_count_must_match():
     data = b"0,1,2,3,4\n1,1,2,3,4\n"
     assert _decimal.read_rows(io.BytesIO(data), len(data), 1) is None
     assert _decimal.read_rows(io.BytesIO(data), len(data), 3) is None
+
+
+def test_power_table_is_fast_floats():
+    # 5**q scaled into [2**127, 2**128): truncated, rounded up for -27 <= q < 0
+    high, low = _decimal._powers()
+    for k, q in enumerate(range(_decimal.Q_MIN, _decimal.Q_MAX + 1)):
+        scaled = Fraction(5) ** q
+        scaled *= Fraction(2) ** (127 - math.floor(math.log2(scaled)))
+        while scaled >= 2 ** 128:
+            scaled /= 2
+        while scaled < 2 ** 127:
+            scaled *= 2
+        assert int(high[k]) << 64 | int(low[k]) == math.floor(scaled) + (-27 <= q < 0)
