@@ -7,12 +7,16 @@ Subcommands:
   estimate  estimate criteria with standard errors from a batch file
 
 Exit codes: 0 success, 2 validation error, 3 a state outside the uncertainty bound.
+
+`entry` is the process entry (`python -m twinbeams.cli` and the installed
+`twinbeams` script); `main` is the command itself and sets no process policy.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import sys
@@ -151,5 +155,14 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
 
+def entry() -> int:
+    """Run `main` as a whole process.  Every module-level import is done by
+    now, so freezing moves those objects out of the collector's reach: the
+    collections of the command, of its forked CSV workers and of interpreter
+    shutdown no longer walk numpy's and the package's import graph."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -336,9 +336,13 @@ def read_batch(path) -> FileBatch:
     lines up to the header are read here, and the data rows counted in
     byte ranges by one worker per CPU; the rows themselves are parsed
     when the batch's blocks are read, or here when they are fewer than
-    MIN_SAMPLES, so that a bad line outranks both row floors."""
+    MIN_SAMPLES, so that a bad line outranks both row floors.  Counting
+    and parsing read the file twice, so a pipe is refused."""
     seed, source_label = 0, ""
     with open(path, "rb") as handle:
+        if not handle.seekable():
+            raise BatchFormatError("the batch must be a file that can be read twice, "
+                                   "and a pipe cannot be")
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
