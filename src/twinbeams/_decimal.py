@@ -1,7 +1,7 @@
 """The sample CSV's rows as text: each double written as Python's repr
 writes it, and read back as numpy's text parser reads it.
 
-`sampling._format_rows` is the one writer and `sampling._parse_range`
+`sampling.write_batch` is the one writer and `sampling._parse_range`
 the one reader.  Both directions scale by one table of 128-bit powers of
 ten and multiply by it with one 64 x 64 -> 128-bit product, on whole
 uint64 arrays.
@@ -37,8 +37,10 @@ Eisel-Lemire (D. Lemire, "Number parsing at a gigabyte per second",
 Software: Practice and Experience 51(8), 2021).  For a decimal
 significand below 10**19 its 128-bit product always decides the result
 (N. Mushtak and D. Lemire, "Fast number parsing without fallback", SPE
-53(7), 2023).  A result that is subnormal or overflows is left to
-float(), which reads as numpy's parser does; an infinite one declines.
+53(7), 2023).  A value that this does not round to zero or a normal
+double (one whose double is subnormal or infinite, or that lies within
+half a subnormal spacing below the smallest normal) makes the range
+decline too, to be read line by line.
 """
 
 from __future__ import annotations
@@ -317,7 +319,7 @@ def _digits_into(slots: np.ndarray, values: np.ndarray, count: int, end: int) ->
 def read_rows(handle, size: int, rows: int):
     """The `rows` data rows of the next `size` bytes of the binary file
     handle, columns 1-4 as an N x 4 float64 array; None when a line is
-    not of the grammar or a value is not finite."""
+    not of the grammar or a value is not a normal double or zero."""
     out = np.empty((rows, 4))
     buffer = bytearray(_PAD + PIECE)
     view = memoryview(buffer)
@@ -412,13 +414,10 @@ def _piece(buffer, size: int):
         q[with_exp] += np.where(exp_neg, -value, value)
 
     bits, near = _eisel_lemire(w, q)
-    bits |= neg.astype(np.uint64) << np.uint64(63)
-    values = bits.view(np.float64)
-    for k in np.flatnonzero(~near).tolist():  # subnormal or overflowing
-        values[k] = float(buffer[_PAD + start[k]:_PAD + end[k]])
-    if not np.isfinite(values).all():
+    if not near.all():
         return None
-    return values.reshape(rows, 4)
+    bits |= neg.astype(np.uint64) << np.uint64(63)
+    return bits.view(np.float64).reshape(rows, 4)
 
 
 def _group(words, end, count, dot=None):
@@ -444,7 +443,7 @@ def _group(words, end, count, dot=None):
 def _eisel_lemire(w, q) -> tuple:
     """(bits, near): the double nearest w * 10**q, ties to even, for each
     w < 10**19; where `near` is False (a subnormal or infinite result)
-    the bits are to be found another way."""
+    the bits are not decided."""
     high_t, low_t = _powers()
     row = np.minimum(np.maximum(q, Q_MIN), Q_MAX) - Q_MIN
     zero = w == 0

@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 validation error, 3 a state outside the uncertainty bou
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import json
 import math
@@ -90,9 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write_json(payload: dict, out) -> None:
     """Indented JSON with sorted keys, to the path out or to stdout."""
-    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if out:
+        with scenario._output(out) as write:
+            write(text.encode("utf-8"))
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_run(args) -> int:

@@ -16,7 +16,6 @@ import math
 import os
 import pickle
 import shutil
-import stat
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -228,20 +227,20 @@ def write_batch(batch: SampleBatch | DrawnBatch | FileBatch, path) -> None:
     process holds the batch.
     A write that fails, or is interrupted, removes the file it began, so
     no truncated batch is left to be read; a device or a pipe is kept."""
+    from . import _decimal  # here: a command that writes or reads no batch never loads it
+    from .scenario import _output
+
     _check_room(batch.n, path)
     n_chunks = -(-batch.n // WRITE_CHUNK)
     header = f"# seed: {batch.seed}\n# source_label: {batch.source_label}\n{CSV_HEADER}\n"
     with contextlib.closing(batch.blocks(n_chunks)) as blocks, \
-            contextlib.closing(_ordered_map(_format_rows, _numbered(blocks), n_chunks)) as chunks, \
-            open(path, "wb") as handle:
-        try:
-            handle.write(header.encode("utf-8"))
-            handle.writelines(chunks)
-        except BaseException:
-            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-                with contextlib.suppress(OSError):  # the first error is the one to report
-                    os.remove(path)
-            raise
+            contextlib.closing(_ordered_map(_decimal.format_rows, _numbered(blocks),
+                                            n_chunks)) as chunks, \
+            _output(path) as write:
+        write(header.encode("utf-8"))
+        for chunk in chunks:  # a worker's error is raised here, not named by the file
+            write(chunk)
+            del chunk  # freed before the next is taken
 
 
 def _check_room(n: int, path) -> None:
@@ -266,14 +265,6 @@ def _numbered(blocks):
     for block in blocks:
         yield start, block
         start += len(block)
-
-
-def _format_rows(start: int, rows: np.ndarray) -> bytes:
-    """The CSV lines of a block of rows, sample index first, counted from
-    `start`, each value as repr writes it."""
-    from . import _decimal  # here: a command that writes or reads no batch never loads it
-
-    return _decimal.format_rows(start, rows)
 
 
 class _Span(NamedTuple):

@@ -21,10 +21,13 @@ Unknown keys, operations, parameters and nan/inf are errors, never warnings.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import operator
+import os
 import re
+import stat
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -35,25 +38,21 @@ from . import criteria, states
 SCHEMA = "twinbeams-scenario-1"
 REPORT_SCHEMA = "twinbeams-report-1"
 
-# One registry per kind: name -> (parameter names, sweep aliases, builder).
+# One registry per kind: name -> (parameter names, sweep aliases, the name
+# of the states function that builds it, taking the parameters in order).
 # A sweep alias is one name setting several parameters of the op at once.
-# Builders look the state functions up when called, so wrappers put on
-# the states module (bench/spans.py) see every call.
+# The function is looked up on the states module when called, so wrappers
+# put on that module (bench/spans.py) see every call.
 SOURCES = {
-    "vacuum": ((), {}, lambda: states.make_vacuum()),
-    "thermal": (("f1", "f2"), {"f": ("f1", "f2")},
-                lambda f1, f2: states.make_thermal(f1, f2)),
-    "tmsv": (("r",), {}, lambda r: states.make_two_mode_squeezed(r)),
-    "sms": (("mode", "s", "theta"), {},
-            lambda mode, s, theta: states.make_single_mode_squeezed(mode, s, theta)),
+    "vacuum": ((), {}, "make_vacuum"),
+    "thermal": (("f1", "f2"), {"f": ("f1", "f2")}, "make_thermal"),
+    "tmsv": (("r",), {}, "make_two_mode_squeezed"),
+    "sms": (("mode", "s", "theta"), {}, "make_single_mode_squeezed"),
 }
 STEPS = {
-    "beamsplitter": (("theta", "phi"), {},
-                     lambda state, theta, phi: states.apply_beamsplitter(state, theta, phi)),
-    "phase": (("phi1", "phi2"), {},
-              lambda state, phi1, phi2: states.apply_phase(state, phi1, phi2)),
-    "loss": (("eta1", "eta2"), {"eta": ("eta1", "eta2")},
-             lambda state, eta1, eta2: states.apply_loss(state, eta1, eta2)),
+    "beamsplitter": (("theta", "phi"), {}, "apply_beamsplitter"),
+    "phase": (("phi1", "phi2"), {}, "apply_phase"),
+    "loss": (("eta1", "eta2"), {"eta": ("eta1", "eta2")}, "apply_loss"),
 }
 
 _CALL_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*(.*?)\s*\))?\s*$")
@@ -190,9 +189,9 @@ def load_scenario(path) -> Scenario:
 
 
 def _build(table: dict, kind: str, call: OpCall, *state) -> states.GaussianTwoModeState:
-    builder = _op(table, call.name, kind)[2]
+    params, _, builder = _op(table, call.name, kind)
     try:
-        return builder(*state, **call.args)
+        return getattr(states, builder)(*state, *(call.args[p] for p in params))
     except states.PhysicalityError:
         raise
     except ValueError as exc:
@@ -310,5 +309,33 @@ def write_sweep_csv(rows: list, parameter: str, path) -> None:
     columns = (parameter,) + SWEEP_COLUMNS
     cells = tuple(itertools.chain.from_iterable(map(operator.itemgetter(*columns), rows)))
     data = (",".join(columns) + "\n" + _SWEEP_ROW * len(rows) % cells).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(data)
+    with _output(path) as write:
+        write(data)
+
+
+@contextlib.contextmanager
+def _output(path):
+    """A function that writes bytes to the file at `path`, unbuffered.  An
+    OSError of its own writes (a full disk, a size limit) is given `path`,
+    so its message ends with the file, as an open error's does.  A write
+    that fails, or is interrupted, removes the regular file it began, so
+    no truncated output is left; a device or a pipe is kept."""
+    def write(data) -> None:
+        view = memoryview(data)
+        try:
+            while view:  # an unbuffered write may take part of it
+                view = view[handle.write(view):]
+        except OSError as exc:
+            if exc.filename is None:
+                exc.filename = os.fspath(path)
+            raise
+
+    with open(path, "wb", buffering=0) as handle:
+        regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+        try:
+            yield write
+        except BaseException:
+            if regular:
+                with contextlib.suppress(OSError):  # the first error is the one to report
+                    os.remove(path)
+            raise

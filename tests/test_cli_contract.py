@@ -11,17 +11,23 @@ gives for one that begins with a minus sign (argparse reads `--grid -1,2`
 as an option and prints its usage)."""
 
 import contextlib
+import errno
 import io
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import twinbeams
 from twinbeams import sampling
 from twinbeams.cli import main
 from twinbeams.scenario import SCHEMA, SOURCES, STEPS, build_state, load_scenario
@@ -222,3 +228,51 @@ def test_out_in_a_missing_directory_is_named_whole(tmp_path, argv):
     code, stderr = _main([arg.format(scn=scn, batch=batch) for arg in argv] + ["--out", str(out)])
     assert (code, stderr) == (2, f"error: [Errno 2] No such file or directory: {str(out)!r}\n")
     assert not out.parent.exists()
+
+
+def _commands(tmp_path) -> dict:
+    """The argv of each command, but its --out: a sampled run and a
+    2001-point sweep of one scenario, a sample of it and an estimate of a
+    batch of it."""
+    scn, batch = tmp_path / "scn.txt", tmp_path / "batch.csv"
+    scn.write_bytes(_scenario("source = tmsv(0.5)", "sampling_n = 1000", "sampling_seed = 1"))
+    sampling.write_batch(sampling.draw_samples(build_state(load_scenario(scn)), 1000, 1), batch)
+    return {
+        "run": ["run", "--scenario", str(scn)],
+        "sweep": ["sweep", "--scenario", str(scn), "--param", "source.r", "--grid", "0:1:2001"],
+        "sample": ["sample", "--scenario", str(scn), "--n", "1000", "--seed", "1"],
+        "estimate": ["estimate", "--batch", str(batch)],
+    }
+
+
+# a CLI whose files may hold at most argv[1] bytes; a longer write fails with EFBIG
+_LIMITED = """import resource, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE,
+                   (int(sys.argv.pop(1)), resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+from twinbeams.cli import main
+sys.exit(main())
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit to set")
+@pytest.mark.parametrize("command", ["run", "sweep", "sample", "estimate"])
+def test_failed_write_leaves_no_output(tmp_path, command):
+    # the limit is set in the child only; each output is longer than 1024 bytes
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(twinbeams.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _LIMITED, "1024",
+                           *_commands(tmp_path)[command], "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {str(out)!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", ["run", "sweep", "sample", "estimate"])
+def test_write_error_names_the_file(tmp_path, command):
+    code, stderr = _main(_commands(tmp_path)[command] + ["--out", "/dev/full"])
+    assert (code, stderr) == (2, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
+                                 "'/dev/full'\n")
+    assert os.path.exists("/dev/full")

@@ -1,6 +1,7 @@
 """The sample CSV reader's kernel against numpy's text parser: every range
 it takes is read with the bits `np.loadtxt` gives (and so `float`), and
-every range outside its grammar is declined, to be parsed line by line."""
+every range outside its grammar, or holding a value whose double is
+subnormal or infinite, is declined, to be parsed line by line."""
 
 import io
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinbeams import _decimal
+from twinbeams import _decimal, sampling
 
 
 def _read(data: bytes):
@@ -40,6 +41,31 @@ def _lines(cells) -> bytes:
                     for i in range(len(cells) // 4))
 
 
+@pytest.fixture(scope="module")
+def range_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("nearest") / "range.csv"
+
+
+def _parse_range(path, data: bytes) -> bytes:
+    """sampling._parse_range over the whole of `data`, written to path: the
+    kernel's bits, or the line-by-line parse's where the kernel declines."""
+    path.write_bytes(data)
+    return sampling._parse_range(path, sampling._Span(0, len(data), 1, data.count(b"\n")))
+
+
+# Eisel-Lemire rounds to 53 bits as if the exponent had no bounds, and
+# decides each value that this puts on zero or a normal double: any value
+# of a subnormal or infinite double is declined, and so are those within
+# half a subnormal spacing below the smallest normal, 2**-1022, which it
+# rounds below it (their double is 2**-1022 itself)
+_DECIDED = (Fraction(2) ** -1022 - Fraction(2) ** -1076, Fraction(2) ** 1024 - Fraction(2) ** 970)
+
+
+def _decided(cell: str) -> bool:
+    x = abs(Fraction(cell))
+    return x == 0 or _DECIDED[0] <= x < _DECIDED[1]
+
+
 def _double(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
@@ -56,12 +82,17 @@ def _bits(x: float) -> int:
                              2.0 ** 53 + 2, 1e23, 0.1, 2.2250738585072014e-308,
                              # repr is halfway between two 17-digit decimals
                              1529101448434723.25, 2.0 ** 50 + 0.25, -257376964243859.875]])
-def test_every_written_double_reads_back(patterns):
+def test_every_written_double_reads_back(range_file, patterns):
     values = np.array([x for x in map(_double, patterns) if math.isfinite(x)] or [0.0])
     rows = np.concatenate([values, np.zeros(-len(values) % 4)]).reshape(-1, 4)
-    got = _read(_decimal.format_rows(0, rows))
-    assert got is not None
-    assert got.tobytes() == rows.tobytes()
+    data = _decimal.format_rows(0, rows)
+    got = _read(data)
+    if ((rows != 0) & (np.abs(rows) < np.finfo(np.float64).tiny)).any():  # a subnormal
+        assert got is None
+    else:
+        assert got is not None
+        assert got.tobytes() == rows.tobytes()
+    assert _parse_range(range_file, data) == rows.tobytes()
 
 
 @st.composite
@@ -87,14 +118,20 @@ def decimals(draw):
           "9999999999999999999e-343"])
 @example(["1.7976931348623157e+308", "1.7976931348623158e+308", "1e+22", "1e+23", "-0.0",
           "123456789012345678e-20", "0.0001", "00007.5", "70e-1", "1e-03"])
-def test_decimals_read_as_float_reads_them(cells):
+def test_decimals_read_as_float_reads_them(range_file, cells):
     want = np.array([float(cell) for cell in cells] + [0.0] * (-len(cells) % 4))
-    got = _read(_lines(cells))
-    if not np.isfinite(want).all():
-        assert got is None
-    else:
+    data = _lines(cells)
+    got = _read(data)
+    if all(map(_decided, cells)):
         assert got is not None
         assert got.tobytes() == want.tobytes()
+    else:
+        assert got is None
+    if np.isfinite(want).all():
+        assert _parse_range(range_file, data) == want.tobytes()
+    else:
+        with pytest.raises(sampling.BatchFormatError, match="non-finite cell$"):
+            _parse_range(range_file, data)
 
 
 WRITTEN = _decimal.format_rows(0, np.array([[1.5, -0.25, 3e-7, 1e+16],

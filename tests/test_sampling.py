@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinbeams import sampling, scenario
+from twinbeams import _decimal, sampling, scenario
 from twinbeams.cli import main
 from twinbeams.criteria import report_scalars, state_moments
 from twinbeams.sampling import (
@@ -346,7 +346,7 @@ def _golden_batch():
 def _fail_on(row, error=None):
     """A row formatter that fails on the chunk beginning at `row`, with
     `error` or a ZeroDivisionError naming the chunk."""
-    format_rows = sampling._format_rows
+    format_rows = _decimal.format_rows
 
     def fail(start, rows):
         if start == row:
@@ -358,7 +358,7 @@ def _fail_on(row, error=None):
 
 def _exit_on(row):
     """A row formatter whose worker dies on the chunk beginning at `row`."""
-    format_rows = sampling._format_rows
+    format_rows = _decimal.format_rows
 
     def die(start, rows):
         if start == row:
@@ -463,7 +463,7 @@ class TestWorkers:
         # alarm turns a hang into a failure
         _patch_workers(monkeypatch, 2)
         monkeypatch.setattr(sampling, "WRITE_CHUNK", 4000)
-        monkeypatch.setattr(sampling, "_format_rows", formatter)
+        monkeypatch.setattr(_decimal, "format_rows", formatter)
         batch = make_batch()
 
         def hang(signum, frame):
@@ -492,7 +492,7 @@ class TestWorkers:
         monkeypatch.setattr(sampling, "WRITE_CHUNK", 4000)
         if fault == "worker":
             full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            monkeypatch.setattr(sampling, "_format_rows", _fail_on(7 * 4000, full))
+            monkeypatch.setattr(_decimal, "format_rows", _fail_on(7 * 4000, full))
         else:
             _patch_draws(monkeypatch, fail_on=7)
         scn = tmp_path / "scn.txt"
@@ -507,7 +507,7 @@ class TestWorkers:
     def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch):
         _patch_workers(monkeypatch, 1)
         monkeypatch.setattr(sampling, "WRITE_CHUNK", 4000)
-        monkeypatch.setattr(sampling, "_format_rows", _fail_on(2 * 4000, KeyboardInterrupt()))
+        monkeypatch.setattr(_decimal, "format_rows", _fail_on(2 * 4000, KeyboardInterrupt()))
         with pytest.raises(KeyboardInterrupt):
             write_batch(_long_drawn_batch(), tmp_path / "batch.csv")
         assert list(tmp_path.iterdir()) == []
@@ -515,7 +515,7 @@ class TestWorkers:
     def test_failed_write_keeps_a_pipe(self, tmp_path, monkeypatch):
         # only a regular file is removed; a pipe is written as _check_room lets it be
         _patch_workers(monkeypatch, 1)
-        monkeypatch.setattr(sampling, "_format_rows", _fail_on(0))
+        monkeypatch.setattr(_decimal, "format_rows", _fail_on(0))
         pipe = tmp_path / "pipe"
         os.mkfifo(pipe)
         reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write does not block
@@ -589,7 +589,7 @@ class TestBatchMemory:
         batch = DrawnBatch(make_vacuum(), 12 * 4096, 41)
         write_batch(batch, tmp_path / "warm.csv")
         peak = _peak_bytes(write_batch, batch, tmp_path / "batch.csv")
-        chunk_bytes = min(len(sampling._format_rows(start, block))
+        chunk_bytes = min(len(_decimal.format_rows(start, block))
                           for start, block in sampling._numbered(batch.blocks(12)))
         assert peak < 2 * chunk_bytes
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from oracles import format_rows_repr
 from twinbeams import _decimal
-from twinbeams.sampling import _format_rows
 
 
 def _rows(values) -> np.ndarray:
@@ -23,7 +22,7 @@ def _rows(values) -> np.ndarray:
 
 def _assert_reprs(values, start=0):
     rows = _rows(values)
-    got, want = _format_rows(start, rows), format_rows_repr(start, rows)
+    got, want = _decimal.format_rows(start, rows), format_rows_repr(start, rows)
     if got != want:
         bad = [(g, w) for g, w in zip(got.splitlines(), want.splitlines()) if g != w]
         pytest.fail(f"{len(bad)} rows differ, first {bad[:3]}")
@@ -93,7 +92,7 @@ def test_rows_equal_the_oracle_across_seams(start):
     rows = np.random.default_rng(start).standard_normal((2 * _decimal.SUB_ROWS + 37, 4))
     rows[_decimal.SUB_ROWS] = -0.0
     rows[7, 2] = 1e-5
-    assert _format_rows(start, rows) == format_rows_repr(start, rows)
+    assert _decimal.format_rows(start, rows) == format_rows_repr(start, rows)
 
 
 def test_powers_of_ten_table_is_exact():
