@@ -15,9 +15,11 @@ Exit codes: 0 success, 2 validation error, 3 a state outside the uncertainty bou
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import math
+import os
 import sys
 
 from . import scenario
@@ -88,13 +90,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_json(payload: dict, out) -> None:
-    """Indented JSON with sorted keys, to the path out or to stdout."""
+    """Indented JSON with sorted keys, to the path out or to stdout.  A
+    failed write to stdout is named `<stdout>`, and stdout's descriptor
+    is pointed at os.devnull first, so the flush at exit cannot fail too."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
         with scenario._output(out) as write:
             write(text.encode("utf-8"))
-    else:
+        return
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        with contextlib.suppress(OSError, ValueError):  # a stdout with no descriptor
+            stdout = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, stdout)
+            finally:
+                os.close(devnull)
+        exc.filename = "<stdout>"
+        raise
 
 
 def _cmd_run(args) -> int:

@@ -16,7 +16,6 @@ import math
 import os
 import pickle
 import shutil
-import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -311,7 +310,7 @@ class FileBatch:
                 while filled < size:
                     if not len(rest):
                         rest = None  # drop the spent range before the next arrives
-                        rest = np.frombuffer(next(parts)).reshape(-1, 4)
+                        rest = next(parts)
                     take = min(size - filled, len(rest))
                     block[filled:filled + take] = rest[:take]
                     rest = rest[take:]
@@ -357,8 +356,7 @@ def read_batch(path) -> FileBatch:
     spans, lineno = [], lineno + 1
     with contextlib.closing(_ordered_map(_count_rows, [(path, *r) for r in ranges],
                                          len(ranges))) as counts:
-        for (start, end), count in zip(ranges, counts):
-            rows, lines = np.frombuffer(count, dtype=np.int64).tolist()
+        for (start, end), (rows, lines) in zip(ranges, counts):
             spans.append(_Span(start, end, lineno, rows))
             lineno += lines
     n = sum(span.rows for span in spans)
@@ -384,10 +382,10 @@ def _ranges(handle, start: int) -> list:
     return ranges
 
 
-def _count_rows(path, start: int, end: int) -> bytes:
+def _count_rows(path, start: int, end: int) -> tuple:
     """The data rows (the lines that are not blank) and the line ends of
-    one byte range, as two int64s.  Only a line that is empty or begins
-    with a space or a control byte is stripped to tell."""
+    one byte range.  Only a line that is empty or begins with a space or
+    a control byte is stripped to tell."""
     padded = bytearray(end - start + 2)  # each line between two line ends
     padded[0] = padded[-1] = ord("\n")
     with open(path, "rb") as handle:
@@ -399,24 +397,24 @@ def _count_rows(path, start: int, end: int) -> bytes:
     doubtful = np.flatnonzero(starts & (codes[1:] <= ord(" "))) + 1
     blank = sum(1 for first in doubtful.tolist()
                 if not padded[first:padded.index(b"\n", first)].strip())
-    return np.array([lines - blank, lines - 1], dtype=np.int64).tobytes()
+    return lines - blank, lines - 1
 
 
-def _parse_range(path, span: _Span) -> bytes:
-    """Columns 1-4 of the rows of one byte range, as raw float64 bytes.
+def _parse_range(path, span: _Span) -> np.ndarray:
+    """Columns 1-4 of the rows of one byte range, as an N x 4 array.
     Raises BatchFormatError naming the first bad line when a row does not
     parse, has other than 5 cells or a non-finite one.  A range of lines
     as `write_batch` writes them is read by the `_decimal` kernel; one it
     declines is parsed here line by line, with the same bits."""
     if not span.rows:
-        return b""
+        return np.empty((0, 4))
     from . import _decimal  # here: a command that reads or writes no batch never loads it
 
     with open(path, "rb") as handle:
         handle.seek(span.start)
         rows = _decimal.read_rows(handle, span.end - span.start, span.rows)
         if rows is not None:
-            return rows.tobytes()
+            return rows
         handle.seek(span.start)
         lines = handle.read(span.end - span.start).split(b"\n")
     try:
@@ -425,7 +423,7 @@ def _parse_range(path, span: _Span) -> bytes:
         data = None
     if data is None or data.shape != (span.rows, 5) or not np.isfinite(data).all():
         raise BatchFormatError(_first_fault(lines, span.lineno))
-    return data[:, 1:].tobytes()
+    return data[:, 1:]
 
 
 def _first_fault(lines: list, lineno: int) -> str:
@@ -457,8 +455,8 @@ def _cpu_count() -> int:
 
 
 def _ordered_map(func, tasks, count: int):
-    """Yield func(*task), a bytes-like object, for each of the `count`
-    tasks of the iterable, in task order.
+    """Yield func(*task) for each of the `count` tasks of the iterable, in
+    task order.
 
     With W = min(CPUs, count) >= 2, W forked workers each serve one
     socket pair.  All W are forked before the first task is taken from
@@ -467,10 +465,11 @@ def _ordered_map(func, tasks, count: int):
     sends a worker its next task only after taking that worker's last
     result, so the worker is waiting for the task when it arrives and
     neither side can block the other; each holds one task and one result
-    at a time, whatever the number of tasks.  Tasks are pickled; a result
-    crosses as raw bytes into one buffer of its size.  Every worker is
-    killed and joined when the generator ends, raises or is closed.
-    With W = 1, func runs in this process.
+    at a time, whatever the number of tasks.  A task and a worker's reply
+    each cross as one pickle, so a result is any value that pickles (an
+    array's buffer is written as it is, with no copy into bytes).  Every
+    worker is killed and joined when the generator ends, raises or is
+    closed.  With W = 1, func runs in this process.
     """
     workers = min(_cpu_count(), count)
     if workers > 1:
@@ -485,12 +484,12 @@ def _ordered_map(func, tasks, count: int):
         return
     # fork: a worker starts at once and runs func as this process holds it
     context = multiprocessing.get_context("fork")
-    procs, socks, busy = [], [], collections.deque()
+    procs, chans, busy = [], [], collections.deque()
     try:
         for _ in range(workers):
             ours, theirs = socket.socketpair()
-            socks.append(ours)
-            with theirs:
+            with ours, theirs:  # our end stays open until its file is closed
+                chans.append(ours.makefile("rwb"))
                 procs.append(context.Process(target=_serve, args=(func, theirs), daemon=True))
                 procs[-1].start()
         for k, task in enumerate(tasks):
@@ -498,56 +497,37 @@ def _ordered_map(func, tasks, count: int):
                 w = k
             else:
                 w = busy.popleft()
-                yield _take(socks[w], w)
-            _send(socks[w], pickle.dumps(task))
+                yield _take(chans[w], w)
+            _put(chans[w], task)
             busy.append(w)
         while busy:
             w = busy.popleft()
-            yield _take(socks[w], w)
+            yield _take(chans[w], w)
     finally:
         for proc in procs:
             proc.kill()
             proc.join()
-        for sock in socks:
-            sock.close()
+        for chan in chans:
+            with contextlib.suppress(OSError):  # a task sent in part fails to flush again
+                chan.close()
 
 
-_FRAME = struct.Struct("<q?")  # payload bytes, and whether it is a pickled exception
+def _put(chan, value) -> None:
+    """Send value to the other end of a worker's channel, as one pickle."""
+    pickle.dump(value, chan, pickle.HIGHEST_PROTOCOL)
+    chan.flush()
 
 
-def _send(sock, payload, failed: bool = False) -> None:
-    sock.sendall(_FRAME.pack(len(payload), failed))
-    sock.sendall(payload)
-
-
-def _receive(sock) -> tuple:
-    """(payload, failed) of the next frame; EOFError when the peer has
-    closed its end instead."""
-    size, failed = _FRAME.unpack(_receive_exactly(sock, _FRAME.size))
-    return _receive_exactly(sock, size), failed
-
-
-def _receive_exactly(sock, size: int) -> bytearray:
-    buffer = bytearray(size)
-    view, got = memoryview(buffer), 0
-    while got < size:
-        read = sock.recv_into(view[got:])
-        if not read:
-            raise EOFError
-        got += read
-    return buffer
-
-
-def _take(sock, w: int) -> bytearray:
+def _take(chan, w: int):
     """Worker w's next result; raises the exception it sent instead, or
-    RuntimeError when it ended without sending."""
+    RuntimeError when it ended before sending the whole reply."""
     try:
-        result, failed = _receive(sock)
-    except EOFError:
+        failed, value = pickle.load(chan)
+    except (EOFError, pickle.UnpicklingError):  # nothing, or a reply cut short
         raise RuntimeError(f"worker {w} ended before sending its result") from None
     if failed:
-        raise pickle.loads(result)
-    return result
+        raise value
+    return value
 
 
 # glibc's mallopt parameters
@@ -573,23 +553,25 @@ def _keep_freed_heap() -> bool:
 
 
 def _serve(func, sock) -> None:
-    """Body of one worker: for each task received, send func(*task) back;
-    on an exception send it pickled and stop."""
+    """Body of one worker: for each task received, reply (False,
+    func(*task)); on an exception reply (True, exception) and stop."""
     import tracemalloc
 
     tracemalloc.stop()  # a parent that traces its allocations has no use for ours
     _keep_freed_heap()  # where it cannot, the worker runs as it would without
+    chan = sock.makefile("rwb")
     while True:
         try:
-            task, _ = _receive(sock)
+            task = pickle.load(chan)
         except EOFError:
             return
         try:
-            result = func(*pickle.loads(task))
+            reply = False, func(*task)
         except Exception as exc:
-            _send(sock, pickle.dumps(exc), failed=True)
+            reply = True, exc
+        _put(chan, reply)
+        if reply[0]:
             return
-        _send(sock, result)
 
 
 # ---------------------------------------------------------------------------

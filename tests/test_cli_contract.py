@@ -276,3 +276,43 @@ def test_write_error_names_the_file(tmp_path, command):
     assert (code, stderr) == (2, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
                                  "'/dev/full'\n")
     assert os.path.exists("/dev/full")
+
+
+@pytest.mark.parametrize("target", ["/dev/full", "closed-pipe"])
+@pytest.mark.parametrize("command", ["run", "estimate"])
+def test_stdout_write_error_names_stdout(tmp_path, command, target):
+    # PYTHONUNBUFFERED dropped: stdout is buffered, so without the flush in
+    # `main` the write would fail first at the flush of interpreter exit
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(twinbeams.__file__).parents[1])
+    argv = [sys.executable, "-m", "twinbeams.cli", *_commands(tmp_path)[command]]
+    if target == "/dev/full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        stdout, code = os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
+    else:
+        read, stdout = os.pipe()
+        os.close(read)  # before the child starts, so its write fails whenever it comes
+        code = errno.EPIPE
+    try:
+        proc = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env=env, text=True,
+                              timeout=120)
+    finally:
+        os.close(stdout)
+    assert (proc.returncode, proc.stderr) == (
+        2, f"error: [Errno {code}] {os.strerror(code)}: '<stdout>'\n")
+
+
+class _FullStdout(io.StringIO):
+    """A stdout with no descriptor whose every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("command", ["run", "estimate"])
+def test_stdout_write_error_without_a_descriptor(tmp_path, monkeypatch, command):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code, stderr = _main(_commands(tmp_path)[command])
+    assert (code, stderr) == (2, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
+                                 "'<stdout>'\n")

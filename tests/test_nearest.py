@@ -50,7 +50,7 @@ def _parse_range(path, data: bytes) -> bytes:
     """sampling._parse_range over the whole of `data`, written to path: the
     kernel's bits, or the line-by-line parse's where the kernel declines."""
     path.write_bytes(data)
-    return sampling._parse_range(path, sampling._Span(0, len(data), 1, data.count(b"\n")))
+    return sampling._parse_range(path, sampling._Span(0, len(data), 1, data.count(b"\n"))).tobytes()
 
 
 # Eisel-Lemire rounds to 53 bits as if the exponent had no bounds, and

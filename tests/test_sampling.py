@@ -6,7 +6,9 @@ import itertools
 import json
 import math
 import multiprocessing
+import io
 import os
+import pickle
 import re
 import resource
 import signal
@@ -394,6 +396,10 @@ def _long_drawn_batch():
     return DrawnBatch(make_vacuum(), 80000, 2)  # 20 chunks of 4000 rows
 
 
+# a worker's reply, as it crosses the socket whole
+_REPLY = pickle.dumps((False, bytes(1000)), pickle.HIGHEST_PROTOCOL)
+
+
 class TestWorkers:
     """The forked path, with the CPU count patched to 1, 2 and 3 workers
     and chunks and ranges patched small so that 50 rows span many."""
@@ -479,6 +485,22 @@ class TestWorkers:
             signal.signal(signal.SIGALRM, previous)
         assert multiprocessing.active_children() == []
         assert list(tmp_path.iterdir()) == []  # no truncated batch to be read
+
+    @pytest.mark.parametrize("reply", [_REPLY[:len(_REPLY) // 2], b""], ids=["cut-short", "empty"])
+    def test_reply_cut_short_is_a_worker_that_ended(self, reply):
+        with pytest.raises(RuntimeError, match="^worker 0 ended before sending its result$"):
+            sampling._take(io.BytesIO(reply), 0)
+
+    def test_exception_that_does_not_pickle_is_a_worker_that_ended(self, monkeypatch):
+        # the worker cannot send what it raised, so it ends with nothing sent
+        _patch_workers(monkeypatch, 2)
+
+        def fail():
+            raise ValueError(lambda: None)  # its args do not pickle
+
+        with pytest.raises(RuntimeError, match="^worker 0 ended before sending its result$"):
+            list(sampling._ordered_map(fail, [()] * 2, 2))
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("fault, message", [
         ("worker", "[Errno 28] No space left on device"),
