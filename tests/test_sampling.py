@@ -2,11 +2,11 @@ import collections
 import contextlib
 import ctypes
 import errno
+import io
 import itertools
 import json
 import math
 import multiprocessing
-import io
 import os
 import pickle
 import re
