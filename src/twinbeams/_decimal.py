@@ -72,9 +72,6 @@ _PAD = 8
 _M32 = np.uint64(0xFFFFFFFF)
 _P10 = np.array([10 ** j for j in range(20)], dtype=np.uint64)
 _FIRST = np.tri(21, 20, -1, dtype=bool)  # row c keeps the first c of 20 slots
-# an index keeps slot j of its `width` when it is at least the j-th of the
-# last `width` floors: its units always
-_INDEX_FLOORS = np.array([10 ** j for j in range(19, 0, -1)] + [0], dtype=np.uint64)
 # (width, base, mask) of the steps that join pairs of digit lanes: eight
 # 8-bit lanes of one digit into four 16-bit lanes of two, into two 32-bit
 # lanes of four, into one of eight
@@ -233,12 +230,14 @@ def _layout(start: int, rows: np.ndarray, width: int) -> bytes:
     int_digits = np.where(sci, 1, np.maximum(point, 1)).astype(np.int8)
     zeros = np.where(sci, 0, np.maximum(-point, 0)).astype(np.int8)
     frac_digits = np.where(sci, after, np.maximum(after, 1)).astype(np.int8)
-    power = point - 1
-    exp_digits = np.where(sci, 2 + (np.abs(power) >= 100), 0).astype(np.int8)
+    which = np.flatnonzero(sci)  # the few values in exponent form
+    power = point[which] - 1
+    exp_digits = (2 + (np.abs(power) >= 100)).astype(np.int8)
 
     # region widths and offsets of one value's slots
     signed, ints = int(x.view(np.int64).min() < 0), int(int_digits.max())
-    nzeros, nfrac, nexp = int(zeros.max()), int(frac_digits.max()), int(exp_digits.max())
+    nzeros, nfrac = int(zeros.max()), int(frac_digits.max())
+    nexp = int(exp_digits.max()) if len(which) else 0
     dot = signed + ints
     first = dot + 1 + nzeros  # of the digits after the point
     e = first + nfrac
@@ -246,9 +245,7 @@ def _layout(start: int, rows: np.ndarray, width: int) -> bytes:
 
     template = np.empty((m, width + 1 + 4 * field), dtype=np.uint8)
     keep = np.empty(template.shape, dtype=bool)
-    index = np.arange(start, start + m, dtype=np.uint64)
-    _digits_into(template, index, width, width)
-    keep[:, :width] = index[:, None] >= _INDEX_FLOORS[-width:]
+    _index_into(template, keep, start, width)
     template[:, width] = ord(",")
     keep[:, width] = True
 
@@ -273,16 +270,42 @@ def _layout(start: int, rows: np.ndarray, width: int) -> bytes:
                    (template.shape[1], field))[...] = _ascii8(group).reshape(flat)
     _digits_into(fields, frac.reshape(flat), nfrac % 8, first + nfrac % 8)
     kept[..., first:e] = _first(frac_digits.reshape(flat), nfrac)
-    if nexp:
-        fields[..., e] = ord("e")
-        fields[..., e + 1] = np.where(power < 0, ord("-"), ord("+")).reshape(flat)
-        kept[..., e] = kept[..., e + 1] = sci.reshape(flat)
-        _digits_into(fields, np.abs(power).astype(np.uint64).reshape(flat), nexp, e + 2 + nexp)
-        kept[..., e + 2:e + 2 + nexp] = _last(exp_digits.reshape(flat), nexp)
+    if nexp:  # the slots of every other value are masked
+        kept[..., e:e + 2 + nexp] = False
+        at = which // 4, which % 4  # (row, column) of each value in exponent form
+        exponent = np.empty((len(which), 2 + nexp), dtype=np.uint8)
+        exponent[:, 0] = ord("e")
+        exponent[:, 1] = np.where(power < 0, ord("-"), ord("+"))
+        _digits_into(exponent, np.abs(power).astype(np.uint64), nexp, 2 + nexp)
+        fields[(*at, slice(e, e + 2 + nexp))] = exponent
+        kept[(*at, slice(e, e + 2))] = True
+        kept[(*at, slice(e + 2, e + 2 + nexp))] = _last(exp_digits, nexp)
     fields[..., -1] = ord(",")
     fields[:, -1, -1] = ord("\n")
     kept[..., -1] = True
     return np.compress(keep.reshape(-1), template.reshape(-1)).tobytes()
+
+
+def _index_into(template: np.ndarray, keep: np.ndarray, start: int, width: int) -> None:
+    """Write the indices start, start + 1, ... of the rows, right-aligned
+    in the first `width` slots of each, and keep the slots of their
+    digits: the last 8 digits go as one `_ascii8` word (written first,
+    since below 8 digits it spills into the slots after), any above them
+    digit by digit, and the mask is set once per run of rows with the
+    same digit count, since the rows are consecutive."""
+    m, row = template.shape
+    index = np.arange(start, start + m, dtype=np.uint64)
+    high, low = np.divmod(index, np.uint64(10 ** 8)) if width > 8 else (None, index)
+    word = _ascii8(low) >> np.uint64(8 * max(8 - width, 0))  # no leading zero below 8 digits
+    np.ndarray((m,), "<u8", template, max(width - 8, 0), (row,))[...] = word
+    if width > 8:
+        _digits_into(template, high, width - 8, width - 8)
+    first, digits = 0, len(str(start))
+    while first < m:
+        end = min(m, 10 ** digits - start)  # the rows whose index has `digits` digits
+        keep[first:end, :width - digits] = False
+        keep[first:end, width - digits:width] = True
+        first, digits = end, digits + 1
 
 
 def _first(count: np.ndarray, width: int) -> np.ndarray:

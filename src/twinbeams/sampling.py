@@ -12,6 +12,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import ctypes
+import functools
 import math
 import os
 import pickle
@@ -145,38 +146,45 @@ class DrawnBatch:
 
         One helper thread, started at the first block, owns the seeded
         generator and draws the normals of block k + 1 while the caller
-        makes and uses block k.  It is asked for them only once block
-        k's normals are taken, so it is one block ahead, never two: the
-        blocks hold one normals block more than drawing in line would,
-        and the rows are those of one thread drawing in order.  The
-        product and `+ mean` run on the caller's thread, under its numpy
-        error state.  The helper is stopped and joined when the
-        generator ends, raises or is closed."""
+        makes and uses block k, as the jackknife does.  It is asked for
+        them only once block k's normals are taken, so it is one block
+        ahead, never two: the blocks hold one normals block more than
+        drawing in line would, and the rows are those of one thread
+        drawing in order.  The product and `+ mean` run on the caller's
+        thread, under its numpy error state.  The helper is stopped and
+        joined when the generator ends, raises or is closed."""
         # here: concurrent.futures imports logging, which slows `import twinbeams`
         from concurrent.futures import ThreadPoolExecutor
 
-        rng = np.random.Generator(np.random.PCG64(self.seed))
         helper = ThreadPoolExecutor(max_workers=1)  # its thread starts at the first submit
         try:
-            draws = ((rows, helper.submit(rng.standard_normal, (rows, 4)))
-                     for rows in _block_sizes(self.n, n_blocks))
-            ahead = next(draws, None)
-            while ahead is not None:
-                rows, drawing = ahead
-                try:
-                    normals = drawing.result()
-                    ahead = next(draws, None)  # asked for only now: one block ahead, never two
-                    block = normals @ self.chol.T
-                except MemoryError:
-                    raise ValueError(f"n = {self.n}: drawing {rows} x 4 samples needs "
-                                     f"{2 * rows * 4 * 8} bytes, more than can be "
-                                     "allocated") from None
-                del drawing, normals  # block k's normals
-                block += self.state.mean  # the bits of `+ mean`, without a third rows x 4 array
-                yield block
-                del block  # so the caller can free it before the next is made
+            yield from self._draw(n_blocks, lambda *call: helper.submit(*call).result)
         finally:
             helper.shutdown(cancel_futures=True)
+
+    def _draw(self, n_blocks: int, submit):
+        """The blocks of `blocks`, drawn by the caller's choice of thread:
+        submit(draw, shape) returns a function that gives draw(shape), and
+        it is called for block k + 1's normals only once block k's are
+        taken.  `functools.partial` draws each in line, when it is taken."""
+        rng = np.random.Generator(np.random.PCG64(self.seed))
+        draws = ((rows, submit(rng.standard_normal, (rows, 4)))
+                 for rows in _block_sizes(self.n, n_blocks))
+        ahead = next(draws, None)
+        while ahead is not None:
+            rows, drawing = ahead
+            try:
+                normals = drawing()
+                ahead = next(draws, None)  # asked for only now: one block ahead, never two
+                block = normals @ self.chol.T
+            except MemoryError:
+                raise ValueError(f"n = {self.n}: drawing {rows} x 4 samples needs "
+                                 f"{2 * rows * 4 * 8} bytes, more than can be "
+                                 "allocated") from None
+            del drawing, normals  # block k's normals
+            block += self.state.mean  # the bits of `+ mean`, without a third rows x 4 array
+            yield block
+            del block  # so the caller can free it before the next is made
 
 
 @dataclass(frozen=True)
@@ -221,25 +229,32 @@ def draw_samples(state: GaussianTwoModeState, n: int, seed: int,
 def write_batch(batch: SampleBatch | DrawnBatch | FileBatch, path) -> None:
     """CSV with '#' metadata lines, a fixed header, and each value as repr
     writes it: the shortest decimal that reads back to the same double.
-    Rows are formatted a block of at most WRITE_CHUNK at a time as the
-    batch yields it, by one worker per CPU, and written in order, so no
-    process holds the batch.
+    The parent writes the header, then takes the batch a block of at most
+    WRITE_CHUNK rows at a time (a DrawnBatch drawn in line, since the
+    parent only waits for its workers meanwhile) and hands each block to
+    one worker per CPU.  A worker formats its block and, at its turn,
+    once the chunk before is written, writes its chunk itself to the
+    file it shares with the parent; so no process holds the batch and no
+    formatted byte crosses to the parent.
     A write that fails, or is interrupted, removes the file it began, so
-    no truncated batch is left to be read; a device or a pipe is kept."""
+    no truncated batch is left to be read; a device or a pipe is kept.
+    A worker's error, in formatting or in writing, is raised here, and
+    an OSError of a write names the file."""
     from . import _decimal  # here: a command that writes or reads no batch never loads it
     from .scenario import _output
 
     _check_room(batch.n, path)
     n_chunks = -(-batch.n // WRITE_CHUNK)
     header = f"# seed: {batch.seed}\n# source_label: {batch.source_label}\n{CSV_HEADER}\n"
-    with contextlib.closing(batch.blocks(n_chunks)) as blocks, \
-            contextlib.closing(_ordered_map(_decimal.format_rows, _numbered(blocks),
-                                            n_chunks)) as chunks, \
-            _output(path) as write:
+    blocks = (batch._draw(n_chunks, functools.partial) if isinstance(batch, DrawnBatch)
+              else batch.blocks(n_chunks))
+    with _output(path) as write:
         write(header.encode("utf-8"))
-        for chunk in chunks:  # a worker's error is raised here, not named by the file
-            write(chunk)
-            del chunk  # freed before the next is taken
+        with contextlib.closing(blocks), \
+                contextlib.closing(_ordered_map(_decimal.format_rows, _numbered(blocks),
+                                                n_chunks, emit=write)) as written:
+            for _ in written:  # a worker's error is raised here
+                pass  # and every worker is gone before a file it wrote to is removed
 
 
 def _check_room(n: int, path) -> None:
@@ -454,22 +469,32 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if can_fork else 1
 
 
-def _ordered_map(func, tasks, count: int):
-    """Yield func(*task) for each of the `count` tasks of the iterable, in
-    task order.
+def _identity(value):
+    return value
+
+
+def _ordered_map(func, tasks, count: int, emit=_identity):
+    """Yield emit(func(*task)) for each of the `count` tasks of the
+    iterable, in task order: each emit runs only once the emit of every
+    earlier task has returned, so emit may write to a shared file.
 
     With W = min(CPUs, count) >= 2, W forked workers each serve one
     socket pair.  All W are forked before the first task is taken from
     the iterable, so no worker inherits a task or a thread that making
-    the tasks starts (such as DrawnBatch's drawing helper).  The parent
-    sends a worker its next task only after taking that worker's last
-    result, so the worker is waiting for the task when it arrives and
-    neither side can block the other; each holds one task and one result
-    at a time, whatever the number of tasks.  A task and a worker's reply
-    each cross as one pickle, so a result is any value that pickles (an
-    array's buffer is written as it is, with no copy into bytes).  Every
-    worker is killed and joined when the generator ends, raises or is
-    closed.  With W = 1, func runs in this process.
+    the tasks starts (such as DrawnBatch's drawing helper), and each
+    worker first closes the parent's ends of the pairs it inherits, so
+    that its own reads EOF once the parent is gone.  A worker runs func
+    on its task, then waits for its turn, which the parent gives once it
+    has taken the result before; it then runs emit in its own process
+    and replies with what emit returned.  The parent sends a worker its
+    next task only after taking that worker's last reply, so each side
+    holds one task and one result at a time, whatever the number of
+    tasks.  A task, a turn and a reply each cross as one pickle, so a
+    result is any value that pickles (an array's buffer is written as it
+    is, with no copy into bytes).  An exception of func or of emit is
+    raised here at its task's turn.  Every worker is killed and joined
+    when the generator ends, raises or is closed.  With W = 1, func and
+    emit run in this process.
     """
     workers = min(_cpu_count(), count)
     if workers > 1:
@@ -480,29 +505,31 @@ def _ordered_map(func, tasks, count: int):
             workers = 1
     if workers < 2:
         for task in tasks:
-            yield func(*task)
+            yield emit(func(*task))
         return
-    # fork: a worker starts at once and runs func as this process holds it
+    # fork: a worker starts at once and runs func and emit as this process holds them
     context = multiprocessing.get_context("fork")
     procs, chans, busy = [], [], collections.deque()
     try:
         for _ in range(workers):
             ours, theirs = socket.socketpair()
-            with ours, theirs:  # our end stays open until its file is closed
+            with ours:  # our end stays open until its file is closed
                 chans.append(ours.makefile("rwb"))
-                procs.append(context.Process(target=_serve, args=(func, theirs), daemon=True))
+            with theirs:
+                procs.append(context.Process(target=_serve, args=(func, emit, theirs, chans),
+                                             daemon=True))
                 procs[-1].start()
         for k, task in enumerate(tasks):
             if k < workers:
                 w = k
             else:
                 w = busy.popleft()
-                yield _take(chans[w], w)
+                yield _turn(chans[w], w)
             _put(chans[w], task)
             busy.append(w)
         while busy:
             w = busy.popleft()
-            yield _take(chans[w], w)
+            yield _turn(chans[w], w)
     finally:
         for proc in procs:
             proc.kill()
@@ -512,10 +539,21 @@ def _ordered_map(func, tasks, count: int):
                 chan.close()
 
 
+# the errors of a channel whose other end is closed
+_ENDED = (EOFError, BrokenPipeError, ConnectionResetError)
+
+
 def _put(chan, value) -> None:
     """Send value to the other end of a worker's channel, as one pickle."""
     pickle.dump(value, chan, pickle.HIGHEST_PROTOCOL)
     chan.flush()
+
+
+def _turn(chan, w: int):
+    """Give worker w its turn and take its reply, as `_take` does."""
+    with contextlib.suppress(*_ENDED):  # a worker that ended is told apart by its reply
+        _put(chan, None)
+    return _take(chan, w)
 
 
 def _take(chan, w: int):
@@ -523,7 +561,7 @@ def _take(chan, w: int):
     RuntimeError when it ended before sending the whole reply."""
     try:
         failed, value = pickle.load(chan)
-    except (EOFError, pickle.UnpicklingError):  # nothing, or a reply cut short
+    except (*_ENDED, pickle.UnpicklingError):  # nothing, or a reply cut short
         raise RuntimeError(f"worker {w} ended before sending its result") from None
     if failed:
         raise value
@@ -552,26 +590,35 @@ def _keep_freed_heap() -> bool:
                 mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX) == 1])
 
 
-def _serve(func, sock) -> None:
-    """Body of one worker: for each task received, reply (False,
-    func(*task)); on an exception reply (True, exception) and stop."""
+def _serve(func, emit, sock, inherited) -> None:
+    """Body of one worker: for each task received, call func, wait for
+    its turn and reply (False, emit(value)); on an exception of either
+    reply (True, exception) at its turn and stop.  It first closes the
+    parent's ends it inherits, and it stops quietly once the parent is
+    gone."""
     import tracemalloc
 
+    for chan in inherited:
+        chan.close()
     tracemalloc.stop()  # a parent that traces its allocations has no use for ours
     _keep_freed_heap()  # where it cannot, the worker runs as it would without
-    chan = sock.makefile("rwb")
-    while True:
-        try:
+    chan, failed = sock.makefile("rwb"), False
+    with contextlib.suppress(*_ENDED):
+        while not failed:
             task = pickle.load(chan)
-        except EOFError:
-            return
-        try:
-            reply = False, func(*task)
-        except Exception as exc:
-            reply = True, exc
-        _put(chan, reply)
-        if reply[0]:
-            return
+            failed, value = _call(func, *task)
+            pickle.load(chan)  # its turn: every reply before its own is taken
+            if not failed:
+                failed, value = _call(emit, value)
+            _put(chan, (failed, value))
+
+
+def _call(func, *args) -> tuple:
+    """(False, func(*args)), or (True, the exception it raised)."""
+    try:
+        return False, func(*args)
+    except Exception as exc:
+        return True, exc
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,23 @@ def test_only_sample_and_estimate_load_the_csv_kernel(tmp_path, command):
                                                           "twinbeams.sampling"])
 
 
+@pytest.mark.parametrize("argv, helper", [
+    # 3 chunks: the parent draws each block in line while its workers format
+    (["sample", "--n", "40000", "--seed", "1", "--out", "batch.csv"], False),
+    # the jackknife keeps the helper thread that draws a block ahead
+    (["run", "--out", "report.json"], True),
+], ids=["sample", "sampled-run"])
+def test_only_the_jackknife_draws_on_a_helper_thread(tmp_path, argv, helper):
+    scn = tmp_path / "scn.txt"
+    scn.write_text("schema = twinbeams-scenario-1\nsource = tmsv(0.5)\n"
+                   "sampling_n = 2000\nsampling_seed = 1\n")
+    argv = [*argv[:-1], str(tmp_path / argv[-1]), "--scenario", str(scn)]
+    code = f"from twinbeams.cli import main\nassert main({argv!r}) == 0"
+    loaded = _loaded_after(code, ("concurrent.futures", "logging"))
+    assert ("'concurrent.futures'" in loaded) == helper
+    assert ("'logging'" in loaded) == helper
+
+
 def test_declared_dependencies_are_numpy_only():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]]

@@ -13,6 +13,8 @@ import re
 import resource
 import signal
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -25,6 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import twinbeams
 from twinbeams import _decimal, sampling, scenario
 from twinbeams.cli import main
 from twinbeams.criteria import report_scalars, state_moments
@@ -562,6 +565,134 @@ class TestWorkers:
         assert path.read_bytes() == GOLDEN_BATCH.read_bytes()
 
 
+    def test_workers_write_a_pipe_as_a_file(self, tmp_path, monkeypatch):
+        # each worker writes its chunks, larger than a pipe's buffer, into
+        # the FIFO in turn while a thread drains it
+        _patch_workers(monkeypatch, 2)
+        monkeypatch.setattr(sampling, "WRITE_CHUNK", 4000)
+        path, pipe = tmp_path / "batch.csv", tmp_path / "pipe"
+        write_batch(_long_drawn_batch(), path)
+        os.mkfifo(pipe)
+        drained = []
+        reader = threading.Thread(target=lambda: drained.append(pipe.read_bytes()))
+        reader.start()
+        try:
+            write_batch(_long_drawn_batch(), pipe)
+        finally:
+            reader.join(timeout=60)
+        assert drained == [path.read_bytes()]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_multi_chunk_sample_to_a_full_device(self, tmp_path, monkeypatch, capsys):
+        # 3 chunks on 2 workers; the header's write, in the parent, fails first
+        _patch_workers(monkeypatch, 2)
+        scn = tmp_path / "scn.txt"
+        scn.write_text("schema = twinbeams-scenario-1\nsource = tmsv(0.5)\n")
+        assert main(["sample", "--scenario", str(scn), "--n", "40000", "--seed", "2",
+                     "--out", "/dev/full"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '/dev/full'"]
+        assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit to set")
+    def test_worker_write_error_names_the_file(self, tmp_path):
+        # a 100 KB file size limit: the header fits, and worker 0's write of
+        # chunk 0 fails part way with EFBIG, raised in the parent
+        scn, out = tmp_path / "scn.txt", tmp_path / "batch.csv"
+        scn.write_text("schema = twinbeams-scenario-1\nsource = tmsv(0.5)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(twinbeams.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", _LIMITED_POOL, "sample", "--scenario", str(scn),
+                               "--n", "40000", "--seed", "2", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "no child\n")
+        assert proc.stderr == (f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: "
+                               f"{str(out)!r}\n")
+        assert not out.exists()
+
+
+# a CLI on 2 workers whose files may hold at most 100 KB; it prints
+# whether any child is left once `main` returns
+_LIMITED_POOL = """import os, resource, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+from twinbeams import sampling
+from twinbeams.cli import main
+sampling._cpu_count = lambda: 2
+code = main()
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child")
+sys.exit(code)
+"""
+
+
+def _children(pid: int) -> list:
+    with open(f"/proc/{pid}/task/{pid}/children") as listed:
+        return [int(child) for child in listed.read().split()]
+
+
+def _running(pid: int) -> bool:
+    """pid is a process that has not ended (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat_file:
+            return stat_file.read().rpartition(")")[2].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+class TestKilledCommand:
+    """A command killed by SIGKILL leaves no worker behind: each worker
+    reads EOF from its channel once the parent is gone, and exits with
+    no traceback."""
+
+    @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                        reason="no /proc children list")
+    @pytest.mark.skipif(sampling._cpu_count() < 2, reason="one CPU: no worker is forked")
+    @pytest.mark.parametrize("command", ["sample", "estimate"])
+    def test_workers_end_with_their_parent(self, tmp_path, command):
+        scn, batch, out = tmp_path / "scn.txt", tmp_path / "batch.csv", tmp_path / "out"
+        scn.write_text("schema = twinbeams-scenario-1\nsource = tmsv(0.5)\n")
+        argv = {
+            "sample": ["sample", "--scenario", str(scn), "--n", "3000000", "--seed", "2"],
+            "estimate": ["estimate", "--batch", str(batch)],
+        }[command]
+        if command == "estimate":
+            write_batch(DrawnBatch(make_vacuum(), 500_000, 3), batch)
+            tasks = len(read_batch(batch).spans)
+        else:
+            tasks = -(-3_000_000 // WRITE_CHUNK)
+        forked = min(sampling._cpu_count(), tasks)  # the workers of one pool
+        env = {**os.environ, "PYTHONPATH": str(Path(twinbeams.__file__).parents[1])}
+        with open(tmp_path / "stderr", "wb") as stderr:
+            proc = subprocess.Popen([sys.executable, "-m", "twinbeams.cli", *argv, "--out", str(out)],
+                                    env=env, stderr=stderr)
+        workers = []
+        try:
+            # sample: once output has begun; estimate: while it parses
+            while len(workers) < forked and proc.poll() is None:
+                if command == "estimate" or (out.exists() and out.stat().st_size):
+                    with contextlib.suppress(FileNotFoundError):  # it has just ended
+                        workers = _children(proc.pid)
+                time.sleep(0.002)
+            assert len(workers) == forked, "the command ended before its workers were seen"
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 5
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not [pid for pid in workers if _running(pid)]
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in workers:
+                if _running(pid):
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(pid, signal.SIGKILL)
+        assert (tmp_path / "stderr").read_bytes() == b""  # no worker's traceback
+
+
 class TestBatchMemory:
     def test_read_peak_within_three_arrays(self, tmp_path):
         batch = draw_samples(make_vacuum(), 200_000, seed=37)
@@ -604,8 +735,8 @@ class TestBatchMemory:
         assert estimates[1] <= 1.1 * estimates[0]
 
     def test_parent_write_peak_below_two_chunks(self, tmp_path, monkeypatch):
-        # the parent draws a block, sends it and takes each formatted chunk
-        # into one buffer of its size: never two chunks at once
+        # the parent draws a block and sends it, and each worker writes the
+        # chunk it formats: the parent never holds two chunks' bytes
         _patch_workers(monkeypatch, 2)
         monkeypatch.setattr(sampling, "WRITE_CHUNK", 4096)
         batch = DrawnBatch(make_vacuum(), 12 * 4096, 41)
@@ -976,7 +1107,8 @@ class TestDrawingHelper:
         assert len(threads) == 4 and not threads[0].is_alive()
 
     def test_no_thread_but_the_main_one_at_any_fork(self, tmp_path, monkeypatch):
-        # the write's workers are forked before the first block is drawn
+        # the write's workers are forked before the first block is drawn,
+        # and the parent draws each block in line: no helper thread
         _patch_workers(monkeypatch, 2)
         monkeypatch.setattr(sampling, "WRITE_CHUNK", 4000)
         threads = _patch_draws(monkeypatch)
@@ -989,7 +1121,7 @@ class TestDrawingHelper:
         monkeypatch.setattr(os, "fork", watched_fork)
         write_batch(_long_drawn_batch(), tmp_path / "batch.csv")
         assert alive == [[threading.main_thread()]] * 2
-        assert len(threads) == 20 and threading.main_thread() not in threads
+        assert len(threads) == 20 and set(threads) == {threading.main_thread()}
 
     @pytest.mark.parametrize("n_blocks", [1, 7, 100, 610])
     @pytest.mark.parametrize("timing", ["slow-consumer", "slow-helper", "blocks-kept"])
