@@ -177,9 +177,18 @@ def entry() -> int:
     """Run `main` as a whole process.  Every module-level import is done by
     now, so freezing moves those objects out of the collector's reach: the
     collections of the command, of its forked CSV workers and of interpreter
-    shutdown no longer walk numpy's and the package's import graph."""
+    shutdown no longer walk numpy's and the package's import graph.  An
+    interrupt (Ctrl-C) ends the process by SIGINT, as a shell expects, with
+    no traceback; by then the output file it began is removed."""
     gc.freeze()
-    return main()
+    try:
+        return main()
+    except KeyboardInterrupt:
+        import signal  # here: only an interrupted command needs it
+
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGINT)
+        raise  # where SIGINT does not end a process
 
 
 if __name__ == "__main__":

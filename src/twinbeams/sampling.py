@@ -31,6 +31,12 @@ MIN_SAMPLES = 2 * BLOCKS
 WRITE_CHUNK = 16384  # rows formatted per task, at most
 MIN_ROW_BYTES = len("0,0.0,0.0,0.0,0.0\n")  # the shortest CSV row
 READ_RANGE = 1 << 22  # bytes of the data block parsed per task
+# The bound on |entry| of a batch's covariance: a state's, with room for
+# sampling noise (the plug-in variance of MIN_SAMPLES rows exceeds twice the
+# state's with probability ~1e-15)
+BATCH_MOMENT_BOUND = 2 * MAX_MOMENT
+_OVERFLOW = ("batch moments overflow double precision; a state's moments are at most "
+             f"{MAX_MOMENT:g} in magnitude")
 
 
 class BatchFormatError(ValueError):
@@ -493,12 +499,16 @@ def _ordered_map(func, tasks, count: int, emit=_identity):
     result is any value that pickles (an array's buffer is written as it
     is, with no copy into bytes).  An exception of func or of emit is
     raised here at its task's turn.  Every worker is killed and joined
-    when the generator ends, raises or is closed.  With W = 1, func and
-    emit run in this process.
+    when the generator ends, raises or is closed.  Ctrl-C signals the
+    whole process group: SIGINT is held while the workers are forked and
+    each worker ignores it, so it raises KeyboardInterrupt here alone, and
+    no worker ends before this process has taken it.  With W = 1, func
+    and emit run in this process.
     """
     workers = min(_cpu_count(), count)
     if workers > 1:
         import multiprocessing  # here: a top-level import slows `import twinbeams`
+        import signal
         import socket
 
         if multiprocessing.current_process().daemon:  # it may not have children
@@ -510,15 +520,18 @@ def _ordered_map(func, tasks, count: int, emit=_identity):
     # fork: a worker starts at once and runs func and emit as this process holds them
     context = multiprocessing.get_context("fork")
     procs, chans, busy = [], [], collections.deque()
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
         for _ in range(workers):
             ours, theirs = socket.socketpair()
             with ours:  # our end stays open until its file is closed
                 chans.append(ours.makefile("rwb"))
             with theirs:
-                procs.append(context.Process(target=_serve, args=(func, emit, theirs, chans),
-                                             daemon=True))
-                procs[-1].start()
+                proc = context.Process(target=_serve, args=(func, emit, theirs, chans),
+                                       daemon=True)
+                proc.start()
+                procs.append(proc)  # once started: one that never started has no kill
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
         for k, task in enumerate(tasks):
             if k < workers:
                 w = k
@@ -537,6 +550,7 @@ def _ordered_map(func, tasks, count: int, emit=_identity):
         for chan in chans:
             with contextlib.suppress(OSError):  # a task sent in part fails to flush again
                 chan.close()
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)  # where forking failed
 
 
 # the errors of a channel whose other end is closed
@@ -593,11 +607,13 @@ def _keep_freed_heap() -> bool:
 def _serve(func, emit, sock, inherited) -> None:
     """Body of one worker: for each task received, call func, wait for
     its turn and reply (False, emit(value)); on an exception of either
-    reply (True, exception) at its turn and stop.  It first closes the
-    parent's ends it inherits, and it stops quietly once the parent is
-    gone."""
+    reply (True, exception) at its turn and stop.  It ignores SIGINT (the
+    parent handles Ctrl-C and kills it), first closes the parent's ends it
+    inherits, and stops quietly once the parent is gone."""
+    import signal
     import tracemalloc
 
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # held since the fork, so none came yet
     for chan in inherited:
         chan.close()
     tracemalloc.stop()  # a parent that traces its allocations has no use for ours
@@ -639,7 +655,8 @@ def _covariances(sums: np.ndarray, grams: np.ndarray, counts: np.ndarray) -> np.
 @np.errstate(over="raise")
 def _jackknife(batch, theta_plus: float, theta_minus: float) -> dict:
     """The Estimate of every number of the criteria table and of the
-    moments, keyed by name; an overflow raises FloatingPointError."""
+    moments, keyed by name; an overflow raises FloatingPointError, and a
+    full-batch covariance beyond BATCH_MOMENT_BOUND EstimationError."""
     # Each block is centred on the first block's mean (within about
     # sigma / sqrt(n / BLOCKS) of the batch mean) before its sum and Gram
     # matrix are taken, so the raw-moment form in _covariances does not
@@ -660,6 +677,10 @@ def _jackknife(batch, theta_plus: float, theta_minus: float) -> dict:
         return np.concatenate([total[None], total - part])
 
     covs = _covariances(with_total(sums), with_total(grams), with_total(counts))
+    # A column whose mean is beyond the bound is constant (refused above)
+    # or has steps of at least an ulp of the bound, so a variance beyond it
+    if not np.abs(covs[0]).max() <= BATCH_MOMENT_BOUND:
+        raise EstimationError(_OVERFLOW)
     dm = criteria.state_moments(covs, theta_plus, theta_minus)
     # every number of the criteria table; its verdicts and flag are bools
     values = {key: column for key, column in criteria.report_scalars(dm).items()
@@ -693,7 +714,6 @@ def estimate_criteria(batch: SampleBatch | DrawnBatch | FileBatch,
     try:
         estimates = _jackknife(batch, theta_plus, theta_minus)
     except FloatingPointError:
-        raise EstimationError("batch moments overflow double precision; a state's moments "
-                              f"are at most {MAX_MOMENT:g} in magnitude") from None
+        raise EstimationError(_OVERFLOW) from None
     return EstimatedCriteria(estimates=estimates, n_samples=batch.n, seed=batch.seed,
                              source_label=batch.source_label)

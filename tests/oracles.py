@@ -1,12 +1,13 @@
 """Independent oracles for the closed forms in twinbeams.criteria, the
 jackknife in twinbeams.sampling, the sweep and sample CSV writers, and
-the paper's classical bounds and Fock-pair counterexample.
+the paper's classical bounds and Fock-pair counterexample, with the
+seeded random inputs that the criteria tests share.
 
-Each one reaches the same number by a different route (an angular scan
-or a gain scan refined by bounded minimization, the correlation form of
-a criterion, or a jackknife that recomputes every replicate from its
-rows), so the tests can hold the program to them.  They are test-only:
-scipy is a test dependency, not a runtime one.
+Each oracle reaches the same number by a different route (the least
+eigenvalue of the recombination matrix, the residual variance at the
+optimal gain, the correlation form of a criterion, or a jackknife that
+recomputes every replicate from its rows), so the tests can hold the
+program to them.  Like the program, they need numpy only.
 """
 
 from __future__ import annotations
@@ -15,59 +16,52 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from twinbeams.criteria import (DuanEprMoments, MomentPair, conditional_variance, gemellity,
                                 report_scalars, state_moments)
 from twinbeams.scenario import SWEEP_COLUMNS
-
-ORACLE_XTOL = 1e-11
-
-
-def _recombination_variance(m: MomentPair, theta: float) -> float:
-    c, s = math.cos(theta), math.sin(theta)
-    return c * c * m.f1 + s * s * m.f2 - 2.0 * c * s * m.covariance
+from twinbeams.states import GaussianTwoModeState, apply_loss, make_two_mode_squeezed
 
 
-def gemellity_operational(m: MomentPair, grid_size: int = 181) -> float:
-    """Gemellity by direct minimization of the recombined-beam variance:
-    coarse angular grid then bounded refinement.  Agrees with the closed
-    form to better than 1e-9."""
-    if grid_size < 3:
-        raise ValueError("grid_size must be >= 3")
-    thetas = [k * math.pi / grid_size for k in range(grid_size)]
-    best = min(thetas, key=lambda t: _recombination_variance(m, t))
-    h = math.pi / grid_size
-    res = minimize_scalar(
-        lambda t: _recombination_variance(m, t),
-        bounds=(best - h, best + h),
-        method="bounded",
-        options={"xatol": ORACLE_XTOL},
-    )
-    return float(min(res.fun, _recombination_variance(m, best)))
+def random_moment_pair(rng, balanced=False, c_min=-1.0) -> MomentPair:
+    f1 = rng.uniform(0.05, 20.0)
+    f2 = f1 if balanced else rng.uniform(0.05, 20.0)
+    return MomentPair(f1=f1, f2=f2, c12=rng.uniform(c_min, 1.0))
 
 
-def _gain_variance(f_a: float, f_b: float, cov: float, g: float) -> float:
-    return f_a - 2.0 * g * cov + g * g * f_b
+def random_twin_family_state(rng) -> GaussianTwoModeState:
+    """Symmetric twin-beam family: two-mode squeezing with symmetric
+    loss and symmetric classical excess noise, measured in the aligned
+    quadrature basis.  This is the family the criteria ladder orders
+    strictly; asymmetric states can be EPR-correlated while the fixed
+    50/50 separability combination misses them."""
+    s = make_two_mode_squeezed(rng.uniform(0.0, 2.5))
+    eta = rng.uniform(0.0, 1.0)
+    s = apply_loss(s, eta, eta)
+    excess = rng.uniform(0.0, 3.0) * (rng.random() < 0.5)
+    return GaussianTwoModeState(mean=np.zeros(4), cov=s.cov + excess * np.eye(4))
+
+
+def gemellity_operational(m: MomentPair) -> float:
+    """Gemellity as the least eigenvalue of [[F1, -b], [-b, F2]], b the
+    covariance: that matrix's quadratic form at (cos t, sin t) is the
+    variance of the recombined beam cos(t) dX1 - sin(t) dX2."""
+    b = m.covariance
+    return float(np.linalg.eigvalsh([[m.f1, -b], [-b, m.f2]])[0])
 
 
 def conditional_variance_operational(m: MomentPair, direction: int) -> float:
-    """Conditional variance by scanning the gain of X_a - g X_b and
-    keeping the minimum; matches the closed form to better than 1e-9."""
+    """Conditional variance as the variance F_a - 2 g b + g^2 F_b of
+    X_a - g X_b, b the covariance, at its minimizing gain g = b / F_b."""
     if direction == 1:
         f_a, f_b = m.f1, m.f2
     elif direction == 2:
         f_a, f_b = m.f2, m.f1
     else:
         raise ValueError(f"direction must be 1 or 2, got {direction}")
-    bound = 2.0 * math.sqrt(f_a / f_b) + 1.0
-    res = minimize_scalar(
-        lambda g: _gain_variance(f_a, f_b, m.covariance, g),
-        bounds=(-bound, bound),
-        method="bounded",
-        options={"xatol": ORACLE_XTOL},
-    )
-    return float(res.fun)
+    b = m.covariance
+    g = b / f_b
+    return float(f_a - 2.0 * g * b + g * g * f_b)
 
 
 def epr_correlation_diagnostic(dm: DuanEprMoments, direction: int = 1) -> bool:

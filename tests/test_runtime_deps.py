@@ -1,8 +1,10 @@
-"""The runtime needs numpy only; scipy is a test dependency (oracles).
-Importing the CLI loads neither scipy nor multiprocessing, only a
-command that draws or reads a batch loads the sampling stack, and only
-`sample` and `estimate` load the CSV kernel, which writes and reads."""
+"""The runtime needs numpy only, and the `test` extra names exactly the
+third-party modules that the tests import besides numpy.  Importing the
+CLI loads no multiprocessing, only a command that draws or reads a batch
+loads the sampling stack, and only `sample` and `estimate` load the CSV
+kernel, which writes and reads."""
 
+import ast
 import os
 import re
 import subprocess
@@ -98,3 +100,20 @@ def test_declared_dependencies_are_numpy_only():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+def test_test_extra_names_the_modules_the_tests_import():
+    extra = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"][
+        "optional-dependencies"]["test"]
+    declared = {re.match(r"[\w.-]+", dep).group() for dep in extra}
+    tests = list((ROOT / "tests").glob("*.py"))
+    imported = set()
+    for path in tests:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    # numpy is a runtime dependency; twinbeams and the test modules are ours
+    ours = {"numpy", "twinbeams", *(path.stem for path in tests)}
+    assert imported - set(sys.stdlib_module_names) - ours == declared

@@ -642,16 +642,19 @@ def _running(pid: int) -> bool:
         return False
 
 
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="no /proc children list")
+@pytest.mark.skipif(sampling._cpu_count() < 2, reason="one CPU: no worker is forked")
 class TestKilledCommand:
     """A command killed by SIGKILL leaves no worker behind: each worker
     reads EOF from its channel once the parent is gone, and exits with
-    no traceback."""
+    no traceback.  Ctrl-C, a SIGINT to the whole process group, ends the
+    command by that signal, with no traceback and no output file."""
 
-    @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
-                        reason="no /proc children list")
-    @pytest.mark.skipif(sampling._cpu_count() < 2, reason="one CPU: no worker is forked")
-    @pytest.mark.parametrize("command", ["sample", "estimate"])
-    def test_workers_end_with_their_parent(self, tmp_path, command):
+    def _stop(self, tmp_path, command, stop):
+        """Start `command` in a new session, call stop(proc) once all its
+        workers are seen, and check that every worker ends and nothing
+        reaches stderr; returns the exit status and the output path."""
         scn, batch, out = tmp_path / "scn.txt", tmp_path / "batch.csv", tmp_path / "out"
         scn.write_text("schema = twinbeams-scenario-1\nsource = tmsv(0.5)\n")
         argv = {
@@ -667,7 +670,7 @@ class TestKilledCommand:
         env = {**os.environ, "PYTHONPATH": str(Path(twinbeams.__file__).parents[1])}
         with open(tmp_path / "stderr", "wb") as stderr:
             proc = subprocess.Popen([sys.executable, "-m", "twinbeams.cli", *argv, "--out", str(out)],
-                                    env=env, stderr=stderr)
+                                    env=env, stderr=stderr, start_new_session=True)
         workers = []
         try:
             # sample: once output has begun; estimate: while it parses
@@ -677,7 +680,7 @@ class TestKilledCommand:
                         workers = _children(proc.pid)
                 time.sleep(0.002)
             assert len(workers) == forked, "the command ended before its workers were seen"
-            proc.kill()
+            stop(proc)
             proc.wait()
             deadline = time.monotonic() + 5
             while any(map(_running, workers)) and time.monotonic() < deadline:
@@ -690,7 +693,20 @@ class TestKilledCommand:
                 if _running(pid):
                     with contextlib.suppress(ProcessLookupError):
                         os.kill(pid, signal.SIGKILL)
-        assert (tmp_path / "stderr").read_bytes() == b""  # no worker's traceback
+        assert (tmp_path / "stderr").read_bytes() == b""  # no traceback
+        return proc.returncode, out
+
+    @pytest.mark.parametrize("command", ["sample", "estimate"])
+    def test_workers_end_with_their_parent(self, tmp_path, command):
+        status, _ = self._stop(tmp_path, command, subprocess.Popen.kill)
+        assert status == -signal.SIGKILL
+
+    @pytest.mark.parametrize("command", ["sample", "estimate"])
+    def test_interrupt_ends_by_sigint(self, tmp_path, command):
+        status, out = self._stop(tmp_path, command,
+                                 lambda proc: os.killpg(proc.pid, signal.SIGINT))
+        assert status == -signal.SIGINT
+        assert not out.exists()
 
 
 class TestBatchMemory:
@@ -909,6 +925,18 @@ class TestEstimateCriteria:
     def test_overflowing_moments_rejected(self):
         # finite rows whose squared jackknife deviations overflow
         samples = 1e40 * np.random.default_rng(0).standard_normal((1000, 4))
+        with pytest.raises(EstimationError, match="^batch moments overflow double precision"):
+            estimate_criteria(SampleBatch(samples=samples, seed=0))
+
+    @pytest.mark.parametrize("column", [
+        1e38 * np.random.default_rng(0).standard_normal(2000),  # covariances of ~1e76
+        # a mean of 1e76: its steps of one ulp (1.6e60) give a variance of ~6e119
+        np.where(np.arange(2000) % 2, 1e76, np.nextafter(1e76, 0.0)),
+    ], ids=["covariance", "mean"])
+    def test_moments_beyond_the_batch_bound_rejected(self, column):
+        # finite all through, but no state within the moment bound yields them
+        samples = np.random.default_rng(1).standard_normal((2000, 4))
+        samples[:, 0] = column
         with pytest.raises(EstimationError, match="^batch moments overflow double precision"):
             estimate_criteria(SampleBatch(samples=samples, seed=0))
 

@@ -451,9 +451,10 @@ class TestCli:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("scale", [1e160, 1e40])
+    @pytest.mark.parametrize("scale", [1e160, 1e40, 1e38])
     def test_estimate_overflow_exit_2_one_line(self, tmp_path, scale):
-        # 1e160 overflows the Gram matrix, 1e40 the jackknife's squared deviations
+        # 1e160 overflows the Gram matrix, 1e40 the jackknife's squared deviations;
+        # 1e38 gives finite covariances of ~1e76, beyond the batch moment bound
         batch = tmp_path / "batch.csv"
         samples = scale * np.random.default_rng(0).standard_normal((1000, 4))
         write_batch(SampleBatch(samples=samples, seed=0), batch)
