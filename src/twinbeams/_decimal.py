@@ -339,14 +339,14 @@ def _digits_into(slots: np.ndarray, values: np.ndarray, count: int, end: int) ->
         values = shorter
 
 
-def read_rows(handle, size: int, rows: int):
-    """The `rows` data rows of the next `size` bytes of the binary file
-    handle, columns 1-4 as an N x 4 float64 array; None when a line is
+def read_rows(handle, size: int):
+    """The data rows of the next `size` bytes of the binary file handle,
+    one a line, columns 1-4 as an N x 4 float64 array; None when a line is
     not of the grammar or a value is not a normal double or zero."""
-    out = np.empty((rows, 4))
+    blocks = []
     buffer = bytearray(_PAD + PIECE)
     view = memoryview(buffer)
-    done = carried = 0  # rows converted; bytes of a line begun in the last piece
+    carried = 0  # bytes of a line begun in the last piece
     while size:
         got = handle.readinto(view[_PAD + carried:_PAD + min(PIECE, carried + size)])
         if not got:
@@ -357,13 +357,14 @@ def read_rows(handle, size: int, rows: int):
         if not cut:
             return None
         block = _piece(buffer, cut - _PAD)
-        if block is None or done + len(block) > rows:
+        if block is None:
             return None
-        out[done:done + len(block)] = block
-        done += len(block)
+        blocks.append(block)
         carried = filled - cut
         buffer[_PAD:_PAD + carried] = buffer[cut:filled]
-    return out if done == rows and not carried else None
+    if carried or not blocks:
+        return None
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _piece(buffer, size: int):

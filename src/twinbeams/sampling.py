@@ -287,29 +287,22 @@ def _numbered(blocks):
         start += len(block)
 
 
-class _Span(NamedTuple):
-    """A byte range of the data block: [start, end), the number of its
-    first line, and its data rows."""
-
-    start: int
-    end: int
-    lineno: int
-    rows: int
-
-
 @dataclass(frozen=True)
 class FileBatch:
     """The rows of a sample CSV, parsed as `blocks` is iterated: read_batch
-    has checked the header and counted the rows, and each block is cut
-    from the data block's byte ranges, parsed in order by one worker per
-    CPU.  A data-line fault raises BatchFormatError when its rows are read,
-    or in read_batch when the file holds fewer than MIN_SAMPLES rows."""
+    has checked the header and taken n from the last row's index, and each
+    block is cut from the data block's byte ranges `spans`, parsed in order
+    by one worker per CPU.  A data-line fault, or rows that do not number
+    n, raise BatchFormatError when the rows are read, or in read_batch when
+    the file holds fewer than MIN_SAMPLES rows.  `lineno` is the number of
+    the data block's first line."""
 
     path: str
     n: int
     seed: int
     source_label: str = ""
     spans: tuple = field(default=(), repr=False)
+    lineno: int = field(default=1, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _check_batch(self.seed, self.n, self.source_label))
@@ -322,20 +315,36 @@ class FileBatch:
 
     def blocks(self, n_blocks: int):
         """The rows in the n_blocks consecutive blocks of np.array_split's
-        sizes, each a fresh array the caller may change."""
-        tasks = [(self.path, span) for span in self.spans]
+        sizes, each a fresh array the caller may change.  The parsed rows
+        must number n exactly, which is checked before the last block is
+        yielded.  A range that does not parse, or a count that is not n,
+        is found again by `_diagnose`, which numbers the file's lines."""
+        try:
+            yield from self._blocks(n_blocks)
+            return
+        except BatchFormatError as exc:  # a line numbered within its range, or a miscount
+            fault = exc
+        _diagnose(self.path, self.spans, self.lineno, str(self.n - 1).encode())
+        raise fault  # the file changed since read_batch
+
+    def _blocks(self, n_blocks: int):
+        tasks = [(self.path, *span) for span in self.spans]
         with contextlib.closing(_ordered_map(_parse_range, tasks, len(tasks))) as parts:
             rest = np.empty((0, 4))  # parsed rows not yet in a block
-            for size in _block_sizes(self.n, n_blocks):
+            for k, size in enumerate(_block_sizes(self.n, n_blocks)):
                 block, filled = np.empty((size, 4)), 0
                 while filled < size:
                     if not len(rest):
                         rest = None  # drop the spent range before the next arrives
-                        rest = next(parts)
+                        rest = next(parts, None)
+                        if rest is None:
+                            raise BatchFormatError(f"the rows number fewer than {self.n}")
                     take = min(size - filled, len(rest))
                     block[filled:filled + take] = rest[:take]
                     rest = rest[take:]
                     filled += take
+                if k == n_blocks - 1 and (len(rest) or any(len(part) for part in parts)):
+                    raise BatchFormatError(f"the rows number more than {self.n}")
                 yield block
                 del block  # so the caller can free it before the next is filled
 
@@ -344,11 +353,14 @@ def read_batch(path) -> FileBatch:
     """Open a sample CSV.  A line ends at LF and is blank when bytes.strip
     empties it; '#' lines may come before the header only, and of them
     only the bodies of `# seed:` and `# source_label:` are decoded.  The
-    lines up to the header are read here, and the data rows counted in
-    byte ranges by one worker per CPU; the rows themselves are parsed
-    when the batch's blocks are read, or here when they are fewer than
-    MIN_SAMPLES, so that a bad line outranks both row floors.  Counting
-    and parsing read the file twice, so a pipe is refused."""
+    lines up to the header are read here, and the last line that is not
+    blank: rows are numbered from 0, so n is its sample_index + 1.  The
+    rows themselves are parsed when the batch's blocks are read, which
+    checks that they number n.  A file whose last index is not a whole
+    number the data block has room for, or of fewer than MIN_SAMPLES
+    rows, is parsed whole here by `_diagnose`, so that a bad line
+    outranks both row floors.  The end is read before the rows, so a
+    pipe is refused."""
     seed, source_label = 0, ""
     with open(path, "rb") as handle:
         if not handle.seekable():
@@ -373,27 +385,28 @@ def read_batch(path) -> FileBatch:
         if line != CSV_HEADER.encode():
             raise BatchFormatError(f"line {lineno}: expected header {CSV_HEADER!r}, "
                                    f"got {line.decode('utf-8', 'replace')!r}")
-        ranges = _ranges(handle, handle.tell())
-    spans, lineno = [], lineno + 1
-    with contextlib.closing(_ordered_map(_count_rows, [(path, *r) for r in ranges],
-                                         len(ranges))) as counts:
-        for (start, end), (rows, lines) in zip(ranges, counts):
-            spans.append(_Span(start, end, lineno, rows))
-            lineno += lines
-    n = sum(span.rows for span in spans)
-    if n < MIN_SAMPLES:
-        for span in spans:
-            _parse_range(path, span)  # a bad line outranks both row floors
+        start, end = handle.tell(), handle.seek(0, os.SEEK_END)
+        spans = _ranges(handle, start, end)
+        index = _last_line(handle, start, end).partition(b",")[0].strip()
+    n = _whole(index) + 1
+    # a row takes at least 10 bytes, `0,1,2,3,4\n`, the last 9
+    if not 0 < n <= (end - start + 1) // 10 or n < MIN_SAMPLES:
+        n = _diagnose(path, spans, lineno + 1, index)
     if n < 2:
         raise BatchFormatError("batch holds fewer than 2 samples")
-    return FileBatch(os.fspath(path), n, seed, source_label, tuple(spans))
+    return FileBatch(os.fspath(path), n, seed, source_label, tuple(spans), lineno + 1)
 
 
-def _ranges(handle, start: int) -> list:
-    """Byte ranges (start, end) that cover the open file from `start`, each
-    about READ_RANGE long and cut just after a newline, so no line is split."""
+def _whole(index: bytes) -> int:
+    """The sample_index that index spells in at most 19 ASCII digits, or -1."""
+    return int(index) if index.isdigit() and len(index) <= 19 else -1
+
+
+def _ranges(handle, start: int, size: int) -> list:
+    """Byte ranges (start, end) that cover the open file of `size` bytes
+    from `start`, each about READ_RANGE long and cut just after a newline,
+    so no line is split."""
     ranges = []
-    size = handle.seek(0, os.SEEK_END)
     while start < size:
         handle.seek(start + READ_RANGE)
         handle.readline()
@@ -403,48 +416,69 @@ def _ranges(handle, start: int) -> list:
     return ranges
 
 
-def _count_rows(path, start: int, end: int) -> tuple:
-    """The data rows (the lines that are not blank) and the line ends of
-    one byte range.  Only a line that is empty or begins with a space or
-    a control byte is stripped to tell."""
-    padded = bytearray(end - start + 2)  # each line between two line ends
-    padded[0] = padded[-1] = ord("\n")
-    with open(path, "rb") as handle:
-        handle.seek(start)
-        handle.readinto(memoryview(padded)[1:-1])
-    codes = np.frombuffer(padded, dtype=np.uint8)
-    starts = codes[:-1] == ord("\n")  # a line begins after each
-    lines = int(np.count_nonzero(starts))
-    doubtful = np.flatnonzero(starts & (codes[1:] <= ord(" "))) + 1
-    blank = sum(1 for first in doubtful.tolist()
-                if not padded[first:padded.index(b"\n", first)].strip())
-    return lines - blank, lines - 1
+def _last_line(handle, start: int, end: int) -> bytes:
+    """The last line of bytes [start, end) of the open file that is not
+    blank, stripped; b"" when there is none.  The bytes are read from the
+    end back, in steps that double, until that line's start is read."""
+    at, step = end, 4096
+    while at > start:
+        at = max(start, at - step)
+        handle.seek(at)
+        body = handle.read(end - at).rstrip()  # without the blank lines after it
+        cut = body.rfind(b"\n") + 1
+        if body and (cut or at == start):
+            return body[cut:].strip()
+        step *= 2
+    return b""
 
 
-def _parse_range(path, span: _Span) -> np.ndarray:
-    """Columns 1-4 of the rows of one byte range, as an N x 4 array.
-    Raises BatchFormatError naming the first bad line when a row does not
-    parse, has other than 5 cells or a non-finite one.  A range of lines
-    as `write_batch` writes them is read by the `_decimal` kernel; one it
-    declines is parsed here line by line, with the same bits."""
-    if not span.rows:
-        return np.empty((0, 4))
+def _parse_range(path, start: int, end: int, lineno: int = 1) -> np.ndarray:
+    """Columns 1-4 of the rows of the byte range [start, end), as an N x 4
+    array.  Raises BatchFormatError naming the first bad line, numbered
+    from `lineno`, when a row does not parse, has other than 5 cells or a
+    non-finite one.  A range of lines as `write_batch` writes them is read
+    by the `_decimal` kernel; one it declines is parsed here line by line,
+    with the same bits."""
     from . import _decimal  # here: a command that reads or writes no batch never loads it
 
     with open(path, "rb") as handle:
-        handle.seek(span.start)
-        rows = _decimal.read_rows(handle, span.end - span.start, span.rows)
+        handle.seek(start)
+        rows = _decimal.read_rows(handle, end - start)
         if rows is not None:
             return rows
-        handle.seek(span.start)
-        lines = handle.read(span.end - span.start).split(b"\n")
+        handle.seek(start)
+        lines = handle.read(end - start).split(b"\n")
+    filled = [line for line in lines if line.strip()]
+    if not filled:
+        return np.empty((0, 4))
     try:
-        data = np.loadtxt(filter(bytes.strip, lines), delimiter=",", comments=None, ndmin=2)
+        data = np.loadtxt(filled, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         data = None
-    if data is None or data.shape != (span.rows, 5) or not np.isfinite(data).all():
-        raise BatchFormatError(_first_fault(lines, span.lineno))
+    if data is None or data.shape != (len(filled), 5) or not np.isfinite(data).all():
+        raise BatchFormatError(_first_fault(lines, lineno))
     return data[:, 1:]
+
+
+def _diagnose(path, spans, lineno: int, index: bytes) -> int:
+    """The one path that numbers the data block's lines: parse its byte
+    ranges here, in order, numbering lines from `lineno`, and raise the
+    first bad line's fault; else, unless the last row's sample_index,
+    spelled `index`, is the row count less one, raise a fault naming that
+    row's line.  Returns the row count."""
+    rows = last = 0
+    with open(path, "rb") as handle:
+        for start, end in spans:
+            rows += len(_parse_range(path, start, end, lineno))
+            handle.seek(start)
+            lines = handle.read(end - start).split(b"\n")
+            last = next((lineno + k for k in range(len(lines) - 1, -1, -1) if lines[k].strip()),
+                        last)
+            lineno += len(lines) - 1
+    if _whole(index) != rows - 1:
+        raise BatchFormatError(f"line {last}: sample_index {index.decode('utf-8', 'replace')} "
+                               f"is not the last of {rows} rows numbered from 0")
+    return rows
 
 
 def _first_fault(lines: list, lineno: int) -> str:

@@ -24,7 +24,8 @@ WRITTEN_HEAD = f"# seed: 1\n# source_label: tmsv(0.5)\n{CSV_HEADER}\n"
 POOL = [b"\r", b"\n", b"#", b",", b" ", b"\xc2\xa0", b"\xff", b"_", b"x"]
 # (operation, offset, bytes); an offset is taken modulo the file's length,
 # and most fall in the first lines, where the header and its comments are
-MUTATIONS = st.tuples(st.sampled_from(["replace", "insert", "delete", "truncate", "duplicate"]),
+MUTATIONS = st.tuples(st.sampled_from(["replace", "insert", "delete", "truncate", "duplicate",
+                                       "drop"]),
                       st.one_of(st.integers(0, 120), st.integers(0, 10 ** 6)),
                       st.sampled_from(POOL))
 
@@ -45,10 +46,11 @@ def _mutate(data: bytes, operation: str, offset: int, token: bytes) -> bytes:
         return data
     if operation == "truncate":
         return data[:offset % len(data)]
-    if operation == "duplicate":
+    if operation in ("duplicate", "drop"):
         lines = data.split(b"\n")
         k = offset % len(lines)
-        return b"\n".join(lines[:k + 1] + lines[k:])
+        copies = 2 if operation == "duplicate" else 0
+        return b"\n".join(lines[:k] + lines[k:k + 1] * copies + lines[k + 1:])
     if operation == "insert":
         offset %= len(data) + 1
         return data[:offset] + token + data[offset:]
@@ -72,7 +74,26 @@ def _refuse(constant):
 # lone-CR line ends before the header and after it, rejected by line number
 @example(source="written", mutations=[("replace", len("# seed: 1"), b"\r")])
 @example(source="written", mutations=[("replace", len(WRITTEN_HEAD) - 1, b"\r")])
+# a data line duplicated or dropped: the rows disagree with the last index
+@example(source="written", mutations=[("duplicate", 100, b"x")])
+@example(source="written", mutations=[("drop", 100, b"x")])
 def test_estimate_of_a_mutant_exits_0_or_2_with_one_line(batches, source, mutations):
+    _estimate(batches, source, mutations)
+
+
+@pytest.mark.parametrize("operation", ["duplicate", "drop"])
+@pytest.mark.parametrize("line", [3, 100, 301])  # lines 3-302 hold rows 0-299
+def test_miscounted_rows_exit_2(batches, operation, line):
+    assert _estimate(batches, "written", [(operation, line, b"x")]) == 2
+
+
+def test_file_cut_at_a_line_end_reads_as_a_smaller_batch(batches):
+    # without its last row the file is whole: nothing tells it was longer
+    assert _estimate(batches, "written", [("drop", 302, b"x")]) == 0
+
+
+def _estimate(batches, source, mutations) -> int:
+    """Run `estimate` on the mutant and check the contract; its exit code."""
     workdir, sources = batches
     data = sources[source]
     for mutation in mutations:
@@ -92,3 +113,4 @@ def test_estimate_of_a_mutant_exits_0_or_2_with_one_line(batches, source, mutati
         [line] = stderr.getvalue().splitlines()
         assert line.startswith(f"error: {path}: ")
         assert not out.exists()
+    return code

@@ -18,7 +18,7 @@ from twinbeams import _decimal, sampling
 
 def _read(data: bytes):
     """read_rows over the whole of `data`, one row a line feed."""
-    return _decimal.read_rows(io.BytesIO(data), len(data), data.count(b"\n"))
+    return _decimal.read_rows(io.BytesIO(data), len(data))
 
 
 def _loadtxt(data: bytes):
@@ -50,7 +50,7 @@ def _parse_range(path, data: bytes) -> bytes:
     """sampling._parse_range over the whole of `data`, written to path: the
     kernel's bits, or the line-by-line parse's where the kernel declines."""
     path.write_bytes(data)
-    return sampling._parse_range(path, sampling._Span(0, len(data), 1, data.count(b"\n"))).tobytes()
+    return sampling._parse_range(path, 0, len(data)).tobytes()
 
 
 # Eisel-Lemire rounds to 53 bits as if the exponent had no bounds, and
@@ -208,12 +208,6 @@ def test_lines_across_pieces(monkeypatch, piece):
 def test_line_longer_than_a_piece_declined(monkeypatch):
     monkeypatch.setattr(_decimal, "PIECE", 16)
     assert _read(b"0,1.5,2.5,3.5,4.5\n") is None
-
-
-def test_row_count_must_match():
-    data = b"0,1,2,3,4\n1,1,2,3,4\n"
-    assert _decimal.read_rows(io.BytesIO(data), len(data), 1) is None
-    assert _decimal.read_rows(io.BytesIO(data), len(data), 3) is None
 
 
 def test_power_table_is_fast_floats():

@@ -281,6 +281,16 @@ REJECTED = {
                        + repr(CSV_HEADER + "\r0,1,2,3,4")),
     "lone-cr-comments": ("# seed: 5\r# source_label: x\r{h}\n0,1,2,3,4\n1,1,2,3,4\n",
                          BatchFormatError, "line 1: bad seed value"),
+    # rows are numbered from 0, so the last sample_index is the row count less one
+    "duplicated-row": ("{h}\n0,1,2,3,4\n1,1,2,3,4\n1,1,2,3,4\n", BatchFormatError,
+                       "line 4: sample_index 1 is not the last of 3 rows numbered from 0"),
+    "dropped-row": ("{h}\n0,1,2,3,4\n\n2,1,2,3,4\n", BatchFormatError,
+                    "line 4: sample_index 2 is not the last of 2 rows numbered from 0"),
+    "index-past-capacity": ("{h}\n0,1,2,3,4\n1000000000000000,1,2,3,4\n", BatchFormatError,
+                            "line 3: sample_index 1000000000000000 is not the last of 2 rows "
+                            "numbered from 0"),
+    "last-index-not-digits": ("{h}\n0,1,2,3,4\n1e0,1,2,3,4\n", BatchFormatError,
+                              "line 3: sample_index 1e0 is not the last of 2 rows numbered from 0"),
 }
 
 
@@ -399,6 +409,14 @@ def _long_drawn_batch():
     return DrawnBatch(make_vacuum(), 80000, 2)  # 20 chunks of 4000 rows
 
 
+@pytest.fixture(scope="module")
+def written_1e5(tmp_path_factory):
+    """A written batch of 1e5 rows, about 8.5 MB."""
+    path = tmp_path_factory.mktemp("written") / "batch.csv"
+    write_batch(DrawnBatch(make_vacuum(), 100_000, 4), path)
+    return path
+
+
 # a worker's reply, as it crosses the socket whole
 _REPLY = pickle.dumps((False, bytes(1000)), pickle.HIGHEST_PROTOCOL)
 
@@ -456,6 +474,41 @@ class TestWorkers:
             assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
         assert errors == [message, message]
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_dropped_row_in_late_range(self, written_1e5, tmp_path, monkeypatch, capsys,
+                                       workers):
+        # 1e5 rows in 3 ranges: row 95000, on line 95004, is in the last
+        _patch_workers(monkeypatch, workers)
+        lines = written_1e5.read_bytes().splitlines(keepends=True)
+        del lines[95003]
+        path = tmp_path / "dropped.csv"
+        path.write_bytes(b"".join(lines))
+        assert len(read_batch(path).spans) == 3
+        message = "line 100002: sample_index 99999 is not the last of 99999 rows numbered from 0"
+        with pytest.raises(BatchFormatError, match=f"^{message}$"):
+            estimate_criteria(read_batch(path))
+        assert main(["estimate", "--batch", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
+        assert multiprocessing.active_children() == []
+
+    def test_estimate_parses_in_one_pool(self, tmp_path, monkeypatch):
+        # read_batch takes n from the last row and forks nothing; the
+        # jackknife's blocks are the one parse of the rows
+        _patch_workers(monkeypatch, 2)
+        monkeypatch.setattr(sampling, "READ_RANGE", 4096)
+        path = tmp_path / "batch.csv"
+        write_batch(draw_samples(make_vacuum(), 1000, 3), path)
+        maps, forks = [], []
+        ordered_map, fork = sampling._ordered_map, os.fork
+        monkeypatch.setattr(sampling, "_ordered_map",
+                            lambda func, *args: maps.append(func) or ordered_map(func, *args))
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        batch = read_batch(path)
+        assert len(batch.spans) > 2
+        assert (maps, forks) == ([], [])
+        estimate_criteria(batch)
+        assert (maps, len(forks)) == ([sampling._parse_range], 2)
 
     @pytest.mark.parametrize("formatter, make_batch, error, match", [
         (_fail_on(0), _small_batch, ZeroDivisionError, "^chunk 0$"),
