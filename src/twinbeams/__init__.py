@@ -60,10 +60,11 @@ __all__ = [
 ]
 
 # sampling (and numpy.random with it) loads on the first use of one of
-# its names, so an analytic start never compiles it.  The name is looked
-# up on each use, never cached here, so a rebinding in sampling shows.
-_SAMPLING_NAMES = frozenset({"DrawnBatch", "EstimatedCriteria", "FileBatch", "SampleBatch",
-                             "draw_samples", "estimate_criteria", "read_batch", "write_batch"})
+# its names, and batchfile, the sample CSV, on the first use of FileBatch,
+# so an analytic start compiles neither.  The name is looked up on each
+# use, never cached here, so a rebinding in either module shows.
+_SAMPLING_NAMES = frozenset({"DrawnBatch", "EstimatedCriteria", "SampleBatch", "draw_samples",
+                             "estimate_criteria", "read_batch", "write_batch"})
 
 
 def __getattr__(name):
@@ -71,4 +72,8 @@ def __getattr__(name):
         from . import sampling
 
         return getattr(sampling, name)
+    if name == "FileBatch":
+        from . import batchfile
+
+        return batchfile.FileBatch
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,8 +1,8 @@
 """The sample CSV's rows as text: each double written as Python's repr
 writes it, and read back as numpy's text parser reads it.
 
-`sampling.write_batch` is the one writer and `sampling._parse_range`
-the one reader.  Both directions scale by one table of 128-bit powers of
+`batchfile.write` is the one writer and `batchfile._parse_range` the
+one reader.  Both directions scale by one table of 128-bit powers of
 ten and multiply by it with one 64 x 64 -> 128-bit product, on whole
 uint64 arrays.
 
@@ -20,7 +20,7 @@ the slots kept; one np.compress turns the sub-batch into text.  A
 sub-batch of SUB_ROWS rows holds up to about 8.5 MB of temporaries at
 once, most of them larger than glibc's default 128 KB mmap threshold; a
 CSV worker reuses their memory from one sub-batch to the next because it
-keeps the heap it frees (`sampling._keep_freed_heap`).
+keeps the heap it frees (`batchfile._keep_freed_heap`).
 
 Reading.  A byte range of whole lines is read PIECE bytes at a time,
 each piece cut after its last line feed, and each piece is checked and

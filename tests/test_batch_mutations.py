@@ -15,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twinbeams.batchfile import CSV_HEADER
 from twinbeams.cli import main
-from twinbeams.sampling import CSV_HEADER, draw_samples, write_batch
+from twinbeams.sampling import draw_samples, write_batch
 from twinbeams.states import make_two_mode_squeezed
 
 GOLDEN_BATCH = Path(__file__).parent / "data" / "golden_batch.csv"

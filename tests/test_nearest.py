@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinbeams import _decimal, sampling
+from twinbeams import _decimal, batchfile
 
 
 def _read(data: bytes):
@@ -47,10 +47,10 @@ def range_file(tmp_path_factory):
 
 
 def _parse_range(path, data: bytes) -> bytes:
-    """sampling._parse_range over the whole of `data`, written to path: the
+    """batchfile._parse_range over the whole of `data`, written to path: the
     kernel's bits, or the line-by-line parse's where the kernel declines."""
     path.write_bytes(data)
-    return sampling._parse_range(path, 0, len(data)).tobytes()
+    return batchfile._parse_range(path, 0, len(data)).tobytes()
 
 
 # Eisel-Lemire rounds to 53 bits as if the exponent had no bounds, and
@@ -130,7 +130,7 @@ def test_decimals_read_as_float_reads_them(range_file, cells):
     if np.isfinite(want).all():
         assert _parse_range(range_file, data) == want.tobytes()
     else:
-        with pytest.raises(sampling.BatchFormatError, match="non-finite cell$"):
+        with pytest.raises(batchfile.BatchFormatError, match="non-finite cell$"):
             _parse_range(range_file, data)
 
 

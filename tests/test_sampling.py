@@ -28,17 +28,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twinbeams
-from twinbeams import _decimal, sampling, scenario
+from twinbeams import _decimal, batchfile, sampling, scenario
+from twinbeams.batchfile import CSV_HEADER, BatchFormatError, FileBatch
 from twinbeams.cli import main
 from twinbeams.criteria import report_scalars, state_moments
 from twinbeams.sampling import (
     BLOCKS,
-    CSV_HEADER,
     WRITE_CHUNK,
-    BatchFormatError,
     DrawnBatch,
     EstimationError,
-    FileBatch,
     SampleBatch,
     draw_samples,
     estimate_criteria,
@@ -351,7 +349,7 @@ def _worker_faults(fn, *args) -> int:
 
 
 def _patch_workers(monkeypatch, count):
-    monkeypatch.setattr(sampling, "_cpu_count", lambda: count)
+    monkeypatch.setattr(batchfile, "_cpu_count", lambda: count)
 
 
 def _golden_batch():
@@ -437,7 +435,7 @@ class TestWorkers:
     @pytest.mark.parametrize("range_bytes", [1, 64, 333])
     def test_read_over_range_seams(self, tmp_path, monkeypatch, workers, range_bytes):
         _patch_workers(monkeypatch, workers)
-        monkeypatch.setattr(sampling, "READ_RANGE", range_bytes)
+        monkeypatch.setattr(batchfile, "READ_RANGE", range_bytes)
         head, data = GOLDEN_BATCH.read_text().split(CSV_HEADER + "\n")
         rows = data.splitlines()
         # CRLF ends and whitespace-only lines fall on range seams
@@ -459,7 +457,7 @@ class TestWorkers:
     def test_bad_line_in_late_range(self, tmp_path, monkeypatch, capsys, workers, bad, message):
         # 50 rows: read_batch parses a file under the sample floor whole,
         # so it names the bad line rather than the floor
-        monkeypatch.setattr(sampling, "READ_RANGE", 64)
+        monkeypatch.setattr(batchfile, "READ_RANGE", 64)
         lines = GOLDEN_BATCH.read_text().splitlines(keepends=True)
         lines[50] = bad + "\n"  # row 47 of 50
         path = tmp_path / "bad.csv"
@@ -496,19 +494,19 @@ class TestWorkers:
         # read_batch takes n from the last row and forks nothing; the
         # jackknife's blocks are the one parse of the rows
         _patch_workers(monkeypatch, 2)
-        monkeypatch.setattr(sampling, "READ_RANGE", 4096)
+        monkeypatch.setattr(batchfile, "READ_RANGE", 4096)
         path = tmp_path / "batch.csv"
         write_batch(draw_samples(make_vacuum(), 1000, 3), path)
         maps, forks = [], []
-        ordered_map, fork = sampling._ordered_map, os.fork
-        monkeypatch.setattr(sampling, "_ordered_map",
+        ordered_map, fork = batchfile._ordered_map, os.fork
+        monkeypatch.setattr(batchfile, "_ordered_map",
                             lambda func, *args: maps.append(func) or ordered_map(func, *args))
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         batch = read_batch(path)
         assert len(batch.spans) > 2
         assert (maps, forks) == ([], [])
         estimate_criteria(batch)
-        assert (maps, len(forks)) == ([sampling._parse_range], 2)
+        assert (maps, len(forks)) == ([batchfile._parse_range], 2)
 
     @pytest.mark.parametrize("formatter, make_batch, error, match", [
         (_fail_on(0), _small_batch, ZeroDivisionError, "^chunk 0$"),
@@ -545,7 +543,7 @@ class TestWorkers:
     @pytest.mark.parametrize("reply", [_REPLY[:len(_REPLY) // 2], b""], ids=["cut-short", "empty"])
     def test_reply_cut_short_is_a_worker_that_ended(self, reply):
         with pytest.raises(RuntimeError, match="^worker 0 ended before sending its result$"):
-            sampling._take(io.BytesIO(reply), 0)
+            batchfile._take(io.BytesIO(reply), 0)
 
     def test_exception_that_does_not_pickle_is_a_worker_that_ended(self, monkeypatch):
         # the worker cannot send what it raised, so it ends with nothing sent
@@ -555,7 +553,7 @@ class TestWorkers:
             raise ValueError(lambda: None)  # its args do not pickle
 
         with pytest.raises(RuntimeError, match="^worker 0 ended before sending its result$"):
-            list(sampling._ordered_map(fail, [()] * 2, 2))
+            list(batchfile._ordered_map(fail, [()] * 2, 2))
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("fault, message", [
@@ -669,9 +667,9 @@ class TestWorkers:
 _LIMITED_POOL = """import os, resource, signal, sys
 signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
 resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
-from twinbeams import sampling
+from twinbeams import batchfile
 from twinbeams.cli import main
-sampling._cpu_count = lambda: 2
+batchfile._cpu_count = lambda: 2
 code = main()
 try:
     os.waitpid(-1, os.WNOHANG)
@@ -697,7 +695,7 @@ def _running(pid: int) -> bool:
 
 @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
                     reason="no /proc children list")
-@pytest.mark.skipif(sampling._cpu_count() < 2, reason="one CPU: no worker is forked")
+@pytest.mark.skipif(batchfile._cpu_count() < 2, reason="one CPU: no worker is forked")
 class TestKilledCommand:
     """A command killed by SIGKILL leaves no worker behind: each worker
     reads EOF from its channel once the parent is gone, and exits with
@@ -719,7 +717,7 @@ class TestKilledCommand:
             tasks = len(read_batch(batch).spans)
         else:
             tasks = -(-3_000_000 // WRITE_CHUNK)
-        forked = min(sampling._cpu_count(), tasks)  # the workers of one pool
+        forked = min(batchfile._cpu_count(), tasks)  # the workers of one pool
         env = {**os.environ, "PYTHONPATH": str(Path(twinbeams.__file__).parents[1])}
         with open(tmp_path / "stderr", "wb") as stderr:
             proc = subprocess.Popen([sys.executable, "-m", "twinbeams.cli", *argv, "--out", str(out)],
@@ -796,7 +794,7 @@ class TestBatchMemory:
         paths = [tmp_path / f"{chunks}.csv" for chunks in (12, 48)]
         writes = [_peak_bytes(write_batch, DrawnBatch(make_vacuum(), chunks * 4096, 41), path)
                   for chunks, path in zip((12, 48), paths)]
-        monkeypatch.setattr(sampling, "READ_RANGE", int(0.9 * paths[0].stat().st_size))
+        monkeypatch.setattr(batchfile, "READ_RANGE", int(0.9 * paths[0].stat().st_size))
         estimate_criteria(read_batch(paths[0]))
         estimates = [_peak_bytes(lambda p: estimate_criteria(read_batch(p)), path)
                      for path in paths]
@@ -818,7 +816,7 @@ class TestBatchMemory:
     @pytest.mark.skipif(not _KEEPS_HEAP, reason=_NO_KEPT_HEAP)
     def test_workers_set_the_heap_thresholds(self, monkeypatch):
         _patch_workers(monkeypatch, 2)
-        kept = sampling._ordered_map(lambda: bytes([sampling._keep_freed_heap()]), [()] * 2, 2)
+        kept = batchfile._ordered_map(lambda: bytes([batchfile._keep_freed_heap()]), [()] * 2, 2)
         assert b"".join(kept) == b"\1\1"
 
     @pytest.mark.skipif(not _KEEPS_HEAP, reason=_NO_KEPT_HEAP)
@@ -834,7 +832,7 @@ class TestBatchMemory:
         paths = {chunks: tmp_path / f"{chunks}.csv" for chunks in (2, 10, 40)}
         writes = {chunks: _worker_faults(write_batch, DrawnBatch(make_vacuum(), chunks * 8192, 43),
                                          path) for chunks, path in paths.items()}
-        monkeypatch.setattr(sampling, "READ_RANGE", paths[2].stat().st_size // 2)
+        monkeypatch.setattr(batchfile, "READ_RANGE", paths[2].stat().st_size // 2)
         batches = {chunks: read_batch(path) for chunks, path in paths.items()}
         reads = {chunks: _worker_faults(collections.deque, batch.blocks(BLOCKS), 0)
                  for chunks, batch in batches.items()}
@@ -882,7 +880,7 @@ class TestStreamedCsv:
         # both maps at once: the writer's workers format what the reader's workers parse
         _patch_workers(monkeypatch, workers)
         monkeypatch.setattr(sampling, "WRITE_CHUNK", 7)
-        monkeypatch.setattr(sampling, "READ_RANGE", 333)
+        monkeypatch.setattr(batchfile, "READ_RANGE", 333)
         write_batch(read_batch(GOLDEN_BATCH), tmp_path / "batch.csv")
         assert (tmp_path / "batch.csv").read_bytes() == GOLDEN_BATCH.read_bytes()
         assert multiprocessing.active_children() == []
@@ -894,7 +892,7 @@ class TestStreamedCsv:
         # 1003 rows in jackknife blocks of 10 and 11: ranges of 333 bytes
         # hold 1 to 3 rows, so most seams fall inside a block
         _patch_workers(monkeypatch, workers)
-        monkeypatch.setattr(sampling, "READ_RANGE", range_bytes)
+        monkeypatch.setattr(batchfile, "READ_RANGE", range_bytes)
         batch = draw_samples(apply_loss(make_two_mode_squeezed(1.1), 0.9, 0.8), 1003, 5, "lossy")
         path = tmp_path / "batch.csv"
         write_batch(batch, path)
@@ -909,7 +907,7 @@ class TestStreamedCsv:
         # a fault in a late range surfaces while the blocks are read, and
         # the parse workers are gone once the error is raised
         _patch_workers(monkeypatch, 2)
-        monkeypatch.setattr(sampling, "READ_RANGE", 4096)
+        monkeypatch.setattr(batchfile, "READ_RANGE", 4096)
         path = tmp_path / "bad.csv"
         write_batch(draw_samples(make_vacuum(), 1000, 3), path)
         lines = path.read_text().splitlines(keepends=True)
