@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import contextlib
 import math
+import queue
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -146,17 +148,39 @@ class DrawnBatch:
         them only once block k's normals are taken, so it is one block
         ahead, never two: the blocks hold one normals block more than
         drawing in line would, and the rows are those of one thread
-        drawing in order.  The product and `+ mean` run on the caller's
-        thread, under its numpy error state.  The helper is stopped and
-        joined when the generator ends, raises or is closed."""
-        # here: concurrent.futures imports logging, which slows `import twinbeams`
-        from concurrent.futures import ThreadPoolExecutor
+        drawing in order.  The thread is a bare `threading.Thread` that
+        takes each draw from one queue and puts (failed, value) on
+        another; a draw's exception is raised on the caller's thread when
+        the normals are taken.  The product and `+ mean` run on the
+        caller's thread, under its numpy error state.  The helper is told
+        to stop, and joined, when the generator ends, raises or is
+        closed."""
+        asked, drawn = queue.SimpleQueue(), queue.SimpleQueue()
 
-        helper = ThreadPoolExecutor(max_workers=1)  # its thread starts at the first submit
+        def serve():  # each draw asked for, in order, until None
+            for draw, shape in iter(asked.get, None):
+                try:
+                    drawn.put((False, draw(shape)))
+                except BaseException as exc:
+                    drawn.put((True, exc))
+
+        def take():
+            failed, value = drawn.get()
+            if failed:
+                raise value
+            return value
+
+        def submit(draw, shape):
+            asked.put((draw, shape))
+            return take
+
+        helper = threading.Thread(target=serve, daemon=True)
+        helper.start()
         try:
-            yield from self._draw(n_blocks, lambda *call: helper.submit(*call).result)
+            yield from self._draw(n_blocks, submit)
         finally:
-            helper.shutdown(cancel_futures=True)
+            asked.put(None)
+            helper.join()
 
     def _draw(self, n_blocks: int, submit):
         """The blocks of `blocks`, drawn by the caller's choice of thread:

@@ -1,8 +1,9 @@
 """The runtime needs numpy only, and the `test` extra names exactly the
 third-party modules that the tests import besides numpy.  Importing the
 CLI loads no multiprocessing, only a command that draws or reads a batch
-loads the sampling stack, and only `sample` and `estimate` load the CSV
-kernel, which writes and reads."""
+loads the sampling stack, only `sample` and `estimate` load the batch
+CSV module and its kernel, which write and read, and no command loads
+concurrent.futures or logging."""
 
 import ast
 import os
@@ -18,9 +19,8 @@ import twinbeams
 
 ROOT = Path(__file__).resolve().parents[1]
 
-SAMPLING_STACK = ("twinbeams.sampling", "twinbeams._decimal", "numpy.random",
-                  "concurrent.futures")
-SAMPLING_MODULES = ("twinbeams.sampling", "twinbeams._decimal")
+SAMPLING_MODULES = ("twinbeams.sampling", "twinbeams.batchfile", "twinbeams._decimal")
+SAMPLING_STACK = (*SAMPLING_MODULES, "numpy.random")
 
 
 def _loaded_after(code, packages):
@@ -76,24 +76,29 @@ def test_only_sample_and_estimate_load_the_csv_kernel(tmp_path, command):
     }[command]
     code = f"from twinbeams.cli import main\nassert main({argv!r}) == 0"
     assert _loaded_after(code, SAMPLING_MODULES) == str(["twinbeams._decimal",
+                                                          "twinbeams.batchfile",
                                                           "twinbeams.sampling"])
 
 
-@pytest.mark.parametrize("argv, helper", [
-    # 3 chunks: the parent draws each block in line while its workers format
-    (["sample", "--n", "40000", "--seed", "1", "--out", "batch.csv"], False),
-    # the jackknife keeps the helper thread that draws a block ahead
-    (["run", "--out", "report.json"], True),
-], ids=["sample", "sampled-run"])
-def test_only_the_jackknife_draws_on_a_helper_thread(tmp_path, argv, helper):
-    scn = tmp_path / "scn.txt"
+@pytest.mark.parametrize("command", ["sample", "sampled-run", "estimate"])
+def test_no_command_loads_concurrent_futures_or_logging(tmp_path, command):
+    # the jackknife draws a block ahead on one bare thread, not an executor
+    from twinbeams.sampling import DrawnBatch, write_batch
+    from twinbeams.states import make_vacuum
+
+    scn, written = tmp_path / "scn.txt", tmp_path / "written.csv"
     scn.write_text("schema = twinbeams-scenario-1\nsource = tmsv(0.5)\n"
                    "sampling_n = 2000\nsampling_seed = 1\n")
-    argv = [*argv[:-1], str(tmp_path / argv[-1]), "--scenario", str(scn)]
+    argv = {  # sample: 3 chunks; estimate: 3 byte ranges, on forked workers where CPUs allow
+        "sample": ["sample", "--scenario", str(scn), "--n", "40000", "--seed", "1",
+                   "--out", str(tmp_path / "batch.csv")],
+        "sampled-run": ["run", "--scenario", str(scn), "--out", str(tmp_path / "report.json")],
+        "estimate": ["estimate", "--batch", str(written), "--out", str(tmp_path / "out.json")],
+    }[command]
+    if command == "estimate":
+        write_batch(DrawnBatch(make_vacuum(), 100_000, 1), written)
     code = f"from twinbeams.cli import main\nassert main({argv!r}) == 0"
-    loaded = _loaded_after(code, ("concurrent.futures", "logging"))
-    assert ("'concurrent.futures'" in loaded) == helper
-    assert ("'logging'" in loaded) == helper
+    assert _loaded_after(code, ("concurrent.futures", "logging")) == "[]"
 
 
 def test_declared_dependencies_are_numpy_only():
