@@ -1,8 +1,13 @@
 """The sample CSV: `write` and `read`, the batch a file holds
 (`FileBatch`), and the pool of forked workers that formats and parses
-its rows.  `sampling.write_batch` and `sampling.read_batch` call `write`
-and `read`; a command that writes or reads no batch never loads this
-module."""
+its rows.
+
+`sampling.write_batch` and `sampling.read_batch` call `write` and
+`read`, and load this module on their first call, so a command that
+writes or reads no batch (`run`, `sweep`, a sampled `run`) compiles
+neither it nor `_decimal`, the kernel it imports.  The kernel is
+imported once, with this module, so a forked worker inherits it
+compiled."""
 
 from __future__ import annotations
 
@@ -17,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import sampling
+from . import _decimal, sampling
+from .scenario import _output
 
 CSV_HEADER = "sample_index,xplus_1,xminus_1,xplus_2,xminus_2"
 MIN_ROW_BYTES = len("0,0.0,0.0,0.0,0.0\n")  # the shortest CSV row
@@ -42,9 +48,6 @@ def write(batch: sampling.SampleBatch | sampling.DrawnBatch | FileBatch, path) -
     no truncated batch is left to be read; a device or a pipe is kept.
     A worker's error, in formatting or in writing, is raised here, and
     an OSError of a write names the file."""
-    from . import _decimal  # here: a command that writes or reads no batch never loads it
-    from .scenario import _output
-
     _check_room(batch.n, path)
     n_chunks = -(-batch.n // sampling.WRITE_CHUNK)
     header = f"# seed: {batch.seed}\n# source_label: {batch.source_label}\n{CSV_HEADER}\n"
@@ -228,8 +231,6 @@ def _parse_range(path, start: int, end: int, lineno: int = 1) -> np.ndarray:
     non-finite one.  A range of lines as `write` writes them is read
     by the `_decimal` kernel; one it declines is parsed here line by line,
     with the same bits."""
-    from . import _decimal  # here: a command that reads or writes no batch never loads it
-
     with open(path, "rb") as handle:
         handle.seek(start)
         rows = _decimal.read_rows(handle, end - start)

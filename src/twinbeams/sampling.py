@@ -5,6 +5,13 @@ mean and covariance (legitimate because Gaussian Wigner functions are
 true probability densities).  Criteria are estimated by plugging sample
 moments into the same closed forms used analytically; standard errors
 come from a delete-one-block jackknife.
+
+This module holds the batch protocol (n, seed, source_label, blocks),
+the batches in memory (`SampleBatch`) and drawn as read (`DrawnBatch`),
+`draw_samples` and the jackknife (`estimate_criteria`).  The sample CSV
+lives in `batchfile`: `write_batch` and `read_batch` are its entry
+points here and load it on their first call, so a sampled `run` never
+compiles it.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ if TYPE_CHECKING:
 
 BLOCKS = 100  # jackknife blocks of every estimate
 MIN_SAMPLES = 2 * BLOCKS
-WRITE_CHUNK = 16384  # rows formatted per task, at most
+WRITE_CHUNK = 16384  # rows drawn by draw_samples, or formatted by a CSV task, per block at most
 # The bound on |entry| of a batch's covariance: a state's, with room for
 # sampling noise (the plug-in variance of MIN_SAMPLES rows exceeds twice the
 # state's with probability ~1e-15)
