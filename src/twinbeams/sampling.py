@@ -243,14 +243,13 @@ def draw_samples(state: GaussianTwoModeState, n: int, seed: int,
     drawing holds the batch and two blocks (the one being copied in and
     the normals of the next), not two batches.
 
-    The array is allocated once the first block is drawn, so that block's
-    memory, freed once copied, lies below the batch in the C heap, and
-    the small arrays a caller makes while it holds the batch (those of
-    the jackknife) are placed there.  Allocated first, the batch had
-    those arrays just above it, where numpy's cache of small buffers
-    keeps them; the freed batch then could not merge with the free
-    memory above it, and a process that drew, estimated and read 16 MiB
-    buffers in turn grew its resident set by 11 MB."""
+    The array is allocated once the first block is drawn: that block's
+    memory, freed once copied, then lies below the batch in the C heap
+    and takes the small arrays a caller makes while it holds the batch
+    (the jackknife's), which numpy's small-buffer cache keeps.  Just
+    above the batch, they stopped the freed batch from merging with the
+    free memory above it, and a process that drew, estimated and read
+    16 MiB buffers in turn grew by 11 MB."""
     drawn = DrawnBatch(state, n, seed, source_label)
     samples = None
     for start, block in _numbered(drawn.blocks(-(-drawn.n // WRITE_CHUNK))):
