@@ -124,8 +124,7 @@ def _cmd_sweep(args) -> int:
     scn = scenario.load_scenario(args.scenario)
     grid = _parse_grid(args.grid)
     try:
-        rows = scenario.sweep(scn, args.param, grid)
-        scenario.write_sweep_csv(rows, args.param, args.out)
+        scenario.write_sweep_csv(scenario.sweep(scn, args.param, grid), args.out)
     except MemoryError:  # numpy's allocation failures included; no file is opened
         raise _grid_too_large(len(grid)) from None
     return EXIT_OK

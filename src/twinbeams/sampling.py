@@ -205,7 +205,7 @@ class DrawnBatch:
                 normals = drawing()
                 ahead = next(draws, None)  # asked for only now: one block ahead, never two
                 block = normals @ self.chol.T
-            except MemoryError:
+            except (MemoryError, ValueError):  # ValueError: a size numpy cannot express
                 raise ValueError(f"n = {self.n}: drawing {rows} x 4 samples needs "
                                  f"{2 * rows * 4 * 8} bytes, more than can be "
                                  "allocated") from None

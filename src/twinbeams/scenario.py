@@ -24,7 +24,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import operator
 import os
 import re
 import stat
@@ -160,6 +159,8 @@ def parse_scenario(text: str) -> Scenario:
 
         if sampling_n < MIN_SAMPLES:
             raise ScenarioError(f"sampling_n: must be >= {MIN_SAMPLES}")
+        if sampling_seed < 0:
+            raise ScenarioError("sampling_seed: must be >= 0")
     # an angle not given keeps the Scenario default
     angles = {key: _number(fields[key], key, criteria.measurement_angle)
               for key in ("theta_plus", "theta_minus") if key in fields}
@@ -291,24 +292,24 @@ _SWEEP_ROW = ",".join(["%r"] + ["%d" if col.startswith("level") else "%r"
                                 for col in SWEEP_COLUMNS]) + "\n"
 
 
-def sweep(scenario: Scenario, parameter: str, grid) -> list:
-    """Evaluate the analytic criteria at each grid value of the named
-    parameter.  Rows follow grid order.  The grid is the parameter's
-    value, so its states are built and scored as one stack."""
-    grid = [float(value) for value in grid]
-    state = build_state(set_parameter(scenario, parameter, np.array(grid)))
+def sweep(scenario: Scenario, parameter: str, grid) -> np.recarray:
+    """The analytic criteria at each value of a 1-D grid of the named
+    parameter: one record per value, in grid order, of the parameter then
+    SWEEP_COLUMNS.  The grid's states are built and scored as one stack."""
+    grid = np.array(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"grid must be one-dimensional, got shape {grid.shape}")
+    state = build_state(set_parameter(scenario, parameter, grid))
     table = criteria.report_scalars(
         criteria.state_moments(state, scenario.theta_plus, scenario.theta_minus))
-    columns = [table[col].tolist() for col in SWEEP_COLUMNS]
-    return [{parameter: value, **dict(zip(SWEEP_COLUMNS, row))}
-            for value, row in zip(grid, zip(*columns))]
+    return np.rec.fromarrays([grid, *(table[col] for col in SWEEP_COLUMNS)],
+                             names=[parameter, *SWEEP_COLUMNS])
 
 
-def write_sweep_csv(rows: list, parameter: str, path) -> None:
-    """The rows as CSV, formatted in one pass before the file is opened."""
-    columns = (parameter,) + SWEEP_COLUMNS
-    cells = tuple(itertools.chain.from_iterable(map(operator.itemgetter(*columns), rows)))
-    data = (",".join(columns) + "\n" + _SWEEP_ROW * len(rows) % cells).encode("utf-8")
+def write_sweep_csv(rows: np.recarray, path) -> None:
+    """The records as CSV, formatted in one pass before the file is opened."""
+    cells = tuple(itertools.chain.from_iterable(rows.tolist()))
+    data = (",".join(rows.dtype.names) + "\n" + _SWEEP_ROW * len(rows) % cells).encode("utf-8")
     with _output(path) as write:
         write(data)
 

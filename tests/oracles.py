@@ -19,7 +19,6 @@ import numpy as np
 
 from twinbeams.criteria import (DuanEprMoments, MomentPair, conditional_variance, gemellity,
                                 report_scalars, state_moments)
-from twinbeams.scenario import SWEEP_COLUMNS
 from twinbeams.states import GaussianTwoModeState, apply_loss, make_two_mode_squeezed
 
 
@@ -101,15 +100,14 @@ def jackknife_reference(samples: np.ndarray, n_blocks: int, theta_plus: float = 
     return out
 
 
-def write_sweep_csv_per_row(rows: list, parameter: str, path) -> None:
-    """The sweep CSV one cell at a time: 0 or 1 for a bool, the repr of
-    anything else."""
+def write_sweep_csv_per_row(rows: np.recarray, path) -> None:
+    """The sweep CSV one cell at a time: a header of the field names, then
+    0 or 1 for a verdict and the repr of the float of anything else."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join((parameter,) + SWEEP_COLUMNS) + "\n")
+        handle.write(",".join(rows.dtype.names) + "\n")
         for row in rows:
-            values = (row[col] for col in (parameter,) + SWEEP_COLUMNS)
-            handle.write(",".join(str(int(v)) if isinstance(v, bool) else repr(v)
-                                  for v in values) + "\n")
+            handle.write(",".join(str(int(v)) if isinstance(v, np.bool_) else repr(float(v))
+                                  for v in row) + "\n")
 
 
 def format_rows_repr(start: int, rows: np.ndarray) -> bytes:

@@ -1185,6 +1185,15 @@ class TestDrawingHelper:
             estimate_criteria(DrawnBatch(make_vacuum(), 20_000, 1))
         assert len(threads) == 4 and not threads[0].is_alive()
 
+    def test_block_numpy_cannot_size_gets_the_sampler_message(self):
+        # numpy raises ValueError, not MemoryError, for a block whose byte
+        # count overflows, and allocates nothing
+        n = 10 ** 20
+        message = (f"n = {n}: drawing {n // BLOCKS} x 4 samples needs {64 * n // BLOCKS} "
+                   "bytes, more than can be allocated")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate_criteria(DrawnBatch(make_vacuum(), n, 1))
+
     def test_no_thread_but_the_main_one_at_any_fork(self, tmp_path, monkeypatch):
         # the write's workers are forked before the first block is drawn,
         # and the parent draws each block in line: no helper thread

@@ -218,13 +218,21 @@ class TestSweep:
         grid = np.linspace(0.0, 1.0, 41)
         rows = sweep(scn, "step3.eta", grid)
         assert len(calls) == 1  # the whole grid is one stack
-        for row, eta in zip(rows, grid):
+        assert rows.dtype.names == ("step3.eta", *SWEEP_COLUMNS) and len(rows) == 41
+        for k, eta in enumerate(grid):
             point = set_parameter(scn, "step3.eta", float(eta))
             expected = criteria.classify(build_state(point), 0.3, 1.9).to_json()
-            assert repr(row) == repr({"step3.eta": float(eta),
-                                      **{col: expected[col] for col in SWEEP_COLUMNS}})
+            assert repr(rows[k].tolist()) == repr(
+                (float(eta), *(expected[col] for col in SWEEP_COLUMNS)))
         # eta = 0 on the last step leaves the vacuum, which satisfies no level
         assert not any(rows[0][f"level{i}"] for i in range(1, 5))
+
+    @pytest.mark.parametrize("grid, shape", [([[0.1, 0.2], [0.3, 0.4]], (2, 2)), (0.5, ())],
+                             ids=["2-d", "0-d"])
+    def test_grid_not_one_dimensional_rejected(self, grid, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"grid must be one-dimensional, got shape {shape}")):
+            sweep(self._tmsv(), "r", grid)
 
     def test_classical_split_sweep_constant_gemellity(self):
         scn = parse_scenario(SPLIT_THERMAL_SCENARIO)
@@ -331,7 +339,7 @@ class TestCli:
          "{scn}: line 3 step: parameter phi1 of phase: bad value 'inf'",
          ["run"]),
         ("tmsv(0.5)\nsampling_n = 300\nsampling_seed = -1",
-         "seed must be a non-negative integer, got -1", ["run"]),
+         "{scn}: sampling_seed: must be >= 0", ["run"]),
         ("tmsv(0.5)", "seed must be a non-negative integer, got -1",
          ["sample", "--n", "300", "--seed", "-1", "--out", "{tmp}/batch.csv"]),
         ("tmsv(0.5)", f"n = {10 ** 15}: the CSV needs at least {18 * 10 ** 15} bytes "
@@ -395,15 +403,16 @@ class TestCli:
         (cli, "range", None),  # building the grid: the module's name comes before the builtin
         (scenario, "np", "array"),  # numpy's allocation of the grid's state stack
         (criteria, "report_scalars", None),  # scoring the stack
-        (scenario, "operator", "itemgetter"),  # formatting the CSV
+        (scenario, "itertools", "chain.from_iterable"),  # the CSV's cells
     ], ids=["grid", "state-stack", "scores", "csv-text"])
     def test_sweep_out_of_memory_exit_2_no_file(self, tmp_path, capsys, monkeypatch,
                                                 module, name, stand_in):
         def fail(*args, **kwargs):
             raise MemoryError("Unable to allocate")
 
-        stand_in = SimpleNamespace(**{stand_in: fail}) if stand_in else fail
-        monkeypatch.setattr(module, name, stand_in, raising=False)
+        for attribute in reversed(stand_in.split(".") if stand_in else []):
+            fail = SimpleNamespace(**{attribute: fail})
+        monkeypatch.setattr(module, name, fail, raising=False)
         scn = self._write(tmp_path, TMSV_SCENARIO)
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--scenario", str(scn), "--param", "source.r",
@@ -548,22 +557,22 @@ def _approx_equal(a, b, tol=1e-12):
     return a == b
 
 
+# the fields of a sweep of step1.eta, as `sweep` makes them
+SWEEP_DTYPE = [(name, bool if name.startswith("level") else float)
+               for name in ("step1.eta",) + SWEEP_COLUMNS]
 SWEEP_FLOATS = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 1e-05, 1e16])
-SWEEP_ROWS = st.lists(st.fixed_dictionaries(
-    {col: st.booleans() if col.startswith("level") else SWEEP_FLOATS
-     for col in ("step1.eta",) + SWEEP_COLUMNS}), max_size=20)
+SWEEP_ROWS = st.lists(st.tuples(*(st.booleans() if kind is bool else SWEEP_FLOATS
+                                  for _, kind in SWEEP_DTYPE)), max_size=20)
 
 
 @settings(max_examples=100)
 @given(rows=SWEEP_ROWS)
 @example(rows=[])  # the header only
-@example(rows=[{"step1.eta": -0.0, **dict.fromkeys(SWEEP_COLUMNS[:6], 1e-05),
-                **dict.fromkeys(SWEEP_COLUMNS[6:], True)},
-               {"step1.eta": 1e16, **dict.fromkeys(SWEEP_COLUMNS[:6], -0.0),
-                **dict.fromkeys(SWEEP_COLUMNS[6:], False)}])
+@example(rows=[(-0.0, *[1e-05] * 6, *[True] * 4), (1e16, *[-0.0] * 6, *[False] * 4)])
 def test_sweep_csv_equals_the_per_row_writer(rows):
+    records = np.rec.fromrecords(rows, dtype=SWEEP_DTYPE)
     with tempfile.TemporaryDirectory() as scratch:
         got, want = Path(scratch) / "got.csv", Path(scratch) / "want.csv"
-        write_sweep_csv(rows, "step1.eta", got)
-        write_sweep_csv_per_row(rows, "step1.eta", want)
+        write_sweep_csv(records, got)
+        write_sweep_csv_per_row(records, want)
         assert got.read_bytes() == want.read_bytes()
