@@ -14,10 +14,11 @@ form when the decimal point would sit more than 16 digits right or more
 than 3 zeros left of the first digit (`1e+16`, `1e-05`), two exponent
 digits at least, and `.0` after a whole number.
 
-Rows are laid out SUB_ROWS at a time, each as a uint8 template with
-a slot for every byte a value of the sub-batch may need and a mask of
-the slots kept; one np.compress turns the sub-batch into text.  A
-sub-batch of SUB_ROWS rows holds up to about 8.5 MB of temporaries at
+Rows are laid out SUB_ROWS at a time, each as a uint8 template, zeroed,
+with a slot for every byte a value of the sub-batch may need.  A slot
+that a value leaves unused keeps byte 0, which no text holds, so one
+bytes.translate that deletes byte 0 turns the sub-batch into text.  A
+sub-batch of SUB_ROWS rows holds up to about 4.5 MB of temporaries at
 once, most of them larger than glibc's default 128 KB mmap threshold; a
 CSV worker reuses their memory from one sub-batch to the next because it
 keeps the heap it frees (`batchfile._keep_freed_heap`).
@@ -52,12 +53,8 @@ import numpy as np
 Q_MIN, Q_MAX = -342, 324  # the powers of ten 10**q of the table
 # rows laid out at a time: enough that each array operation of a sub-batch
 # outweighs its own call cost, few enough that its temporaries stay in
-# cache.  CLI `sample` of 1e6 rows on 2 workers, medians of 8: 1.51 s at
-# 1024 rows, 1.28 s at 2048, 1.32 s at 4096, 1.40 s at 8192 (and 1.25 s at
-# 4096 against 1.30 s at 2048 over 12 more).  It pays only where freed
-# temporaries are reused: at 4096 rows with glibc's default thresholds,
-# which give the memory back to the system and fault it in again on every
-# sub-batch, it took 1.49 s
+# cache.  CLI `sample` of 1e6 rows on 2 workers, medians of 10 alternating
+# runs: 1.008 s at 2048 rows, 0.997 s at 4096, 1.103 s at 8192
 SUB_ROWS = 4096
 # bytes converted at a time: a piece's temporaries stay in cache, and its
 # ~100 array operations outweigh their own cost (a 4 MB range of a written
@@ -71,7 +68,11 @@ PIECE = 1 << 19
 _PAD = 8
 _M32 = np.uint64(0xFFFFFFFF)
 _P10 = np.array([10 ** j for j in range(20)], dtype=np.uint64)
-_FIRST = np.tri(21, 20, -1, dtype=bool)  # row c keeps the first c of 20 slots
+# _PREFIX[j]: '.' and j - 1 zeros, in the first j bytes of a 4-byte word
+_PREFIX = np.array([int.from_bytes(b".000"[:j], "little") for j in range(5)], dtype=np.uint32)
+# _KEEP[k][c]: the bytes of word k of a fraction of c digits that hold them
+_KEEP = np.array([[(1 << 8 * min(max(c - 8 * k, 0), 8)) - 1 for c in range(18)]
+                  for k in range(2)], dtype=np.uint64)
 # (width, base, mask) of the steps that join pairs of digit lanes: eight
 # 8-bit lanes of one digit into four 16-bit lanes of two, into two 32-bit
 # lanes of four, into one of eight
@@ -124,25 +125,37 @@ def _product(a, b) -> tuple:
     return high, low
 
 
+@functools.cache
+def _g_low() -> np.ndarray:
+    """The low words of Schubfach's g: `_powers`'s, plus one where truncated."""
+    q = np.arange(Q_MIN, Q_MAX + 1)
+    return _powers()[1] + ((q < -27) | (q > -1))
+
+
 def _schubfach(x: np.ndarray) -> tuple:
     """(digits, count, point): the decimal that repr gives each finite
     double of x is 0.d1d2...dn * 10**point, with d1d2...dn the `count`
     digits of `digits`, free of trailing zeros; 0, 1 and 1 for a zero."""
-    high_t, low_t = _powers()
+    high_t, low_g = _powers()[0], _g_low()
     bits = x.view(np.uint64)
     frac = bits & np.uint64((1 << 52) - 1)
-    biased = ((bits >> 52) & 0x7FF).astype(np.int64)
-    c = np.where(biased == 0, frac, frac | (1 << 52))  # x = c * 2**e
-    e = np.maximum(biased, 1) - 1075
+    biased = (x.view(np.int64) >> 52) & 0x7FF
+    tiny = np.flatnonzero(biased == 0)  # the subnormals and the zeros
+    zero = tiny[frac[tiny] == 0]
+    c = frac | np.uint64(1 << 52)  # x = c * 2**e
+    c[tiny] = frac[tiny]
+    e = biased - 1075
+    e[tiny] = -1074
     # a power of 2 above the subnormals has a closer lower neighbour
-    closer_below = (frac == 0) & (biased > 1)
+    closer = np.flatnonzero((frac == 0) & (biased > 1))
     # k = floor(log10(2**e)), or floor(log10(3/4 * 2**e)) for those
-    k = (e * 661971961083 - np.where(closer_below, 274743187321, 0)) >> 41
+    k = (e * 661971961083) >> 41
+    k[closer] = (e[closer] * 661971961083 - 274743187321) >> 41
     # g = floor(10**-k * 2**(127 - r)) + 1 in words g1, g0, with
     # r = floor(log2(10**-k))
     row = -k - Q_MIN
-    g1, g0 = high_t[row], low_t[row] + ((k > 27) | (k < 1))
-    h = (e + ((217706 * -k) >> 16) + 1).astype(np.uint64)  # 1 <= h <= 4
+    g1, g0 = high_t[row], low_g[row]
+    h = (e + ((217706 * -k) >> 16) + 1).view(np.uint64)  # 1 <= h <= 4
 
     # vb = 4x / 10**k, rounded to odd: P = g * (4c << h) over 2**128, with P
     # in three words w2, w1, w0; rounded to odd, floor(P / 2**128) gets its
@@ -156,11 +169,16 @@ def _schubfach(x: np.ndarray) -> tuple:
     vb = w2 | (w1 > 1)
 
     # the ends of the interval that reads back to x, the same way: P + g * 2**(h+1)
-    # and P - g * 2**(h+1), or P - g * 2**h for a power of 2, each g * 2**s
-    # in three words
+    # and P - g * 2**(h+1), or P - g * 2**h for a power of 2, g * 2**s in three words
     one = np.uint64(1)
-    (u2, u1, u0), (l2, l1, l0) = ((g1 >> (64 - s), (g1 << s) | (g0 >> (64 - s)), g0 << s)
-                                  for s in (h + one, h + one - closer_below))
+    sh = h + one
+    u2, u1, u0 = g1 >> (64 - sh), (g1 << sh) | (g0 >> (64 - sh)), g0 << sh
+    l2, l1, l0 = u2, u1, u0
+    if len(closer):  # g * 2**h: the upper end's words halved
+        l2, l1, l0 = u2.copy(), u1.copy(), u0.copy()
+        l0[closer] = (u0[closer] >> one) | (u1[closer] << np.uint64(63))
+        l1[closer] = (u1[closer] >> one) | (u2[closer] << np.uint64(63))
+        l2[closer] >>= one
     carry = (w0 + u0) < u0
     above = w1 + u1 + carry
     vbr = (w2 + u2 + ((above < u1) | ((above == u1) & carry))) | (above > 1)
@@ -175,27 +193,30 @@ def _schubfach(x: np.ndarray) -> tuple:
     s = vb >> 2  # floor(x / 10**k)
     # at most one multiple of 10**(k+1) lies in the interval: that one, if it does
     s10 = (s // 10) * 10
-    u10_in, w10_in = vbl <= s10 << 2, (s10 + 10) << 2 <= vbr
+    s4, s10_4 = s << 2, s10 << 2
+    u10_in, w10_in = vbl <= s10_4, s10_4 + np.uint64(40) <= vbr
     # else s or s + 1, whichever lies in it; if both, the nearer, the even one on a tie
-    u_in, w_in = vbl <= s << 2, (s + 1) << 2 <= vbr
-    mid = (s << 2) + 2
-    up = np.where(u_in == w_in, (vb > mid) | ((vb == mid) & ((s & one) == one)), w_in)
-    digits = np.where(u10_in != w10_in, s10 + w10_in * np.uint64(10), s + up)
-    zero = (bits << 1) == 0
-    digits[zero] = 0
+    u_in, w_in = vbl <= s4, s4 + np.uint64(4) <= vbr
+    mid = s4 + np.uint64(2)
+    # chosen without np.where, whose masks here are neither rare nor regular (the
+    # uint64 wrap-arounds cancel): up = w_in unless both or neither lie in it
+    up = w_in ^ ((u_in == w_in) & (w_in ^ ((vb > mid) | ((vb == mid) & ((s & one) == one)))))
+    digits = s + up
+    digits += (u10_in != w10_in) * (s10 + w10_in * np.uint64(10) - digits)
+    digits[zero] = 1  # a zero's one digit, 0, once trailing zeros are stripped
 
     # the count of digits: 16 or 17 for a normal double, fewer for a subnormal
     count = 16 + (digits >= _P10[16])
-    tiny = np.flatnonzero(biased == 0)
-    count[tiny] = np.maximum(np.searchsorted(_P10, digits[tiny], side="right"), 1)
+    count[tiny] = np.searchsorted(_P10, digits[tiny], side="right")
     point = k + count
     point[zero] = 1
     # strip trailing zeros, where there are any
-    todo = np.flatnonzero((digits == (digits // 10) * 10) & ~zero)
+    todo = np.flatnonzero(digits == (digits // 10) * 10)
     while todo.size:
         digits[todo] //= 10
         count[todo] -= 1
         todo = todo[digits[todo] % 10 == 0]
+    digits[zero] = 0
     return digits, count, point
 
 
@@ -209,90 +230,78 @@ def format_rows(start: int, rows: np.ndarray) -> bytes:
 
 def _layout(start: int, rows: np.ndarray, width: int) -> bytes:
     """The CSV lines of a sub-batch of rows, the index right-aligned in
-    `width` slots before its masked leading zeros are dropped.
-
-    Each value's slots are, in order: '-'; the digits before the point;
-    '.'; the zeros after the point before the first digit (`0.001`);
-    the digits after them; 'e', the exponent's sign and its digits; then
-    ',' or '\n'.  Each of these regions is as wide as the widest value
-    of the sub-batch needs, and the slots a value does not use are
-    masked out."""
+    `width` slots.  Each value's slots are, in order: '-'; the digits
+    before the point; '.' and the zeros after it (`0.001`); the digits
+    after those, as two 8-digit words and a 17th digit; 'e', the
+    exponent's sign and its digits; then ',' or '\n'.  Each region is as
+    wide as the widest value of the sub-batch needs."""
     m = len(rows)
     x = np.ascontiguousarray(rows, dtype=np.float64).reshape(-1)
     digits, n, point = _schubfach(x)
-    sci = (point <= -4) | (point > 16)
-    before = np.where(sci, 1, np.clip(point, 0, n))  # of the n digits
+    which = np.flatnonzero((point <= -4) | (point > 16))  # the few values in exponent form
+    # of the n digits, those before the point; one for a value in exponent form
+    before = np.minimum(np.maximum(point, 0), n)
+    before[which] = 1
     after = n - before
     scale = _P10[after]
     whole = digits // scale
     frac = (digits - whole * scale) * _P10[17 - after]  # left-aligned in 17 digits
-    whole *= _P10[np.where(sci, 0, np.maximum(point - n, 0))]
-    int_digits = np.where(sci, 1, np.maximum(point, 1)).astype(np.int8)
-    zeros = np.where(sci, 0, np.maximum(-point, 0)).astype(np.int8)
-    frac_digits = np.where(sci, after, np.maximum(after, 1)).astype(np.int8)
-    which = np.flatnonzero(sci)  # the few values in exponent form
+    shift = np.maximum(point - n, 0)
+    shift[which] = 0
+    whole *= _P10[shift]
+    prefix = np.maximum(1 - point, 1)  # row of _PREFIX: '.' and the zeros after it
+    kept = np.maximum(after, 1)  # digits after the point
+    kept[which] = after[which]
+    prefix[which] = after[which] > 0
     power = point[which] - 1
-    exp_digits = (2 + (np.abs(power) >= 100)).astype(np.int8)
 
     # region widths and offsets of one value's slots
-    signed, ints = int(x.view(np.int64).min() < 0), int(int_digits.max())
-    nzeros, nfrac = int(zeros.max()), int(frac_digits.max())
-    nexp = int(exp_digits.max()) if len(which) else 0
+    signed, ints = int(x.view(np.int64).min() < 0), len(str(int(whole.max())))
+    npre, nfrac = int(prefix.max()), int(kept.max())
+    words = (min(nfrac, 16) + 7) // 8
+    nexp = 2 + int(np.abs(power).max() >= 100) if len(which) else 0
     dot = signed + ints
-    first = dot + 1 + nzeros  # of the digits after the point
-    e = first + nfrac
+    first = dot + npre  # of the digits after the point
+    e = first + 8 * words + (nfrac > 16)
     field = e + (2 + nexp if nexp else 0) + 1
 
-    template = np.empty((m, width + 1 + 4 * field), dtype=np.uint8)
-    keep = np.empty(template.shape, dtype=bool)
-    _index_into(template, keep, start, width)
+    template = np.zeros((m, width + 1 + 4 * field), dtype=np.uint8)
+    _index_into(template, start, width)
     template[:, width] = ord(",")
-    keep[:, width] = True
-
     shape, strides = (m, 4, field), (template.shape[1], field, 1)  # views of the value slots
     fields = np.ndarray(shape, np.uint8, template, width + 1, strides)
-    kept = np.ndarray(shape, bool, keep, width + 1, strides)
     flat = (m, 4)  # one entry a value
     if signed:
-        fields[..., 0] = ord("-")
-        kept[..., 0] = (x.view(np.int64) < 0).reshape(flat)
-    _digits_into(fields, whole.reshape(flat), ints, dot)
-    kept[..., signed:dot] = _last(int_digits.reshape(flat), ints)
-    fields[..., dot] = ord(".")
-    kept[..., dot] = (frac_digits > 0).reshape(flat)
-    fields[..., dot + 1:first] = ord("0")
-    kept[..., dot + 1:first] = _first(zeros.reshape(flat), nzeros)
-    frac //= _P10[17 - nfrac]  # its nfrac digits, 8 at a time from the right
-    for end in range(first + nfrac, first + 7, -8):
-        group = frac - (frac // _P10[8]) * _P10[8]
-        frac //= _P10[8]
-        np.ndarray(flat, "<u8", template, width + 1 + end - 8,
-                   (template.shape[1], field))[...] = _ascii8(group).reshape(flat)
-    _digits_into(fields, frac.reshape(flat), nfrac % 8, first + nfrac % 8)
-    kept[..., first:e] = _first(frac_digits.reshape(flat), nfrac)
-    if nexp:  # the slots of every other value are masked
-        kept[..., e:e + 2 + nexp] = False
-        at = which // 4, which % 4  # (row, column) of each value in exponent form
+        np.multiply(x.view(np.int64).reshape(flat) < 0, np.uint8(ord("-")), out=fields[..., 0])
+    _digits_into(fields, whole.reshape(flat), ints, dot, 1)
+    if npre:  # its bytes past the region spill into the fraction's first word, written next
+        np.ndarray(flat, "<u4", template, width + 1 + dot, strides[:2])[...] = \
+            _PREFIX[prefix].reshape(flat)
+    head = frac // np.uint64(10)  # the first 16 digits after the point
+    high = head // _P10[8]
+    for k in range(words):
+        group = high if k == 0 else head - high * _P10[8]
+        np.ndarray(flat, "<u8", template, width + 1 + first + 8 * k, strides[:2])[...] = \
+            (_ascii8(group) & np.take(_KEEP[k], kept)).reshape(flat)
+    if nfrac > 16:  # the 17th digit, nonzero where a value has one
+        last = (frac - head * np.uint64(10)).reshape(flat)
+        np.add(last, (last != 0) * np.uint64(ord("0")), out=fields[..., e - 1], casting="unsafe")
+    if nexp:
         exponent = np.empty((len(which), 2 + nexp), dtype=np.uint8)
-        exponent[:, 0] = ord("e")
-        exponent[:, 1] = np.where(power < 0, ord("-"), ord("+"))
-        _digits_into(exponent, np.abs(power).astype(np.uint64), nexp, 2 + nexp)
-        fields[(*at, slice(e, e + 2 + nexp))] = exponent
-        kept[(*at, slice(e, e + 2))] = True
-        kept[(*at, slice(e + 2, e + 2 + nexp))] = _last(exp_digits, nexp)
+        exponent[:, 0], exponent[:, 1] = ord("e"), np.where(power < 0, ord("-"), ord("+"))
+        _digits_into(exponent, np.abs(power).astype(np.uint64), nexp, 2 + nexp, 2)
+        fields[which // 4, which % 4, e:e + 2 + nexp] = exponent  # at (row, column)
     fields[..., -1] = ord(",")
     fields[:, -1, -1] = ord("\n")
-    kept[..., -1] = True
-    return np.compress(keep.reshape(-1), template.reshape(-1)).tobytes()
+    return template.tobytes().translate(None, b"\x00")
 
 
-def _index_into(template: np.ndarray, keep: np.ndarray, start: int, width: int) -> None:
+def _index_into(template: np.ndarray, start: int, width: int) -> None:
     """Write the indices start, start + 1, ... of the rows, right-aligned
-    in the first `width` slots of each, and keep the slots of their
-    digits: the last 8 digits go as one `_ascii8` word (written first,
-    since below 8 digits it spills into the slots after), any above them
-    digit by digit, and the mask is set once per run of rows with the
-    same digit count, since the rows are consecutive."""
+    in the first `width` slots of each: the last 8 digits as one `_ascii8`
+    word (written first: below 8 digits it spills 0 bytes into the slots
+    after), any above them digit by digit, and 0 above each index's first
+    digit, once per run of rows with the same digit count."""
     m, row = template.shape
     index = np.arange(start, start + m, dtype=np.uint64)
     high, low = np.divmod(index, np.uint64(10 ** 8)) if width > 8 else (None, index)
@@ -303,19 +312,8 @@ def _index_into(template: np.ndarray, keep: np.ndarray, start: int, width: int) 
     first, digits = 0, len(str(start))
     while first < m:
         end = min(m, 10 ** digits - start)  # the rows whose index has `digits` digits
-        keep[first:end, :width - digits] = False
-        keep[first:end, width - digits:width] = True
+        template[first:end, :width - digits] = 0
         first, digits = end, digits + 1
-
-
-def _first(count: np.ndarray, width: int) -> np.ndarray:
-    """Masks of `width` slots keeping the first `count` of each."""
-    return np.take(_FIRST[:, :width], count, axis=0)
-
-
-def _last(count: np.ndarray, width: int) -> np.ndarray:
-    """Masks of `width` slots keeping the last `count` of each."""
-    return np.take(_FIRST[:, :width], width - count, axis=0) ^ True
 
 
 def _ascii8(x: np.ndarray) -> np.ndarray:
@@ -330,12 +328,14 @@ def _ascii8(x: np.ndarray) -> np.ndarray:
     return (high | ((lanes - high * 10) << 8)) + 0x3030303030303030
 
 
-def _digits_into(slots: np.ndarray, values: np.ndarray, count: int, end: int) -> None:
+def _digits_into(slots: np.ndarray, values: np.ndarray, count: int, end: int, keep=None) -> None:
     """Write the `count` lowest decimal digits of values, as ASCII, into
-    slots[..., end - count:end]."""
+    slots[..., end - count:end]; above the lowest `keep` (all by default),
+    a digit above a value's highest is a 0 byte."""
     for j in range(1, count + 1):
         shorter = values // 10
-        np.subtract(values + ord("0"), shorter * 10, out=slots[..., end - j], casting="unsafe")
+        zero = ord("0") if keep is None or j <= keep else (values != 0) * np.uint64(ord("0"))
+        np.subtract(values + zero, shorter * 10, out=slots[..., end - j], casting="unsafe")
         values = shorter
 
 

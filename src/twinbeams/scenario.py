@@ -22,6 +22,7 @@ Unknown keys, operations, parameters and nan/inf are errors, never warnings.
 from __future__ import annotations
 
 import contextlib
+import errno
 import itertools
 import math
 import os
@@ -318,9 +319,13 @@ def write_sweep_csv(rows: np.recarray, path) -> None:
 def _output(path):
     """A function that writes bytes to the file at `path`, unbuffered.  An
     OSError of its own writes (a full disk, a size limit) is given `path`,
-    so its message ends with the file, as an open error's does.  A write
-    that fails, or is interrupted, removes the regular file it began, so
-    no truncated output is left; a device or a pipe is kept."""
+    so its message ends with the file, as an open error's does.  A regular
+    file (through a symlink, the file it points to) is written as a
+    temporary file `.<name>.<pid>.tmp` beside it, which replaces it once
+    the last byte is written: a command that fails, is interrupted or is
+    killed leaves the file as it was, or none.  A write that fails, or is
+    interrupted, removes the temporary file.  A device or a pipe is
+    written directly, and kept."""
     def write(data) -> None:
         view = memoryview(data)
         try:
@@ -331,12 +336,33 @@ def _output(path):
                 exc.filename = os.fspath(path)
             raise
 
-    with open(path, "wb", buffering=0) as handle:
-        regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
-        try:
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:  # no file yet, or one whose open names the fault
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb", buffering=0) as handle:
             yield write
+        return
+    if mode is not None and not os.access(path, os.W_OK):  # refused, as open(path, "wb") is
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+    target = os.path.realpath(path)
+    head, name = os.path.split(target)
+    temp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:  # through the umask, as open(path, "wb") makes a new file
+        with contextlib.suppress(FileNotFoundError):  # one a killed process of this pid left
+            os.remove(temp)
+        fd = os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    except OSError as exc:
+        exc.filename = os.fspath(path)
+        raise
+    with open(fd, "wb", buffering=0) as handle:
+        try:
+            if mode is not None:  # an existing file keeps its mode
+                os.fchmod(fd, stat.S_IMODE(mode))
+            yield write
+            os.replace(temp, target)
         except BaseException:
-            if regular:
-                with contextlib.suppress(OSError):  # the first error is the one to report
-                    os.remove(path)
+            with contextlib.suppress(OSError):  # the first error is the one to report
+                os.remove(temp)
             raise

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import signal
+import stat
 import subprocess
 import sys
 import warnings
@@ -276,6 +277,41 @@ def test_write_error_names_the_file(tmp_path, command):
     assert (code, stderr) == (2, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
                                  "'/dev/full'\n")
     assert os.path.exists("/dev/full")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "sample", "estimate"])
+def test_out_through_a_symlink_replaces_its_file_keeping_the_mode(tmp_path, command):
+    # the file is written beside the old one and then replaces it: the same
+    # bytes as a fresh file, the link still a link, the old mode, nothing left over
+    argv = _commands(tmp_path)[command]
+    fresh, target, link = tmp_path / "fresh", tmp_path / "target", tmp_path / "link"
+    assert _main(argv + ["--out", str(fresh)]) == (0, "")
+    target.write_bytes(b"an earlier file\n")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    files = set(tmp_path.iterdir())
+    assert _main(argv + ["--out", str(link)]) == (0, "")
+    assert target.read_bytes() == fresh.read_bytes() and link.is_symlink()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert set(tmp_path.iterdir()) == files
+
+
+def test_out_over_the_temporary_file_of_a_killed_command(tmp_path):
+    # a killed command that had this process id left its temporary file
+    (tmp_path / f".report.json.{os.getpid()}.tmp").write_bytes(b"cut sh")
+    assert _main(_commands(tmp_path)["run"] + ["--out", str(tmp_path / "report.json")]) == (0, "")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["batch.csv", "report.json", "scn.txt"]
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write any file")
+def test_out_refuses_a_read_only_file(tmp_path):
+    target = tmp_path / "report.json"
+    target.write_bytes(b"an earlier file\n")
+    target.chmod(0o444)
+    code, stderr = _main(_commands(tmp_path)["run"] + ["--out", str(target)])
+    assert (code, stderr) == (2, f"error: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: "
+                                 f"{str(target)!r}\n")
+    assert target.read_bytes() == b"an earlier file\n"
 
 
 @pytest.mark.parametrize("target", ["/dev/full", "closed-pipe"])

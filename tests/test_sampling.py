@@ -693,6 +693,14 @@ def _running(pid: int) -> bool:
         return False
 
 
+def _size(path) -> int:
+    """The size of the file at path, 0 where there is none."""
+    try:
+        return path.stat().st_size
+    except FileNotFoundError:
+        return 0
+
+
 @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
                     reason="no /proc children list")
 @pytest.mark.skipif(batchfile._cpu_count() < 2, reason="one CPU: no worker is forked")
@@ -700,7 +708,8 @@ class TestKilledCommand:
     """A command killed by SIGKILL leaves no worker behind: each worker
     reads EOF from its channel once the parent is gone, and exits with
     no traceback.  Ctrl-C, a SIGINT to the whole process group, ends the
-    command by that signal, with no traceback and no output file."""
+    command by that signal, with no traceback and no output file.  A
+    killed `sample` leaves its target as it was: absent, or the old file."""
 
     def _stop(self, tmp_path, command, stop):
         """Start `command` in a new session, call stop(proc) once all its
@@ -724,9 +733,11 @@ class TestKilledCommand:
                                     env=env, stderr=stderr, start_new_session=True)
         workers = []
         try:
-            # sample: once output has begun; estimate: while it parses
+            # sample: once output has begun, in the file that replaces `out`
+            # when complete; estimate: while it parses
+            begun = tmp_path / f".out.{proc.pid}.tmp"
             while len(workers) < forked and proc.poll() is None:
-                if command == "estimate" or (out.exists() and out.stat().st_size):
+                if command == "estimate" or _size(begun):
                     with contextlib.suppress(FileNotFoundError):  # it has just ended
                         workers = _children(proc.pid)
                 time.sleep(0.002)
@@ -758,6 +769,16 @@ class TestKilledCommand:
                                  lambda proc: os.killpg(proc.pid, signal.SIGINT))
         assert status == -signal.SIGINT
         assert not out.exists()
+
+    @pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-target", "existing-target"])
+    def test_killed_sample_leaves_the_old_target(self, tmp_path, signum, existing):
+        old = b"# an earlier batch\n"
+        if existing:
+            (tmp_path / "out").write_bytes(old)
+        status, out = self._stop(tmp_path, "sample", lambda proc: proc.send_signal(signum))
+        assert status == -signum
+        assert out.read_bytes() == old if existing else not out.exists()
 
 
 class TestBatchMemory:

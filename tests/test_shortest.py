@@ -95,6 +95,24 @@ def test_rows_equal_the_oracle_across_seams(start):
     assert _decimal.format_rows(start, rows) == format_rows_repr(start, rows)
 
 
+# one value of each layout class: each sign, 1, 16 and 17 integer digits,
+# zeros after the point, exponent form of 2 and 3 digits, a whole number,
+# -0.0 and the smallest subnormal; 13 of them, a prime
+CLASSES = [-2.718281828459045, 3.25, 12345678901234567.0, -9876543210987654.0, 0.000123,
+           1e-05, -1.5e-100, 1e16, 123456.0, -0.0, 5e-324, 0.1, -0.7071067811865476]
+
+
+def test_every_layout_class_beside_every_other_in_one_sub_batch():
+    # row i holds classes a + j * b (mod 13) in column j, a = i % 13 and
+    # b = i // 13: each class in each column, each pair of classes side by
+    # side; the index gains a digit at row 2.  A first call on other data
+    # leaves its freed temporaries for the second to allocate.
+    i = np.arange(_decimal.SUB_ROWS)[:, None]
+    rows = np.array(CLASSES)[(i + np.arange(4) * (i // len(CLASSES))) % len(CLASSES)]
+    _decimal.format_rows(0, np.random.default_rng(9).standard_normal(rows.shape) * 1e300)
+    assert _decimal.format_rows(9_998, rows) == format_rows_repr(9_998, rows)
+
+
 def test_powers_of_ten_table_is_exact():
     # the one table of both kernels, row q - Q_MIN, with 2**r <= 10**q < 2**(r + 1):
     # fast_float's c is 10**q * 2**(127 - r) truncated, but rounded up for
