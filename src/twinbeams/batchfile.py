@@ -64,13 +64,14 @@ def write(batch: sampling.SampleBatch | sampling.DrawnBatch | FileBatch, path) -
 
 def _check_room(n: int, path) -> None:
     """Refuse a batch whose CSV cannot fit where it would be written: a
-    row takes at least MIN_ROW_BYTES (`0,0.0,0.0,0.0,0.0\n`).  A path
-    whose directory cannot be asked is left for `open` to report, by the
-    whole path."""
+    row takes at least MIN_ROW_BYTES (`0,0.0,0.0,0.0,0.0\n`), on the disk
+    of the file the path resolves to (/dev/fd/1: the file of stdout).  A
+    path whose directory cannot be asked is left for `open` to report, by
+    the whole path."""
     if os.path.exists(path) and not os.path.isfile(path):
         return  # a device or a pipe
     try:
-        free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
+        free = shutil.disk_usage(os.path.dirname(os.path.realpath(path))).free
     except OSError:
         return
     if MIN_ROW_BYTES * n > free:
@@ -326,7 +327,9 @@ def _ordered_map(func, tasks, count: int, emit=_identity):
     when the generator ends, raises or is closed.  Ctrl-C signals the
     whole process group: SIGINT is held while the workers are forked and
     each worker ignores it, so it raises KeyboardInterrupt here alone, and
-    no worker ends before this process has taken it.  With W = 1, func
+    no worker ends before this process has taken it.  SIGTERM is held
+    with it, so that a worker ends by SIGTERM as by default, never by a
+    handler of this process.  With W = 1, func
     and emit run in this process.
     """
     workers = min(_cpu_count(), count)
@@ -344,7 +347,7 @@ def _ordered_map(func, tasks, count: int, emit=_identity):
     # fork: a worker starts at once and runs func and emit as this process holds them
     context = multiprocessing.get_context("fork")
     procs, chans, busy = [], [], collections.deque()
-    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
     try:
         for _ in range(workers):
             ours, theirs = socket.socketpair()
@@ -432,12 +435,15 @@ def _serve(func, emit, sock, inherited) -> None:
     """Body of one worker: for each task received, call func, wait for
     its turn and reply (False, emit(value)); on an exception of either
     reply (True, exception) at its turn and stop.  It ignores SIGINT (the
-    parent handles Ctrl-C and kills it), first closes the parent's ends it
-    inherits, and stops quietly once the parent is gone."""
+    parent handles Ctrl-C and kills it), ends by SIGTERM as by default,
+    first closes the parent's ends it inherits, and stops quietly once the
+    parent is gone."""
     import signal
     import tracemalloc
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # held since the fork, so none came yet
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     for chan in inherited:
         chan.close()
     tracemalloc.stop()  # a parent that traces its allocations has no use for ours

@@ -172,22 +172,39 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised where the command is, as Ctrl-C raises KeyboardInterrupt."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def entry() -> int:
     """Run `main` as a whole process.  Every module-level import is done by
     now, so freezing moves those objects out of the collector's reach: the
     collections of the command, of its forked CSV workers and of interpreter
     shutdown no longer walk numpy's and the package's import graph.  An
-    interrupt (Ctrl-C) ends the process by SIGINT, as a shell expects, with
-    no traceback; by then the output file it began is removed."""
+    interrupt (Ctrl-C) or a SIGTERM (kill's default) ends the process by
+    that signal, as a shell expects, with no traceback; by then the output
+    file it began is removed.  SIGTERM is handled only while `main` runs,
+    and not at all where this process was started ignoring it."""
+    import signal
+
     gc.freeze()
+    handled = signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    if handled:
+        signal.signal(signal.SIGTERM, _terminate)
     try:
         return main()
-    except KeyboardInterrupt:
-        import signal  # here: only an interrupted command needs it
-
-        signal.signal(signal.SIGINT, signal.SIG_DFL)
-        signal.raise_signal(signal.SIGINT)
-        raise  # where SIGINT does not end a process
+    except (KeyboardInterrupt, _Terminated) as exc:
+        signum = signal.SIGINT if isinstance(exc, KeyboardInterrupt) else signal.SIGTERM
+        signal.signal(signum, signal.SIG_DFL)
+        signal.raise_signal(signum)
+        raise  # where the signal does not end a process
+    finally:
+        if handled:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ Unknown keys, operations, parameters and nan/inf are errors, never warnings.
 from __future__ import annotations
 
 import contextlib
-import errno
 import itertools
 import math
 import os
@@ -319,13 +318,15 @@ def write_sweep_csv(rows: np.recarray, path) -> None:
 def _output(path):
     """A function that writes bytes to the file at `path`, unbuffered.  An
     OSError of its own writes (a full disk, a size limit) is given `path`,
-    so its message ends with the file, as an open error's does.  A regular
-    file (through a symlink, the file it points to) is written as a
-    temporary file `.<name>.<pid>.tmp` beside it, which replaces it once
-    the last byte is written: a command that fails, is interrupted or is
-    killed leaves the file as it was, or none.  A write that fails, or is
-    interrupted, removes the temporary file.  A device or a pipe is
-    written directly, and kept."""
+    so its message ends with the file, as an open error's does.  A file
+    that `_beside` can stand in for is written as that temporary file,
+    which replaces it once the last byte is written: a command that fails,
+    is interrupted or is killed leaves the file as it was, or none, and a
+    failure or an interrupt removes the temporary file.  Any other path is
+    written in place, as it was opened: a regular file that a write fails
+    in is removed, a device or a pipe is kept, and a name under /proc
+    (/dev/stdout, /dev/fd/N), an open file of a process, is written at its
+    end, as the shell's `>` or `>>` left it, and kept."""
     def write(data) -> None:
         view = memoryview(data)
         try:
@@ -336,16 +337,53 @@ def _output(path):
                 exc.filename = os.fspath(path)
             raise
 
-    try:
-        mode = os.stat(path).st_mode
-    except OSError:  # no file yet, or one whose open names the fault
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "wb", buffering=0) as handle:
-            yield write
+    proc = _through_proc(path)
+    opened = None if proc else _beside(path)
+    if opened is not None:
+        fd, temp, target = opened
+        with open(fd, "wb", buffering=0) as handle:
+            try:
+                yield write
+                os.replace(temp, target)
+            except BaseException:
+                with contextlib.suppress(OSError):  # the first error is the one to report
+                    os.remove(temp)
+                raise
         return
-    if mode is not None and not os.access(path, os.W_OK):  # refused, as open(path, "wb") is
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+    with open(path, "ab" if proc else "wb", buffering=0) as handle:
+        regular = not proc and stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+        try:
+            yield write
+        except BaseException:
+            if regular:
+                with contextlib.suppress(OSError):  # the first error is the one to report
+                    os.remove(path)
+            raise
+
+
+def _beside(path):
+    """(fd, its path, the target's path) of a new file `.<name>.<pid>.tmp`
+    made beside the file `path` names (through a symlink, the file it
+    points to), to replace it whole; None where the file is to be written
+    in place.  It stands in for a file that is not there yet, or for a
+    regular file with one link that this process may write and that has
+    no extended attribute or ACL beyond its security label; it is given
+    that file's owner, group and mode, so the rename changes no more than
+    the bytes.  None for a device, a pipe, a path whose stat fails for
+    another reason than a missing file, a directory where the file cannot
+    be made, and an owner this process may not give."""
+    try:
+        old = os.stat(path)
+    except FileNotFoundError:
+        old = None
+    except OSError:  # its open names the fault
+        return None
+    if old is not None:
+        if not (stat.S_ISREG(old.st_mode) and old.st_nlink == 1 and os.access(path, os.W_OK)):
+            return None
+        with contextlib.suppress(AttributeError, OSError):  # a system without them
+            if any(not name.startswith("security.") for name in os.listxattr(path)):
+                return None
     target = os.path.realpath(path)
     head, name = os.path.split(target)
     temp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
@@ -353,16 +391,32 @@ def _output(path):
         with contextlib.suppress(FileNotFoundError):  # one a killed process of this pid left
             os.remove(temp)
         fd = os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
-    except OSError as exc:
-        exc.filename = os.fspath(path)
-        raise
-    with open(fd, "wb", buffering=0) as handle:
-        try:
-            if mode is not None:  # an existing file keeps its mode
-                os.fchmod(fd, stat.S_IMODE(mode))
-            yield write
-            os.replace(temp, target)
-        except BaseException:
-            with contextlib.suppress(OSError):  # the first error is the one to report
-                os.remove(temp)
-            raise
+    except OSError:  # a directory this process may not write, or none
+        return None
+    try:
+        if old is not None:
+            os.fchown(fd, old.st_uid, old.st_gid)
+            os.fchmod(fd, stat.S_IMODE(old.st_mode))  # after: a chown clears set-id bits
+    except OSError:  # another owner, which only that owner or root may give
+        os.close(fd)
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        return None
+    return fd, temp, target
+
+
+def _through_proc(path) -> bool:
+    """Whether `path` resolves through a link under /proc, as /dev/stdout
+    and /dev/fd/N do: such a name is an open file of a process, not a
+    directory entry that a rename could replace."""
+    name, seen = os.path.join(os.getcwd(), os.fspath(path)), set()
+    while name not in seen:  # a loop of links: its open names the fault
+        seen.add(name)
+        head = os.path.realpath(os.path.dirname(name))
+        if head == "/proc" or head.startswith("/proc/"):
+            return True
+        name = os.path.join(head, os.path.basename(name))
+        if not os.path.islink(name):
+            return False
+        name = os.path.join(head, os.readlink(name))
+    return False

@@ -260,14 +260,14 @@ sys.exit(main())
 @pytest.mark.parametrize("command", ["run", "sweep", "sample", "estimate"])
 def test_failed_write_leaves_no_output(tmp_path, command):
     # the limit is set in the child only; each output is longer than 1024 bytes
-    out = tmp_path / "out"
+    out, argv = tmp_path / "out", _commands(tmp_path)[command]
+    files = set(tmp_path.iterdir())
     env = {**os.environ, "PYTHONPATH": str(Path(twinbeams.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", _LIMITED, "1024",
-                           *_commands(tmp_path)[command], "--out", str(out)],
+    proc = subprocess.run([sys.executable, "-c", _LIMITED, "1024", *argv, "--out", str(out)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {str(out)!r}\n"
-    assert not out.exists()
+    assert set(tmp_path.iterdir()) == files  # neither `out` nor its temporary file
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -301,6 +301,94 @@ def test_out_over_the_temporary_file_of_a_killed_command(tmp_path):
     (tmp_path / f".report.json.{os.getpid()}.tmp").write_bytes(b"cut sh")
     assert _main(_commands(tmp_path)["run"] + ["--out", str(tmp_path / "report.json")]) == (0, "")
     assert sorted(path.name for path in tmp_path.iterdir()) == ["batch.csv", "report.json", "scn.txt"]
+
+
+def _process(argv, **kwargs):
+    """`python -m twinbeams.cli argv` run as a process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(twinbeams.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "twinbeams.cli", *argv], env=env,
+                          timeout=120, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/fd"), reason="no /proc fd links")
+@pytest.mark.parametrize("name", ["/dev/stdout", "/dev/fd/1"])
+@pytest.mark.parametrize("command", ["run", "sample"])
+def test_out_to_stdout_appends_to_the_shells_file(tmp_path, command, name):
+    # `--out /dev/stdout >> log`: the output follows the log's earlier bytes
+    # in the shell's own file, and no other file is made
+    argv = _commands(tmp_path)[command]
+    fresh, log = tmp_path / "fresh", tmp_path / "log"
+    assert _main(argv + ["--out", str(fresh)]) == (0, "")
+    log.write_bytes(b"an earlier line\n")
+    inode, files = log.stat().st_ino, set(tmp_path.iterdir())
+    with open(log, "ab") as stdout:
+        proc = _process(argv + ["--out", name], stdout=stdout, stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert log.read_bytes() == b"an earlier line\n" + fresh.read_bytes()
+    assert log.stat().st_ino == inode and set(tmp_path.iterdir()) == files
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/fd"), reason="no /proc fd links")
+def test_out_to_a_deleted_stdout_makes_no_file(tmp_path):
+    argv = _commands(tmp_path)["run"]
+    files = set(tmp_path.iterdir())
+    with open(tmp_path / "log", "wb") as stdout:
+        os.remove(tmp_path / "log")
+        proc = _process(argv + ["--out", "/dev/stdout"], stdout=stdout, stderr=subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert os.fstat(stdout.fileno()).st_size > 0
+    assert set(tmp_path.iterdir()) == files
+
+
+def test_out_to_a_hard_linked_file_writes_it_in_place(tmp_path):
+    # a rename would part the two names: both hold the new bytes
+    argv = _commands(tmp_path)["run"]
+    fresh, target, other = tmp_path / "fresh", tmp_path / "target", tmp_path / "other"
+    assert _main(argv + ["--out", str(fresh)]) == (0, "")
+    target.write_bytes(b"an earlier file\n")
+    os.link(target, other)
+    assert _main(argv + ["--out", str(target)]) == (0, "")
+    assert target.read_bytes() == other.read_bytes() == fresh.read_bytes()
+    assert os.path.samefile(target, other)
+
+
+def test_out_to_a_file_with_an_attribute_writes_it_in_place(tmp_path):
+    argv = _commands(tmp_path)["run"]
+    fresh, target = tmp_path / "fresh", tmp_path / "target"
+    assert _main(argv + ["--out", str(fresh)]) == (0, "")
+    target.write_bytes(b"an earlier file\n")
+    try:
+        os.setxattr(target, "user.origin", b"kept")
+    except (AttributeError, OSError):
+        pytest.skip("no user extended attributes here")
+    assert _main(argv + ["--out", str(target)]) == (0, "")
+    assert target.read_bytes() == fresh.read_bytes()
+    assert os.getxattr(target, "user.origin") == b"kept"
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="only root may give a file to another owner")
+def test_out_keeps_the_owner_of_the_file_it_replaces(tmp_path):
+    argv = _commands(tmp_path)["run"]
+    target = tmp_path / "target"
+    target.write_bytes(b"an earlier file\n")
+    os.chown(target, 4321, 8765)
+    assert _main(argv + ["--out", str(target)]) == (0, "")
+    assert (target.stat().st_uid, target.stat().st_gid) == (4321, 8765)
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write any directory")
+def test_out_in_a_read_only_directory_writes_the_file_in_place(tmp_path):
+    argv = _commands(tmp_path)["run"]
+    fresh, shut = tmp_path / "fresh", tmp_path / "shut"
+    assert _main(argv + ["--out", str(fresh)]) == (0, "")
+    shut.mkdir()
+    (shut / "report.json").write_bytes(b"an earlier file\n")
+    shut.chmod(0o555)
+    try:
+        assert _main(argv + ["--out", str(shut / "report.json")]) == (0, "")
+        assert (shut / "report.json").read_bytes() == fresh.read_bytes()
+    finally:
+        shut.chmod(0o755)
 
 
 @pytest.mark.skipif(os.geteuid() == 0, reason="root may write any file")

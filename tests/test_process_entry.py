@@ -122,6 +122,32 @@ def test_entry_freezes_once_before_main(monkeypatch):
     assert calls == ["freeze", ("main", None)]
 
 
+# runs entry() with a `main` that records the SIGTERM handler it runs under
+SIGTERM_SEEN = """\
+import signal, sys
+from twinbeams import cli
+if sys.argv[1] == "ignored":
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+seen = []
+cli.main = lambda: seen.append(signal.getsignal(signal.SIGTERM)) or 0
+assert cli.entry() == 0
+print(seen[0] is cli._terminate, seen[0] == signal.SIG_IGN, signal.getsignal(signal.SIGTERM).name)
+"""
+
+
+@pytest.mark.parametrize("start, printed", [
+    ("default", ["True", "False", "SIG_DFL"]),
+    ("ignored", ["False", "True", "SIG_IGN"]),
+])
+def test_entry_handles_sigterm_only_while_main_runs(start, printed):
+    # the handler turns SIGTERM into Ctrl-C's exception path; a process
+    # started ignoring SIGTERM keeps ignoring it
+    proc = subprocess.run([sys.executable, "-c", SIGTERM_SEEN, start], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == printed
+
+
 def test_main_sets_no_collector_policy(tmp_path):
     scn = tmp_path / "scn.txt"
     scn.write_text(SCENARIO, encoding="utf-8")

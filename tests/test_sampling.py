@@ -577,7 +577,7 @@ class TestWorkers:
         assert main(["sample", "--scenario", str(scn), "--n", "80000", "--seed", "2",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-        assert not out.exists()
+        assert [path.name for path in tmp_path.iterdir()] == ["scn.txt"]  # nor a temporary file
         assert multiprocessing.active_children() == []
 
     def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch):
@@ -693,6 +693,10 @@ def _running(pid: int) -> bool:
         return False
 
 
+def _names(directory) -> set:
+    return {path.name for path in directory.iterdir()}
+
+
 def _size(path) -> int:
     """The size of the file at path, 0 where there is none."""
     try:
@@ -765,20 +769,28 @@ class TestKilledCommand:
 
     @pytest.mark.parametrize("command", ["sample", "estimate"])
     def test_interrupt_ends_by_sigint(self, tmp_path, command):
-        status, out = self._stop(tmp_path, command,
-                                 lambda proc: os.killpg(proc.pid, signal.SIGINT))
+        status, _ = self._stop(tmp_path, command,
+                               lambda proc: os.killpg(proc.pid, signal.SIGINT))
         assert status == -signal.SIGINT
-        assert not out.exists()
+        assert _names(tmp_path) == {"scn.txt", "stderr"} | ({"batch.csv"} if command == "estimate"
+                                                            else set())
 
-    @pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM])
+    @pytest.mark.parametrize("signum, group", [(signal.SIGKILL, False), (signal.SIGTERM, False),
+                                               (signal.SIGTERM, True)],
+                             ids=["kill", "term", "term-group"])
     @pytest.mark.parametrize("existing", [False, True], ids=["new-target", "existing-target"])
-    def test_killed_sample_leaves_the_old_target(self, tmp_path, signum, existing):
+    def test_killed_sample_leaves_the_old_target(self, tmp_path, signum, group, existing):
+        # SIGTERM, to the command alone (kill) or to its group (a service
+        # manager), removes the temporary file too; SIGKILL leaves it
         old = b"# an earlier batch\n"
         if existing:
             (tmp_path / "out").write_bytes(old)
-        status, out = self._stop(tmp_path, "sample", lambda proc: proc.send_signal(signum))
+        status, out = self._stop(tmp_path, "sample", lambda proc: (os.killpg if group else os.kill)(
+            proc.pid, signum))
         assert status == -signum
         assert out.read_bytes() == old if existing else not out.exists()
+        if signum == signal.SIGTERM:
+            assert _names(tmp_path) == {"scn.txt", "stderr"} | ({"out"} if existing else set())
 
 
 class TestBatchMemory:
