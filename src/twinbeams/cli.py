@@ -22,9 +22,6 @@ import math
 import os
 import sys
 
-from . import scenario
-from .states import PhysicalityError
-
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PHYSICALITY = 3
@@ -95,6 +92,8 @@ def _write_json(payload: dict, out) -> None:
     is pointed at os.devnull first, so the flush at exit cannot fail too."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
+        from . import scenario
+
         with scenario._output(out) as write:
             write(text.encode("utf-8"))
         return
@@ -114,6 +113,8 @@ def _write_json(payload: dict, out) -> None:
 
 
 def _cmd_run(args) -> int:
+    from . import scenario
+
     scn = scenario.load_scenario(args.scenario)
     payload = scenario.run_scenario(scn)
     _write_json(payload, args.out or scn.out)
@@ -121,6 +122,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import scenario
+
     scn = scenario.load_scenario(args.scenario)
     grid = _parse_grid(args.grid)
     try:
@@ -131,7 +134,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    from . import sampling  # here: an analytic command never loads it
+    from . import sampling, scenario  # here: an analytic command never loads sampling
 
     scn = scenario.load_scenario(args.scenario)
     state = scenario.build_state(scn)
@@ -162,6 +165,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .states import PhysicalityError
+
     try:
         return _COMMANDS[args.command](args)
     except PhysicalityError as exc:
@@ -181,21 +186,24 @@ def _terminate(signum, frame):
 
 
 def entry() -> int:
-    """Run `main` as a whole process.  Every module-level import is done by
-    now, so freezing moves those objects out of the collector's reach: the
-    collections of the command, of its forked CSV workers and of interpreter
-    shutdown no longer walk numpy's and the package's import graph.  An
-    interrupt (Ctrl-C) or a SIGTERM (kill's default) ends the process by
-    that signal, as a shell expects, with no traceback; by then the output
-    file it began is removed.  SIGTERM is handled only while `main` runs,
-    and not at all where this process was started ignoring it."""
+    """Run `main` as a whole process.  It loads numpy and the analytic
+    layers first, then freezes what is loaded out of the collector's reach:
+    the collections of the command, of its forked CSV workers and of
+    interpreter shutdown no longer walk numpy's and the package's import
+    graph.  An interrupt (Ctrl-C) or a SIGTERM (kill's default) ends the
+    process by that signal, as a shell expects, with no traceback, also
+    while numpy loads; by then the output file it began is removed.
+    SIGTERM is handled only while this function runs, and not at all where
+    this process was started ignoring it."""
     import signal
 
-    gc.freeze()
     handled = signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
     if handled:
         signal.signal(signal.SIGTERM, _terminate)
     try:
+        from . import scenario  # numpy, states and criteria: loaded here, then frozen
+
+        gc.freeze()
         return main()
     except (KeyboardInterrupt, _Terminated) as exc:
         signum = signal.SIGINT if isinstance(exc, KeyboardInterrupt) else signal.SIGTERM

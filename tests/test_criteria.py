@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinbeams.criteria import (
     LEVEL5_NOTE,
@@ -17,9 +19,11 @@ from twinbeams.criteria import (
     state_moments,
 )
 from twinbeams.states import (
+    GaussianTwoModeState,
     apply_beamsplitter,
     apply_loss,
     apply_phase,
+    make_single_mode_squeezed,
     make_thermal,
     make_two_mode_squeezed,
     make_vacuum,
@@ -358,3 +362,48 @@ class TestClassify:
         cov[0, 2] = cov[2, 0] = 1.000001
         with pytest.raises(ValueError, match=r"^correlation overshoot beyond rounding: 1\.000001$"):
             quadrature_moments(cov, 0.0, 0.0)
+
+
+ANGLES = st.floats(-2 * math.pi, 2 * math.pi)
+SOURCES = st.one_of(
+    st.builds(make_vacuum),
+    st.builds(make_thermal, st.floats(1.0, 1e6), st.floats(1.0, 1e6)),
+    st.builds(make_two_mode_squeezed, st.floats(0.0, 6.0)),
+    st.builds(make_single_mode_squeezed, st.sampled_from([1, 2]), st.floats(0.0, 6.0), ANGLES),
+)
+STEPS = st.one_of(
+    st.tuples(st.just(apply_beamsplitter), ANGLES, ANGLES),
+    st.tuples(st.just(apply_phase), ANGLES, ANGLES),
+    st.tuples(st.just(apply_loss), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+SWAP = [2, 3, 0, 1]  # (X+_2, X-_2, X+_1, X-_1)
+
+
+@settings(max_examples=300)
+@given(SOURCES, st.lists(STEPS, max_size=3), ANGLES)
+def test_beam_relabelling_swaps_the_imbalanced_criteria(state, steps, theta):
+    # swapping the beams keeps G and S12 and swaps V12 with V21 and EPR12
+    # with EPR21, within the maps' rounding: 64 eps max|cov| on the
+    # variances, 64 eps max|cov|^2 on their products
+    for step, x, y in steps:
+        state = step(state, x, y)
+    swapped = GaussianTwoModeState(state.mean[SWAP], state.cov[np.ix_(SWAP, SWAP)])
+    want = classify(state, theta, theta + math.pi / 2)
+    got = classify(swapped, theta, theta + math.pi / 2)
+    scale = np.abs(state.cov).max()
+    tol = 64 * np.finfo(float).eps * scale
+
+    assert got.gemellity == pytest.approx(want.gemellity, rel=0, abs=tol)
+    assert got.separability == pytest.approx(want.separability, rel=0, abs=tol)
+    assert [got.conditional_variance_12, got.conditional_variance_21] == pytest.approx(
+        [want.conditional_variance_21, want.conditional_variance_12], rel=0, abs=tol)
+    assert [got.epr_product_12, got.epr_product_21] == pytest.approx(
+        [want.epr_product_21, want.epr_product_12], rel=0, abs=tol * scale)
+    for level, value, bound, slack in (
+        ("level1", want.gemellity, 1.0, tol),
+        ("level2", min(want.conditional_variance_12, want.conditional_variance_21), 1.0, tol),
+        ("level3", want.separability, 2.0, tol),
+        ("level4", min(want.epr_product_12, want.epr_product_21), 1.0, tol * scale),
+    ):
+        if abs(value - bound) > slack:  # a verdict nearer its boundary may flip by rounding
+            assert getattr(got, level) == getattr(want, level), level

@@ -1,7 +1,7 @@
 """The module layering: states.py holds the states and the linear-optical
 maps and imports nothing from the package; criteria.py owns the measured
 moments that every criterion reads; the package exports each name of its
-modules as the object that module holds."""
+modules as the object that module holds, looked up there on each use."""
 
 import ast
 import importlib.util
@@ -39,15 +39,18 @@ def test_star_import_binds_every_name_to_its_defining_module():
     exec("from twinbeams import *", namespace)
     exported = {name: obj for name, obj in namespace.items() if name != "__builtins__"}
     assert sorted(exported) == sorted(twinbeams.__all__) and len(exported) == 28
+    assert set(twinbeams.__all__) <= set(dir(twinbeams))  # tab completion lists them too
     for name, obj in exported.items():
         assert vars(sys.modules[obj.__module__])[name] is obj
 
 
 def test_sampling_names_follow_a_rebinding(monkeypatch):
-    # looked up in sampling on each use, never cached in the package
-    monkeypatch.setattr(sampling, "draw_samples", lambda *args: "rebound")
-    assert twinbeams.draw_samples() == "rebound"
-    assert "draw_samples" not in vars(twinbeams)
+    # looked up in its module on each use, never cached in the package
+    for module, name in ((sampling, "draw_samples"), (criteria, "classify"),
+                         (states, "make_vacuum")):
+        monkeypatch.setattr(module, name, lambda *args: "rebound")
+        assert getattr(twinbeams, name)() == "rebound"
+        assert name not in vars(twinbeams)
 
 
 def test_unknown_attribute_raises():

@@ -1,12 +1,15 @@
 """The CLI as a process.  `python -m twinbeams.cli` and the installed
-`twinbeams` script both run `cli.entry`, which freezes the collector once
-after the imports and then runs `main`; `main` called from Python sets no
-process policy.  A command run as a process gives the exit code, stderr
-line and output bytes of the same command run through `main`."""
+`twinbeams` script both run `cli.entry`, which loads numpy and the
+analytic layers, freezes the collector once and then runs `main`; `main`
+called from Python sets no process policy.  A command run as a process
+gives the exit code, stderr line and output bytes of the same command run
+through `main`, and a Ctrl-C or SIGTERM while numpy loads ends it by that
+signal with nothing on stderr."""
 
 import gc
 import importlib
 import os
+import signal
 import subprocess
 import sys
 import tomllib
@@ -45,15 +48,27 @@ atexit.register(lambda: pathlib.Path("freezes").write_text(str(len(calls))))
 """
 
 
+# sends the process a signal when it imports numpy, as a Ctrl-C or a kill
+# during start-up would
+SIGNAL_AT_NUMPY = """\
+import signal, sys
+class SignalAtNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            signal.raise_signal(signal.{signal})
+sys.meta_path.insert(0, SignalAtNumpy())
+"""
+
+
 def _sub_vacuum():
     return states.GaussianTwoModeState(np.zeros(4), 0.5 * np.eye(4))
 
 
-def _process(argv, cwd, *, pythonpath=(), **kwargs):
-    """`python -X dev -W error -m twinbeams.cli argv` in cwd."""
+def _process(argv, cwd, *, pythonpath=(), start=("-m", "twinbeams.cli"), **kwargs):
+    """`python -X dev -W error *start argv` in cwd, start `-m twinbeams.cli` by default."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([*map(str, pythonpath), str(SRC)])}
-    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "twinbeams.cli",
-                           *argv], cwd=cwd, env=env, capture_output=True, timeout=120, **kwargs)
+    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", *start, *argv],
+                          cwd=cwd, env=env, capture_output=True, timeout=120, **kwargs)
 
 
 def _files(directory: Path) -> dict:
@@ -106,6 +121,24 @@ def test_module_run_freezes_once(tmp_path):
                     pythonpath=[tmp_path])
     assert proc.returncode == 0 and proc.stderr == b""
     assert (tmp_path / "freezes").read_text() == "1"
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+@pytest.mark.parametrize("start", [("-c", "from twinbeams.cli import entry; entry()"),
+                                   ("-m", "twinbeams.cli")], ids=["entry", "module"])
+def test_signal_while_numpy_loads_ends_by_it(tmp_path, start, signum):
+    # numpy loads inside entry(), where Ctrl-C and SIGTERM are handled
+    site, work = tmp_path / "site", tmp_path / "work"
+    site.mkdir()
+    work.mkdir()
+    (site / "sitecustomize.py").write_text(SIGNAL_AT_NUMPY.format(signal=signum.name),
+                                           encoding="utf-8")
+    (work / "scn.txt").write_text(SCENARIO, encoding="utf-8")
+    proc = _process(["run", "--scenario", "scn.txt", "--out", "report.json"], work,
+                    pythonpath=[site], start=start)
+    assert proc.returncode == -signum
+    assert proc.stderr == b""
+    assert [path.name for path in work.iterdir()] == ["scn.txt"]
 
 
 def test_console_script_is_the_entry():
