@@ -33,6 +33,14 @@ line, a blank one included, makes the whole range decline (None): the
 caller then parses it line by line, which is the one source of every
 message and of the grammar.
 
+One scan of a piece finds its marks, the bytes that are not digits.  A
+value's '.' and exponent are read off the marks before its end: the last
+is its '.', or its exponent's sign, whose 'e' is the mark before it and
+may follow the '.'.  A count declines the piece unless every mark is so
+placed, a separator or a leading '-'.  The significand is read 8 digits
+a word from its end, out of the 32 bytes before it: the digits before
+its '.' from the words a byte earlier, as if the '.' were not there.
+
 Each value is rounded to the nearest double, ties to even, by
 Eisel-Lemire (D. Lemire, "Number parsing at a gigabyte per second",
 Software: Practice and Experience 51(8), 2021).  For a decimal
@@ -57,15 +65,15 @@ Q_MIN, Q_MAX = -342, 324  # the powers of ten 10**q of the table
 # runs: 1.008 s at 2048 rows, 0.997 s at 4096, 1.103 s at 8192
 SUB_ROWS = 4096
 # bytes converted at a time: a piece's temporaries stay in cache, and its
-# ~100 array operations outweigh their own cost (a 4 MB range of a written
-# batch took 45 ms in 256 KB pieces, 69 ms in 64 KB pieces and 79 ms in one
-# piece, medians of 15).  In a CSV worker, which keeps the heap it frees,
-# CLI `estimate` of 1e6 rows took 0.894 s at 512 KB, 0.936 s at 256 KB and
-# 0.924 s at 1 MB, where its peak RSS grew by 9 MB (medians of 10).  A line
-# of the grammar is far shorter, so a piece without a line feed declines
+# ~100 array operations outweigh their own cost.  In CSV workers, which
+# keep the heap they free, CLI `estimate` of 1e6 rows took 0.741 s and
+# 1.29 s of CPU at 512 KB, 0.808 s and 1.41 s at 256 KB, 0.801 s and 1.42 s
+# at 1 MB, with a peak RSS of 38.4, 34.7 and 45.1 MB (2 vCPUs, medians of 10
+# alternating runs).  A line of the grammar is far shorter, so a piece
+# without a line feed declines
 PIECE = 1 << 19
-# bytes kept before a piece, so the 8 bytes that end at any cell can be read
-_PAD = 8
+# bytes kept before a piece, so the 32 bytes that end at any cell can be read
+_PAD = 32
 _M32 = np.uint64(0xFFFFFFFF)
 _P10 = np.array([10 ** j for j in range(20)], dtype=np.uint64)
 # _PREFIX[j]: '.' and j - 1 zeros, in the first j bytes of a 4-byte word
@@ -73,18 +81,18 @@ _PREFIX = np.array([int.from_bytes(b".000"[:j], "little") for j in range(5)], dt
 # _KEEP[k][c]: the bytes of word k of a fraction of c digits that hold them
 _KEEP = np.array([[(1 << 8 * min(max(c - 8 * k, 0), 8)) - 1 for c in range(18)]
                   for k in range(2)], dtype=np.uint64)
-# (width, base, mask) of the steps that join pairs of digit lanes: eight
-# 8-bit lanes of one digit into four 16-bit lanes of two, into two 32-bit
-# lanes of four, into one of eight
-_LANES = [(np.uint64(8), np.uint64(10), np.uint64(0x00FF00FF00FF00FF)),
-          (np.uint64(16), np.uint64(100), np.uint64(0x0000FFFF0000FFFF)),
-          (np.uint64(32), np.uint64(10000), np.uint64(0x00000000FFFFFFFF))]
 _ALL = (1 << 64) - 1
-# _TOP[c]: the last c bytes of a word (the c bytes just before its end)
-_TOP = np.array([0] + [_ALL << 8 * (8 - c) & _ALL for c in range(1, 9)], dtype=np.uint64)
-_ZEROS_TOP = _TOP & np.uint64(0x3030303030303030)  # an ASCII '0' in each of those bytes
-# _ABOVE[j]: the bytes of a word above its byte j
-_ABOVE = np.array([_ALL << 8 * (j + 1) & _ALL for j in range(8)], dtype=np.uint64)
+# _LAST[c]: the last c bytes of a word, all 8 from c = 8 on; none for c = 0
+# or a negative c, whose index wraps to the zeros at the table's end
+_LAST = np.array([_ALL << 8 * (8 - min(c, 8)) & _ALL for c in range(25)] + [0] * 16,
+                 dtype=np.uint64)
+_LAST_DIGITS = _LAST & np.uint64(0x0F0F0F0F0F0F0F0F)  # an ASCII digit's value in each
+# (scale, width, lanes) of the steps that join digit lanes in pairs: eight
+# 8-bit lanes of a digit, four 16-bit of two, two 32-bit of four, one of
+# eight.  Each lane plus `scale` times the one before goes a lane down
+_JOIN = [(np.uint64(10 << 8 | 1), np.uint64(8), np.uint64(0x00FF00FF00FF00FF)),
+         (np.uint64(100 << 16 | 1), np.uint64(16), np.uint64(0x0000FFFF0000FFFF)),
+         (np.uint64(10000 << 32 | 1), np.uint64(32), None)]
 
 
 @functools.cache
@@ -370,13 +378,11 @@ def read_rows(handle, size: int):
 def _piece(buffer, size: int):
     """The rows of the whole lines buffer[_PAD:_PAD + size], as above."""
     codes = np.frombuffer(buffer, np.uint8, size, _PAD)
-    # words[p]: the 8 bytes of the piece before its byte p, as a uint64 whose
-    # lowest byte comes first
-    words = np.ndarray((size + 1,), "<u8", buffer, 0, (1,))
+    wide = np.ndarray((size + 1,), "V32", buffer, 0, (1,))  # wide[p]: the 32 bytes before byte p
     others = np.flatnonzero(codes - np.uint8(ord("0")) > np.uint8(9))  # every byte not a digit
     marks = codes[others]
-    is_end = (marks == ord(",")) | (marks == ord("\n"))
-    ends = np.compress(is_end, others)  # a mask index is slower on so irregular a mask
+    seps = np.flatnonzero((marks == ord(",")) | (marks == ord("\n")))  # of `others`
+    ends = others[seps]
     rows = len(ends) // 5
     if (len(ends) != 5 * rows or np.count_nonzero(marks == ord("\n")) != rows
             or not (codes[ends[4::5]] == ord("\n")).all()):
@@ -385,56 +391,47 @@ def _piece(buffer, size: int):
     if not ((index_width >= 1) & (index_width <= 19)).all():
         return None
     grid = ends.reshape(rows, 5)
-    start, end = (grid[:, :4] + 1).reshape(-1), grid[:, 1:].reshape(-1)  # of each value
+    start, stop = (grid[:, :4] + 1).reshape(-1), grid[:, 1:].reshape(-1)  # of each value
 
-    # the '.' and the 'e' of each value, -1 where it has none
-    cell = np.cumsum(is_end, dtype=np.int32)  # of each byte that is neither a digit nor an end
-    found = []
-    for mark in b".e":
-        chosen = marks == mark
-        at = np.full((rows, 5), -1)
-        at.reshape(-1)[np.compress(chosen, cell)] = np.compress(chosen, others)
-        if np.count_nonzero(at[:, 1:] >= 0) != np.count_nonzero(chosen):  # two in a cell
-            return None
-        found.append(at[:, 1:].reshape(-1))
-    dot, exp = found
-    has_dot, with_exp = dot >= 0, np.flatnonzero(exp >= 0)
+    last = (seps.reshape(rows, 5)[:, 1:] - 1).reshape(-1)  # of `others`: the mark before an end
+    mark, dot = marks[last], others[last]  # the '.' where has_dot
+    has_dot = mark == ord(".")
+    with_exp = np.flatnonzero((mark == ord("+")) | (mark == ord("-")))
+    with_exp = with_exp[codes[dot[with_exp] - 1] == ord("e")]
+    exp_neg, exp_end = mark[with_exp] == ord("-"), stop[with_exp]
+    stop[with_exp] = dot[with_exp] - 1  # the significand ends at the 'e'
+    before = last[with_exp] - 2  # the mark before the 'e'
+    has_dot[with_exp] = marks[before] == ord(".")
+    dot[with_exp] = others[before]
     neg = codes[start] == ord("-")
-    exps = exp[with_exp]
-    signs = codes[exps + 1]
-    exp_neg = signs == ord("-")
     # every byte that is not a digit is one placed: a separator, a leading
     # '-', a '.', an 'e' and the sign after it
-    placed = len(ends) + np.count_nonzero(neg) + np.count_nonzero(has_dot) + 2 * len(exps)
-    if len(others) != placed or not (exp_neg | (signs == ord("+"))).all():
+    placed = len(ends) + np.count_nonzero(neg) + np.count_nonzero(has_dot) + 2 * len(with_exp)
+    if len(others) != placed:
         return None
 
-    first = start + neg  # of the significand
-    stop = end.copy()  # of the significand
-    stop[with_exp] = exps
-    dot = np.where(has_dot, dot, stop)
-    whole = dot - first  # digits before the point
-    digits = stop - first - has_dot
-    after = digits - whole  # digits after the point
-    exp_digits = end[with_exp] - exps - 2
-    if not (((whole >= 1) & (after >= has_dot) & (digits <= 24)).all()
+    after = (stop - dot - 1) * has_dot  # digits after the point
+    digits = stop - (start + neg) - has_dot
+    exp_digits = exp_end - stop[with_exp] - 2
+    if not (((digits - after >= 1) & (after >= has_dot) & (digits <= 24)).all()
             and ((exp_digits >= 1) & (exp_digits <= 3)).all()):
         return None
 
-    # the significand, 8 digits at a time from its end
-    groups = []
-    for k in range(3):
-        last = digits - 8 * k  # digits up to the group's end
-        group_end = np.maximum(first + last + (last > whole), 1)
-        groups.append(_group(words, group_end, np.minimum(np.maximum(last, 0), 8), dot))
+    # group k of the significand's digits ends before byte base - 8k, base one past the
+    # significand, or one further without a '.' (read as if it had one there)
+    base = stop + 1 - has_dot
+    window = wide[base]
+    held, earlier = _words(window), _words(window, 1)
+    groups = [_group(held[:, 2 - k], digits - 8 * k, earlier[:, 2 - k], after - 8 * k)
+              for k in range(3)]
     if (groups[2] >= np.uint64(1000)).any():  # 10**19 or more
         return None
     w = groups[0]
     w += groups[1] * np.uint64(10 ** 8)
     w += groups[2] * np.uint64(10 ** 16)
     q = -after
-    if len(exps):
-        value = _group(words, end[with_exp], exp_digits).astype(np.int64)
+    if len(with_exp):
+        value = _group(_words(wide[exp_end])[:, 2], exp_digits).astype(np.int64)
         q[with_exp] += np.where(exp_neg, -value, value)
 
     bits, near = _eisel_lemire(w, q)
@@ -444,23 +441,26 @@ def _piece(buffer, size: int):
     return bits.view(np.float64).reshape(rows, 4)
 
 
-def _group(words, end, count, dot=None):
-    """The value of the `count` (at most 8) digits that end before byte
-    `end` of the piece, skipping the '.' at byte `dot` if it is among
-    them."""
-    word = words[end]
-    if dot is not None:
-        split = np.flatnonzero((dot >= end - 8) & (dot < end))
-        if len(split):
-            above = _ABOVE[dot[split] - end[split] + 8]  # the bytes after the dot
-            word[split] = (word[split] & above) | (words[end[split] - 1] & ~above)
-    word &= _TOP[count]
-    word -= _ZEROS_TOP[count]  # one digit a byte, the bytes before the group zero
-    for width, base, mask in _LANES:
-        later = word >> width
-        word *= base
-        word += later
-        word &= mask
+def _words(window, lag: int = 0) -> np.ndarray:
+    """Of each row wide[p]: the uint64 words, lowest byte first, that end
+    `lag` (0 or 1) bytes before bytes p - 16, p - 8 and p of the piece."""
+    return np.ndarray((len(window), 3), "<u8", window.view(np.uint8), 8 - lag, (32, 8))
+
+
+def _group(word, count, earlier=None, after=None):
+    """The value of the digits in the last `count` bytes of each word (all
+    8 from 8 on, none below 1): where the words `earlier` are given, the
+    last `after` of those bytes from `word` and the others from `earlier`."""
+    if earlier is not None:
+        word = word ^ earlier
+        word &= _LAST[after]
+        word ^= earlier
+    word = word & _LAST_DIGITS[count]  # one digit a byte, the bytes before the group zero
+    for scale, width, lanes in _JOIN:
+        word *= scale
+        word >>= width
+        if lanes is not None:
+            word &= lanes
     return word
 
 

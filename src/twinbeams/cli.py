@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import io
 import json
 import math
 import os
@@ -185,9 +186,21 @@ def _terminate(signum, frame):
     raise _Terminated
 
 
+def _parses(argv) -> bool:
+    """Whether argparse takes argv, asked without its output or its exit:
+    `main` parses argv again, and prints the help or the usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            return False
+    return True
+
+
 def entry() -> int:
-    """Run `main` as a whole process.  It loads numpy and the analytic
-    layers first, then freezes what is loaded out of the collector's reach:
+    """Run `main` as a whole process.  Where the command line parses, it
+    loads numpy and the analytic layers first (`--help` and a usage error
+    load neither), then freezes what is loaded out of the collector's reach:
     the collections of the command, of its forked CSV workers and of
     interpreter shutdown no longer walk numpy's and the package's import
     graph.  An interrupt (Ctrl-C) or a SIGTERM (kill's default) ends the
@@ -201,8 +214,8 @@ def entry() -> int:
     if handled:
         signal.signal(signal.SIGTERM, _terminate)
     try:
-        from . import scenario  # numpy, states and criteria: loaded here, then frozen
-
+        if _parses(sys.argv[1:]):
+            from . import scenario  # numpy, states and criteria: loaded here, then frozen
         gc.freeze()
         return main()
     except (KeyboardInterrupt, _Terminated) as exc:

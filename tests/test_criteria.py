@@ -407,3 +407,19 @@ def test_beam_relabelling_swaps_the_imbalanced_criteria(state, steps, theta):
     ):
         if abs(value - bound) > slack:  # a verdict nearer its boundary may flip by rounding
             assert getattr(got, level) == getattr(want, level), level
+
+
+ETAS = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300)
+@given(SOURCES, st.lists(STEPS, max_size=3), ETAS, ETAS, ETAS, ETAS)
+def test_loss_composes(state, steps, a1, a2, b1, b2):
+    # loss(a1, a2) then loss(b1, b2) is loss(a1 b1, a2 b2), within the maps'
+    # rounding: 64 eps max(|cov|, 1)
+    for step, x, y in steps:
+        state = step(state, x, y)
+    twice = apply_loss(apply_loss(state, a1, a2), b1, b2).cov
+    once = apply_loss(state, a1 * b1, a2 * b2).cov
+    tol = 64 * np.finfo(float).eps * max(np.abs(state.cov).max(), 1.0)
+    assert np.abs(twice - once).max() <= tol

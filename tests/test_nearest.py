@@ -136,28 +136,34 @@ def test_decimals_read_as_float_reads_them(range_file, cells):
 
 WRITTEN = _decimal.format_rows(0, np.array([[1.5, -0.25, 3e-7, 1e+16],
                                              [-7.0, 0.001, 2.5, -8e300]]))
+# values of 17 and 18 digits, with a '.' and an exponent together: a third
+# digit group, and the marks before an exponent's sign
+LONG_ROW = _decimal.format_rows(0, np.array([[1.2345678901234568e-05, -0.12345678901234566,
+                                              123456.78901234567, -9.87654321e+300]]))
 ALPHABET = [b"0", b"9", b".", b"-", b"+", b"e", b"E", b",", b"\n", b"\r", b" ", b"\t", b"_",
             b"x", b"n", b"9" * 30, b"\xff"]
 
 
 @settings(max_examples=300)
 @given(st.lists(st.tuples(st.sampled_from(["insert", "replace", "delete"]),
-                          st.integers(0, len(WRITTEN)), st.sampled_from(ALPHABET)),
+                          st.integers(0, max(len(WRITTEN), len(LONG_ROW))),
+                          st.sampled_from(ALPHABET)),
                 min_size=1, max_size=3))
 @example([("insert", 0, b"9" * 400)])  # an index past any double: declined
 @example([("insert", 0, b"9" * 20)])  # an index of 20 digits
 @example([("replace", len(WRITTEN) - 1, b"9")])  # no line feed at the end
 def test_near_grammar_declined_or_read_as_numpy_reads_it(mutations):
-    data = WRITTEN
-    for operation, offset, token in mutations:
-        offset %= len(data) + 1
-        tail = data[offset + (operation != "insert"):]
-        data = data[:offset] + (token if operation != "delete" else b"") + tail
-    got = _read(data)
-    if got is not None:
-        want = _loadtxt(data)
-        assert want is not None
-        assert got.tobytes() == want.tobytes()
+    # each offset is taken modulo the length of the lines it mutates
+    for data in (WRITTEN, LONG_ROW):
+        for operation, offset, token in mutations:
+            offset %= len(data) + 1
+            tail = data[offset + (operation != "insert"):]
+            data = data[:offset] + (token if operation != "delete" else b"") + tail
+        got = _read(data)
+        if got is not None:
+            want = _loadtxt(data)
+            assert want is not None
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("line", [
@@ -171,6 +177,19 @@ def test_near_grammar_declined_or_read_as_numpy_reads_it(mutations):
     b"0,7.,2.5,3.5,4.5",
     b"0,1.5.5,2.5,3.5,4.5",
     b"0,1e+5e+5,2.5,3.5,4.5",
+    # marks out of place around an exponent or at a value's end
+    b"0,1e+5.5,2.5,3.5,4.5",
+    b"0,1.5e,2.5,3.5,4.5",
+    b"0,1.5e+,2.5,3.5,4.5",
+    b"0,1.e+5,2.5,3.5,4.5",
+    b"0,1e-+5,2.5,3.5,4.5",
+    b"0,1-5,2.5,3.5,4.5",
+    b"0,1.5-,2.5,3.5,4.5",
+    b"0,1.5e+5-,2.5,3.5,4.5",
+    b"0,.5e+5,2.5,3.5,4.5",
+    b"0,1.5e+5e,2.5,3.5,4.5",
+    b"0,-1.5-e+5,2.5,3.5,4.5",
+    b"0,1.5.e+5,2.5,3.5,4.5",
     b"0,-,2.5,3.5,4.5",
     b"0,--1,2.5,3.5,4.5",
     b"0,,2.5,3.5,4.5",

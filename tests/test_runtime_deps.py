@@ -1,7 +1,8 @@
 """The runtime needs numpy only, and the `test` extra names exactly the
 third-party modules that the tests import besides numpy.  Importing the
 package or the CLI loads no numpy, no layer and no multiprocessing (the
-CLI's `entry` loads numpy and the analytic layers), only a command that
+CLI's `entry` loads numpy and the analytic layers once the command line
+parses: `--help` and a usage error load none of them), only a command that
 draws or reads a batch loads the sampling stack, only `sample` and
 `estimate` load the batch CSV module and its kernel, which write and read,
 and no command loads concurrent.futures or logging."""
@@ -38,6 +39,31 @@ def _loaded_after(code, packages):
 def test_import_loads_no_layer_and_no_numpy(module):
     assert _loaded_after(f"import {module}", ("numpy", "twinbeams")) == str(
         sorted({"twinbeams", module}))
+
+
+# at exit, writes into the file `loaded` whether numpy is loaded
+NUMPY_AT_EXIT = """\
+import atexit, pathlib, sys
+atexit.register(lambda: pathlib.Path("loaded").write_text(str("numpy" in sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["run"], 2)], ids=["help", "usage"])
+def test_help_and_usage_errors_load_no_numpy(tmp_path, capsys, monkeypatch, argv, code):
+    from twinbeams import cli
+
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps to, here and in the process
+    (tmp_path / "sitecustomize.py").write_text(NUMPY_AT_EXIT)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(tmp_path), str(Path(twinbeams.__file__).parents[1])])}
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "twinbeams.cli",
+                           *argv], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=60)
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    assert proc.returncode == exited.value.code == code
+    assert (proc.stdout, proc.stderr) == capsys.readouterr()
+    assert (tmp_path / "loaded").read_text() == "False"
 
 
 def test_cli_import_leaves_scipy_out():
