@@ -274,7 +274,7 @@ def _layout(start: int, rows: np.ndarray, width: int) -> bytes:
     field = e + (2 + nexp if nexp else 0) + 1
 
     template = np.zeros((m, width + 1 + 4 * field), dtype=np.uint8)
-    _index_into(template, start, width)
+    _digits_into(template, np.arange(start, start + m, dtype=np.uint64), width, width, 1)
     template[:, width] = ord(",")
     shape, strides = (m, 4, field), (template.shape[1], field, 1)  # views of the value slots
     fields = np.ndarray(shape, np.uint8, template, width + 1, strides)
@@ -304,26 +304,6 @@ def _layout(start: int, rows: np.ndarray, width: int) -> bytes:
     return template.tobytes().translate(None, b"\x00")
 
 
-def _index_into(template: np.ndarray, start: int, width: int) -> None:
-    """Write the indices start, start + 1, ... of the rows, right-aligned
-    in the first `width` slots of each: the last 8 digits as one `_ascii8`
-    word (written first: below 8 digits it spills 0 bytes into the slots
-    after), any above them digit by digit, and 0 above each index's first
-    digit, once per run of rows with the same digit count."""
-    m, row = template.shape
-    index = np.arange(start, start + m, dtype=np.uint64)
-    high, low = np.divmod(index, np.uint64(10 ** 8)) if width > 8 else (None, index)
-    word = _ascii8(low) >> np.uint64(8 * max(8 - width, 0))  # no leading zero below 8 digits
-    np.ndarray((m,), "<u8", template, max(width - 8, 0), (row,))[...] = word
-    if width > 8:
-        _digits_into(template, high, width - 8, width - 8)
-    first, digits = 0, len(str(start))
-    while first < m:
-        end = min(m, 10 ** digits - start)  # the rows whose index has `digits` digits
-        template[first:end, :width - digits] = 0
-        first, digits = end, digits + 1
-
-
 def _ascii8(x: np.ndarray) -> np.ndarray:
     """The 8 decimal digits of each x < 10**8 as ASCII, packed in a uint64
     whose lowest byte holds the first digit: split into 4-digit, then
@@ -336,13 +316,13 @@ def _ascii8(x: np.ndarray) -> np.ndarray:
     return (high | ((lanes - high * 10) << 8)) + 0x3030303030303030
 
 
-def _digits_into(slots: np.ndarray, values: np.ndarray, count: int, end: int, keep=None) -> None:
+def _digits_into(slots: np.ndarray, values: np.ndarray, count: int, end: int, keep: int) -> None:
     """Write the `count` lowest decimal digits of values, as ASCII, into
-    slots[..., end - count:end]; above the lowest `keep` (all by default),
-    a digit above a value's highest is a 0 byte."""
+    slots[..., end - count:end]; above the lowest `keep`, a digit above a
+    value's highest is a 0 byte."""
     for j in range(1, count + 1):
         shorter = values // 10
-        zero = ord("0") if keep is None or j <= keep else (values != 0) * np.uint64(ord("0"))
+        zero = ord("0") if j <= keep else (values != 0) * np.uint64(ord("0"))
         np.subtract(values + zero, shorter * 10, out=slots[..., end - j], casting="unsafe")
         values = shorter
 

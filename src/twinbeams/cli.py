@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import io
 import json
 import math
 import os
@@ -164,8 +163,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    return _run(build_parser().parse_args(argv))
+
+
+def _run(args) -> int:
     from .states import PhysicalityError
 
     try:
@@ -186,21 +187,11 @@ def _terminate(signum, frame):
     raise _Terminated
 
 
-def _parses(argv) -> bool:
-    """Whether argparse takes argv, asked without its output or its exit:
-    `main` parses argv again, and prints the help or the usage error."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            build_parser().parse_args(argv)
-        except SystemExit:
-            return False
-    return True
-
-
 def entry() -> int:
-    """Run `main` as a whole process.  Where the command line parses, it
-    loads numpy and the analytic layers first (`--help` and a usage error
-    load neither), then freezes what is loaded out of the collector's reach:
+    """Parse the command line once and run its command as a whole process.
+    `--help` and a usage error exit at the parse, before numpy loads; a
+    command line that parses loads numpy and the analytic layers, then
+    freezes what is loaded out of the collector's reach:
     the collections of the command, of its forked CSV workers and of
     interpreter shutdown no longer walk numpy's and the package's import
     graph.  An interrupt (Ctrl-C) or a SIGTERM (kill's default) ends the
@@ -214,10 +205,10 @@ def entry() -> int:
     if handled:
         signal.signal(signal.SIGTERM, _terminate)
     try:
-        if _parses(sys.argv[1:]):
-            from . import scenario  # numpy, states and criteria: loaded here, then frozen
+        args = build_parser().parse_args(sys.argv[1:])  # --help or a usage error exits here
+        from . import scenario  # numpy, states and criteria: loaded here, then frozen
         gc.freeze()
-        return main()
+        return _run(args)
     except (KeyboardInterrupt, _Terminated) as exc:
         signum = signal.SIGINT if isinstance(exc, KeyboardInterrupt) else signal.SIGTERM
         signal.signal(signum, signal.SIG_DFL)

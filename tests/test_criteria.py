@@ -423,3 +423,21 @@ def test_loss_composes(state, steps, a1, a2, b1, b2):
     once = apply_loss(state, a1 * b1, a2 * b2).cov
     tol = 64 * np.finfo(float).eps * max(np.abs(state.cov).max(), 1.0)
     assert np.abs(twice - once).max() <= tol
+
+
+@settings(max_examples=300)
+@given(SOURCES, st.lists(STEPS, max_size=3), ANGLES, ANGLES, ANGLES, ANGLES)
+def test_maps_invert(state, steps, theta, phi, phi1, phi2):
+    # beamsplitter(theta, phi) is undone by beamsplitter(-theta, 0) then
+    # phase(0, -phi), the transpose of its matrix; phase(phi1, phi2) by
+    # phase(-phi1, -phi2); each within the maps' rounding: 64 eps max(|cov|, 1)
+    for step, x, y in steps:
+        state = step(state, x, y)
+    split = apply_beamsplitter(state, theta, phi)
+    undone = {
+        "beamsplitter": apply_phase(apply_beamsplitter(split, -theta, 0.0), 0.0, -phi).cov,
+        "phase": apply_phase(apply_phase(state, phi1, phi2), -phi1, -phi2).cov,
+    }
+    tol = 64 * np.finfo(float).eps * max(np.abs(state.cov).max(), 1.0)
+    for name, cov in undone.items():
+        assert np.abs(cov - state.cov).max() <= tol, name

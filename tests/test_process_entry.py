@@ -1,10 +1,10 @@
 """The CLI as a process.  `python -m twinbeams.cli` and the installed
-`twinbeams` script both run `cli.entry`, which loads numpy and the
-analytic layers, freezes the collector once and then runs `main`; `main`
-called from Python sets no process policy.  A command run as a process
-gives the exit code, stderr line and output bytes of the same command run
-through `main`, and a Ctrl-C or SIGTERM while numpy loads ends it by that
-signal with nothing on stderr."""
+`twinbeams` script both run `cli.entry`, which parses the command line
+once, loads numpy and the analytic layers, freezes the collector once and
+then runs the command; `main` called from Python sets no process policy.
+A command run as a process gives the exit code, stderr line and output
+bytes of the same command run through `main`, and a Ctrl-C or SIGTERM
+while numpy loads ends it by that signal with nothing on stderr."""
 
 import gc
 import importlib
@@ -149,20 +149,36 @@ def test_console_script_is_the_entry():
 
 def test_entry_freezes_once_before_main(monkeypatch):
     calls = []
+    monkeypatch.setattr(sys, "argv", ["twinbeams", "run", "--scenario", "scn.txt"])
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
-    monkeypatch.setattr(cli, "main", lambda argv=None: calls.append(("main", argv)) or 7)
+    monkeypatch.setattr(cli, "_run", lambda args: calls.append(("run", args.scenario)) or 7)
     assert cli.entry() == 7
-    assert calls == ["freeze", ("main", None)]
+    assert calls == ["freeze", ("run", "scn.txt")]
 
 
-# runs entry() with a `main` that records the SIGTERM handler it runs under
+def test_entry_parses_once(tmp_path, monkeypatch):
+    (tmp_path / "scn.txt").write_text(SCENARIO, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["twinbeams", "run", "--scenario", "scn.txt",
+                                      "--out", "report.json"])
+    monkeypatch.setattr(gc, "freeze", lambda: None)
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    assert cli.entry() == 0
+    assert len(built) == 1
+    assert (tmp_path / "report.json").exists()
+
+
+# runs entry() on a command line that parses, with a command that records
+# the SIGTERM handler it runs under
 SIGTERM_SEEN = """\
 import signal, sys
 from twinbeams import cli
 if sys.argv[1] == "ignored":
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
+sys.argv[1:] = ["run", "--scenario", "scn.txt"]
 seen = []
-cli.main = lambda: seen.append(signal.getsignal(signal.SIGTERM)) or 0
+cli._run = lambda args: seen.append(signal.getsignal(signal.SIGTERM)) or 0
 assert cli.entry() == 0
 print(seen[0] is cli._terminate, seen[0] == signal.SIG_IGN, signal.getsignal(signal.SIGTERM).name)
 """

@@ -85,7 +85,7 @@ def test_bulk_doubles_are_their_repr(kind):
     _assert_reprs(values[np.isfinite(values)])
 
 
-@pytest.mark.parametrize("start", [0, 99_990, 983_040, 10 ** 10])
+@pytest.mark.parametrize("start", [0, 99_990, 983_040, 10 ** 8 - 5, 10 ** 10, 10 ** 18 - 3])
 def test_rows_equal_the_oracle_across_seams(start):
     # sub-batches of SUB_ROWS rows, the last one short, indices that may
     # gain a digit inside the block; a row of -0.0 among them
