@@ -323,30 +323,25 @@ def _ordered_map(func, tasks, count: int, emit=_identity):
     tasks.  A task, a turn and a reply each cross as one pickle, so a
     result is any value that pickles (an array's buffer is written as it
     is, with no copy into bytes).  An exception of func or of emit is
-    raised here at its task's turn.  Every worker is killed and joined
-    when the generator ends, raises or is closed.  Ctrl-C signals the
-    whole process group: SIGINT is held while the workers are forked and
-    each worker ignores it, so it raises KeyboardInterrupt here alone, and
-    no worker ends before this process has taken it.  SIGTERM is held
-    with it, so that a worker ends by SIGTERM as by default, never by a
-    handler of this process.  With W = 1, func
-    and emit run in this process.
+    raised here at its task's turn; a worker ends by os._exit, so it
+    prints nothing, not even a traceback.  Every worker is killed and
+    reaped when the generator ends, raises or is closed.  Ctrl-C signals
+    the whole process group: SIGINT is held while the workers are forked
+    and each worker ignores it, so it raises KeyboardInterrupt here
+    alone, and no worker ends before this process has taken it.  SIGTERM
+    is held with it, so that a worker ends by SIGTERM as by default,
+    never by a handler of this process.  With W = 1, func and emit run
+    in this process.
     """
     workers = min(_cpu_count(), count)
-    if workers > 1:
-        import multiprocessing  # here: a top-level import slows `import twinbeams`
-        import signal
-        import socket
-
-        if multiprocessing.current_process().daemon:  # it may not have children
-            workers = 1
     if workers < 2:
         for task in tasks:
             yield emit(func(*task))
         return
-    # fork: a worker starts at once and runs func and emit as this process holds them
-    context = multiprocessing.get_context("fork")
-    procs, chans, busy = [], [], collections.deque()
+    import signal
+    import socket
+
+    pids, chans, busy = [], [], collections.deque()
     held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
     try:
         for _ in range(workers):
@@ -354,10 +349,13 @@ def _ordered_map(func, tasks, count: int, emit=_identity):
             with ours:  # our end stays open until its file is closed
                 chans.append(ours.makefile("rwb"))
             with theirs:
-                proc = context.Process(target=_serve, args=(func, emit, theirs, chans),
-                                       daemon=True)
-                proc.start()
-                procs.append(proc)  # once started: one that never started has no kill
+                pid = os.fork()  # a worker runs func and emit as this process holds them
+                if pid == 0:
+                    try:  # it ends here, with no exit handler, flush or traceback
+                        _serve(func, emit, theirs, chans)
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
         signal.pthread_sigmask(signal.SIG_SETMASK, held)
         for k, task in enumerate(tasks):
             if k < workers:
@@ -371,9 +369,9 @@ def _ordered_map(func, tasks, count: int, emit=_identity):
             w = busy.popleft()
             yield _turn(chans[w], w)
     finally:
-        for proc in procs:
-            proc.kill()
-            proc.join()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         for chan in chans:
             with contextlib.suppress(OSError):  # a task sent in part fails to flush again
                 chan.close()

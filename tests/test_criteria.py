@@ -362,6 +362,10 @@ class TestClassify:
         cov[0, 2] = cov[2, 0] = 1.000001
         with pytest.raises(ValueError, match=r"^correlation overshoot beyond rounding: 1\.000001$"):
             quadrature_moments(cov, 0.0, 0.0)
+        # a cross term two ulps above sqrt(F1 F2) is a rounding overshoot, clipped to 1 or -1
+        for sign in (1.0, -1.0):
+            cov[0, 2] = cov[2, 0] = sign * (1.0 + 2 * np.finfo(float).eps)
+            assert quadrature_moments(cov, 0.0, 0.0).c12 == sign
 
 
 ANGLES = st.floats(-2 * math.pi, 2 * math.pi)

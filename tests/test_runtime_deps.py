@@ -1,11 +1,12 @@
 """The runtime needs numpy only, and the `test` extra names exactly the
 third-party modules that the tests import besides numpy.  Importing the
-package or the CLI loads no numpy, no layer and no multiprocessing (the
-CLI's `entry` loads numpy and the analytic layers once the command line
-parses: `--help` and a usage error load none of them), only a command that
-draws or reads a batch loads the sampling stack, only `sample` and
-`estimate` load the batch CSV module and its kernel, which write and read,
-and no command loads concurrent.futures or logging."""
+package or the CLI loads no numpy and no layer (the CLI's `entry` loads
+numpy and the analytic layers once the command line parses: `--help` and
+a usage error load none of them), only a command that draws or reads a
+batch loads the sampling stack, only `sample` and `estimate` load the
+batch CSV module and its kernel, which write and read, and no command
+loads concurrent.futures, logging or multiprocessing, not even where the
+CSV workers are forked."""
 
 import ast
 import os
@@ -71,7 +72,7 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_cli_import_leaves_multiprocessing_out():
-    # the CSV workers import it when they start; at import it would cost ~15 ms
+    # no module imports it: the CSV workers are forked with os.fork
     assert _loaded_after("import twinbeams.cli", ("multiprocessing",)) == "[]"
 
 
@@ -110,14 +111,15 @@ def test_only_sample_and_estimate_load_the_csv_kernel(tmp_path, command):
 
 @pytest.mark.parametrize("command", ["sample", "sampled-run", "estimate"])
 def test_no_command_loads_concurrent_futures_or_logging(tmp_path, command):
-    # the jackknife draws a block ahead on one bare thread, not an executor
+    # the jackknife draws a block ahead on one bare thread, not an executor,
+    # and the CSV pool forks its workers itself, on any count of CPUs
     from twinbeams.sampling import DrawnBatch, write_batch
     from twinbeams.states import make_vacuum
 
     scn, written = tmp_path / "scn.txt", tmp_path / "written.csv"
     scn.write_text("schema = twinbeams-scenario-1\nsource = tmsv(0.5)\n"
                    "sampling_n = 2000\nsampling_seed = 1\n")
-    argv = {  # sample: 3 chunks; estimate: 3 byte ranges, on forked workers where CPUs allow
+    argv = {  # sample: 3 chunks; estimate: 3 byte ranges, each on 2 forked workers
         "sample": ["sample", "--scenario", str(scn), "--n", "40000", "--seed", "1",
                    "--out", str(tmp_path / "batch.csv")],
         "sampled-run": ["run", "--scenario", str(scn), "--out", str(tmp_path / "report.json")],
@@ -125,8 +127,9 @@ def test_no_command_loads_concurrent_futures_or_logging(tmp_path, command):
     }[command]
     if command == "estimate":
         write_batch(DrawnBatch(make_vacuum(), 100_000, 1), written)
-    code = f"from twinbeams.cli import main\nassert main({argv!r}) == 0"
-    assert _loaded_after(code, ("concurrent.futures", "logging")) == "[]"
+    code = ("from twinbeams import batchfile\nbatchfile._cpu_count = lambda: 2\n"
+            f"from twinbeams.cli import main\nassert main({argv!r}) == 0")
+    assert _loaded_after(code, ("concurrent.futures", "logging", "multiprocessing")) == "[]"
 
 
 def test_declared_dependencies_are_numpy_only():

@@ -471,7 +471,7 @@ class TestWorkers:
             assert main(["estimate", "--batch", str(path)]) == 2
             assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
         assert errors == [message, message]
-        assert multiprocessing.active_children() == []
+        assert _children(os.getpid()) == []
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_dropped_row_in_late_range(self, written_1e5, tmp_path, monkeypatch, capsys,
@@ -488,7 +488,7 @@ class TestWorkers:
             estimate_criteria(read_batch(path))
         assert main(["estimate", "--batch", str(path)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
-        assert multiprocessing.active_children() == []
+        assert _children(os.getpid()) == []
 
     def test_estimate_parses_in_one_pool(self, tmp_path, monkeypatch):
         # read_batch takes n from the last row and forks nothing; the
@@ -537,7 +537,7 @@ class TestWorkers:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        assert multiprocessing.active_children() == []
+        assert _children(os.getpid()) == []
         assert list(tmp_path.iterdir()) == []  # no truncated batch to be read
 
     @pytest.mark.parametrize("reply", [_REPLY[:len(_REPLY) // 2], b""], ids=["cut-short", "empty"])
@@ -545,8 +545,9 @@ class TestWorkers:
         with pytest.raises(RuntimeError, match="^worker 0 ended before sending its result$"):
             batchfile._take(io.BytesIO(reply), 0)
 
-    def test_exception_that_does_not_pickle_is_a_worker_that_ended(self, monkeypatch):
-        # the worker cannot send what it raised, so it ends with nothing sent
+    def test_exception_that_does_not_pickle_is_a_worker_that_ended(self, monkeypatch, capfd):
+        # the worker cannot send what it raised, so it ends with nothing
+        # sent and nothing printed: the one line on stderr is the parent's
         _patch_workers(monkeypatch, 2)
 
         def fail():
@@ -554,7 +555,8 @@ class TestWorkers:
 
         with pytest.raises(RuntimeError, match="^worker 0 ended before sending its result$"):
             list(batchfile._ordered_map(fail, [()] * 2, 2))
-        assert multiprocessing.active_children() == []
+        assert _children(os.getpid()) == []
+        assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("fault, message", [
         ("worker", "[Errno 28] No space left on device"),
@@ -578,7 +580,7 @@ class TestWorkers:
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert [path.name for path in tmp_path.iterdir()] == ["scn.txt"]  # nor a temporary file
-        assert multiprocessing.active_children() == []
+        assert _children(os.getpid()) == []
 
     def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch):
         _patch_workers(monkeypatch, 1)
@@ -603,17 +605,23 @@ class TestWorkers:
             os.close(reader)
         assert stat.S_ISFIFO(os.stat(pipe).st_mode)
 
-    def test_daemon_process_writes_in_process(self, tmp_path, monkeypatch):
-        # a daemonic process may not start children, so it formats itself
+    def test_daemon_process_writes_through_the_pool(self, tmp_path, monkeypatch):
+        # a daemonic multiprocessing child forks its 2 workers as any process does
         _patch_workers(monkeypatch, 2)
         monkeypatch.setattr(sampling, "WRITE_CHUNK", 7)
-        path = tmp_path / "batch.csv"
-        context = multiprocessing.get_context("fork")
-        proc = context.Process(target=write_batch, args=(_golden_batch(), path), daemon=True)
+        path, forks = tmp_path / "batch.csv", tmp_path / "forks"
+
+        def write():
+            counted, fork = [], os.fork  # os.fork is replaced in the child alone
+            os.fork = lambda: counted.append(1) or fork()
+            write_batch(_golden_batch(), path)
+            forks.write_text(str(len(counted)))
+
+        proc = multiprocessing.get_context("fork").Process(target=write, daemon=True)
         proc.start()
         proc.join(timeout=60)
         assert proc.exitcode == 0
-        assert path.read_bytes() == GOLDEN_BATCH.read_bytes()
+        assert (path.read_bytes(), forks.read_text()) == (GOLDEN_BATCH.read_bytes(), "2")
 
 
     def test_workers_write_a_pipe_as_a_file(self, tmp_path, monkeypatch):
@@ -644,7 +652,7 @@ class TestWorkers:
         assert capsys.readouterr().err.splitlines() == [
             f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '/dev/full'"]
         assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
-        assert multiprocessing.active_children() == []
+        assert _children(os.getpid()) == []
 
     @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit to set")
     def test_worker_write_error_names_the_file(self, tmp_path):
@@ -916,7 +924,7 @@ class TestStreamedCsv:
         monkeypatch.setattr(batchfile, "READ_RANGE", 333)
         write_batch(read_batch(GOLDEN_BATCH), tmp_path / "batch.csv")
         assert (tmp_path / "batch.csv").read_bytes() == GOLDEN_BATCH.read_bytes()
-        assert multiprocessing.active_children() == []
+        assert _children(os.getpid()) == []
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("range_bytes", [1, 64, 333])
@@ -934,7 +942,7 @@ class TestStreamedCsv:
         assert (read.n, read.seed, read.source_label) == (1003, 5, "lossy")
         assert (json.dumps(estimate_criteria(read).to_json())
                 == json.dumps(estimate_criteria(batch).to_json()))
-        assert multiprocessing.active_children() == []
+        assert _children(os.getpid()) == []
 
     def test_bad_line_met_by_the_jackknife(self, tmp_path, monkeypatch, capsys):
         # a fault in a late range surfaces while the blocks are read, and
@@ -948,7 +956,7 @@ class TestStreamedCsv:
         path.write_text("".join(lines))
         with pytest.raises(BatchFormatError, match="^line 904: non-numeric cell$"):
             estimate_criteria(read_batch(path))
-        assert multiprocessing.active_children() == []
+        assert _children(os.getpid()) == []
         assert main(["estimate", "--batch", str(path)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: {path}: line 904: non-numeric cell"]
