@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .states import GaussianTwoModeState, _check
+from .states import GaussianTwoModeState, _check, _rounding_tol
 
 LEVEL5_NOTE = "not evaluable for Gaussian states (positive Wigner function)"
 
@@ -178,7 +178,8 @@ def report_scalars(dm: DuanEprMoments) -> dict:
     level 1-4 verdicts and the Duan-note flag, elementwise.  Levels 1-2
     use the `plus` pair.  S12 sums the fixed balanced 50/50 combinations
     Var(X+_1 - X+_2)/2 and Var(X-_1 + X-_2)/2; the Duan note flags a
-    minimized gemellity below its fixed combination on either pair.
+    minimized gemellity below its fixed combination on either pair by
+    more than the rounding of the pair's s = (F1 + F2)/2.
     """
     plus, minus = _pair_forms(dm.plus), _pair_forms(dm.minus)
     balanced_plus, balanced_minus = plus.s - plus.b, minus.s + minus.b
@@ -198,8 +199,8 @@ def report_scalars(dm: DuanEprMoments) -> dict:
         "optimal_theta": plus.theta,
         "optimal_gain_12": plus.gain12,
         "optimal_gain_21": plus.gain21,
-        "duan_note": ((plus.gemellity < balanced_plus - DUAN_SLACK)
-                      | (minus.gemellity < balanced_minus - DUAN_SLACK)),
+        "duan_note": ((plus.gemellity < balanced_plus - _rounding_tol(DUAN_SLACK, plus.s))
+                      | (minus.gemellity < balanced_minus - _rounding_tol(DUAN_SLACK, minus.s))),
     }
 
 

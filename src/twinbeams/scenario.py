@@ -22,7 +22,6 @@ Unknown keys, operations, parameters and nan/inf are errors, never warnings.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import os
 import re
@@ -308,8 +307,8 @@ def sweep(scenario: Scenario, parameter: str, grid) -> np.recarray:
 
 def write_sweep_csv(rows: np.recarray, path) -> None:
     """The records as CSV, formatted in one pass before the file is opened."""
-    cells = tuple(itertools.chain.from_iterable(rows.tolist()))
-    data = (",".join(rows.dtype.names) + "\n" + _SWEEP_ROW * len(rows) % cells).encode("utf-8")
+    text = "".join([_SWEEP_ROW % row for row in rows.tolist()])
+    data = (",".join(rows.dtype.names) + "\n" + text).encode("utf-8")
     with _output(path) as write:
         write(data)
 

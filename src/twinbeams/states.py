@@ -133,10 +133,7 @@ def _check(ok, message: str, *values) -> None:
 def _squeezing(fn, x, name: str) -> np.ndarray:
     """fn of each entry of the squeezing parameter x (name in errors); fn
     calls math's cosh, sinh or exp, since numpy's differ in the last bit,
-    on a Python float, whose `2.0 * v` overflows to inf without raising.
-    The overflow still sets the CPU's flag, which np.vectorize would
-    report as a RuntimeWarning (`sms(1, 1e308, 0)`: exp(-inf) is 0 and
-    exp(inf) raises below), so that warning is off here."""
+    on a Python float, whose `2.0 * v` overflows to inf without raising."""
     def entry(v):
         v = float(v)
         try:
@@ -146,8 +143,7 @@ def _squeezing(fn, x, name: str) -> np.ndarray:
         if math.isinf(value):  # inf from inf; a nan parameter fails the state's check
             raise ValueError(f"squeezing parameter {name} = {v} overflows the covariance")
         return value
-    with np.errstate(over="ignore"):
-        return np.vectorize(entry, otypes=[float])(x)
+    return np.reshape([entry(v) for v in np.ravel(x).tolist()], np.shape(x))
 
 
 def _matrix(rows) -> np.ndarray:

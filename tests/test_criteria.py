@@ -413,6 +413,24 @@ def test_beam_relabelling_swaps_the_imbalanced_criteria(state, steps, theta):
             assert getattr(got, level) == getattr(want, level), level
 
 
+PASSIVE_STEPS = st.one_of(
+    st.tuples(st.just(apply_beamsplitter), ANGLES, ANGLES),
+    st.tuples(st.just(apply_phase), ANGLES, ANGLES),
+)
+
+
+@settings(max_examples=300)
+@given(st.floats(1.0, 1e12), st.lists(PASSIVE_STEPS, min_size=1, max_size=3), ANGLES)
+def test_balanced_thermal_pair_has_no_duan_note(f, steps, theta):
+    # thermal(f, f) is f times the identity, which passive maps keep: each
+    # minimized gemellity equals its fixed 50/50 combination, and the two
+    # differ only by rounding, which scales with f
+    state = make_thermal(f, f)
+    for step, x, y in steps:
+        state = step(state, x, y)
+    assert classify(state, theta, theta + math.pi / 2).duan_note is None
+
+
 ETAS = st.floats(0.0, 1.0)
 
 

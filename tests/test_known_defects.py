@@ -8,11 +8,15 @@ only that way.  Item 1's mapped-vacuum xfails stay in
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twinbeams
 from twinbeams.cli import main
 from twinbeams.criteria import classify
 from twinbeams.sampling import SampleBatch, draw_samples, estimate_criteria
@@ -87,6 +91,56 @@ def file_estimate_at_scenario_angles():
     assert json.loads(Path("estimate.json").read_text())["estimates"] == sampled
 
 
+THREADS = """
+import sys
+def threads():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+"""
+# `sample` as the process entry runs it, on two CPUs: each fork prints the
+# number of OS threads of the process it forks
+SAMPLE_ON_TWO_CPUS = """
+import os
+from twinbeams import cli
+
+def sample_on_two_cpus(args, sample=cli._COMMANDS["sample"]):
+    from twinbeams import batchfile
+    batchfile._cpu_count = lambda: 2
+    return sample(args)
+
+def fork(fork=os.fork):
+    print(threads(), flush=True)
+    return fork()
+
+cli._COMMANDS["sample"] = sample_on_two_cpus
+os.fork = fork
+sys.exit(cli.entry())
+"""
+
+
+def fork_from_one_thread():
+    """`sample` on two CPUs, with no BLAS thread variable set, calls
+    `os.fork` for each CSV worker in a process with one OS thread, or
+    forks none: a fork beside another thread may deadlock the child, and
+    Python 3.12 and later warn of it.  (OpenBLAS stops its own threads in
+    a fork handler, which runs only inside the call.)  Where numpy starts
+    no BLAS thread there is none to fork beside."""
+    env = {name: value for name, value in os.environ.items()
+           if not name.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(twinbeams.__file__).parents[1])
+
+    def fresh(code, *args):
+        return subprocess.run([sys.executable, "-c", THREADS + code, *args], env=env, check=True,
+                              capture_output=True, text=True, timeout=120).stdout.split()
+
+    if fresh("import numpy\nprint(threads())") == ["1"]:
+        pytest.skip("numpy starts no BLAS thread here")
+    Path("scn.txt").write_text("schema = twinbeams-scenario-1\nsource = tmsv(1.1)\n")
+    at_fork = fresh(SAMPLE_ON_TWO_CPUS, "sample", "--scenario", "scn.txt", "--n", "50000",
+                    "--seed", "1", "--out", "batch.csv")
+    assert set(at_fork) <= {"1"}, at_fork
+
+
 def _entry(check, args, item, raises, today):
     return pytest.param(check, args, id="-".join([check.__name__, *map(str, args)]),
                         marks=pytest.mark.xfail(strict=True, raises=raises,
@@ -112,6 +166,8 @@ LEDGER = [
            "no double-precision Cholesky factor of its covariance"),
     _entry(file_estimate_at_scenario_angles, (), "item 16", AssertionError,
            "G = 1.480 from the file, 0.110 from the sampled run"),
+    _entry(fork_from_one_thread, (), "item 19", AssertionError,
+           "the first `os.fork` is called in a process of 2 OS threads"),
 ]
 
 

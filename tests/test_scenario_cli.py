@@ -400,19 +400,21 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("module, name, stand_in", [
-        (cli, "range", None),  # building the grid: the module's name comes before the builtin
-        (scenario, "np", "array"),  # numpy's allocation of the grid's state stack
-        (criteria, "report_scalars", None),  # scoring the stack
-        (scenario, "itertools", "chain.from_iterable"),  # the CSV's cells
+        # building the grid: the module's name comes before the builtin
+        (cli, "range", lambda fail: fail),
+        # numpy's allocation of the grid's state stack
+        (scenario, "np", lambda fail: SimpleNamespace(array=fail)),
+        # scoring the stack
+        (criteria, "report_scalars", lambda fail: fail),
+        # formatting a CSV row: a row format whose `%` fails
+        (scenario, "_SWEEP_ROW", lambda fail: type("RowFormat", (str,), {"__mod__": fail})()),
     ], ids=["grid", "state-stack", "scores", "csv-text"])
     def test_sweep_out_of_memory_exit_2_no_file(self, tmp_path, capsys, monkeypatch,
                                                 module, name, stand_in):
         def fail(*args, **kwargs):
             raise MemoryError("Unable to allocate")
 
-        for attribute in reversed(stand_in.split(".") if stand_in else []):
-            fail = SimpleNamespace(**{attribute: fail})
-        monkeypatch.setattr(module, name, fail, raising=False)
+        monkeypatch.setattr(module, name, stand_in(fail), raising=False)
         scn = self._write(tmp_path, TMSV_SCENARIO)
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--scenario", str(scn), "--param", "source.r",
